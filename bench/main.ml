@@ -843,39 +843,25 @@ let run_netd_raw () =
       Dce_netd.Conn.shutdown rx)
     [ (64, 20_000); (1024, 10_000); (8192, 2_000) ]
 
-(* a minimal relay endpoint: snapshot -> rejoin, message -> receive,
-   emitted validations -> back on the wire (same shape as p2pedit) *)
-type bench_ep = {
-  bclient : Dce_netd.Client.t;
-  bsite : int;
-  mutable bctrl : char C.t option;
-}
+(* a relay endpoint: the same [Dce_netd.Site] p2pedit drives *)
+let bench_ep ?doc ~port site =
+  Dce_netd.Site.create ~codec:Dce_wire.Proto.char_codec ~eq:Char.equal
+    (Dce_netd.Client.create ~metrics:bench_metrics ?doc ~host:"127.0.0.1" ~port ~site ())
 
 let bench_ep_step ep =
   List.iter
-    (fun ev ->
-      match ev with
-      | Dce_netd.Client.Snapshot blob -> (
-        match Dce_wire.Proto.Char_proto.decode_state blob with
-        | Error e -> failwith e
-        | Ok state -> (
-          match C.load ~eq:Char.equal state with
-          | Error e -> failwith e
-          | Ok donor -> ep.bctrl <- Some (C.rejoin ~site:ep.bsite donor)))
-      | Dce_netd.Client.Message blob -> (
-        match Dce_wire.Proto.Char_proto.decode_message blob with
-        | Error e -> failwith e
-        | Ok m ->
-          let c, emitted = C.receive (Option.get ep.bctrl) m in
-          ep.bctrl <- Some c;
-          List.iter
-            (fun m' ->
-              Dce_netd.Client.send ep.bclient
-                (Dce_wire.Proto.Char_proto.encode_message m'))
-            emitted)
-      | Dce_netd.Client.Gave_up r -> failwith ("netd bench: client gave up: " ^ r)
+    (function
+      | Dce_netd.Site.Dropped r -> failwith ("netd bench: " ^ r)
+      | Dce_netd.Site.Link (Dce_netd.Client.Gave_up r) ->
+        failwith ("netd bench: client gave up: " ^ r)
       | _ -> ())
-    (Dce_netd.Client.step ~timeout_ms:0 ep.bclient)
+    (Dce_netd.Site.step ep)
+
+let bench_edit ep =
+  let c = Option.get (Dce_netd.Site.controller ep) in
+  match Dce_netd.Site.generate ep (Tdoc.ins_visible (C.document c) 0 (letter ())) with
+  | Ok _ -> ()
+  | Error r -> failwith r
 
 let run_netd_session () =
   Printf.printf "end-to-end hub session (loopback TCP, hub + admin + editor):\n";
@@ -895,15 +881,7 @@ let run_netd_session () =
   in
   Fun.protect ~finally:(fun () -> Dce_hub.Hub.shutdown hub) @@ fun () ->
   let port = Dce_hub.Hub.port hub in
-  let mk site =
-    {
-      bclient =
-        Dce_netd.Client.create ~metrics:bench_metrics ~host:"127.0.0.1" ~port ~site ();
-      bsite = site;
-      bctrl = None;
-    }
-  in
-  let ep_admin = mk adm and ep_user = mk user in
+  let ep_admin = bench_ep ~port adm and ep_user = bench_ep ~port user in
   let eps = [ ep_admin; ep_user ] in
   let pump_until cond =
     let rec go i =
@@ -917,10 +895,10 @@ let run_netd_session () =
     in
     go 0
   in
-  pump_until (fun () -> ep_admin.bctrl <> None && ep_user.bctrl <> None);
+  pump_until (fun () -> List.for_all (fun ep -> Dce_netd.Site.controller ep <> None) eps);
   let edits = 400 in
   let settled ep =
-    match ep.bctrl with
+    match Dce_netd.Site.controller ep with
     | None -> false
     | Some c ->
       Tdoc.visible_length (C.document c) = 4 + edits
@@ -928,13 +906,7 @@ let run_netd_session () =
   in
   let t0 = now () in
   for _ = 1 to edits do
-    let c = Option.get ep_user.bctrl in
-    (match C.generate c (Tdoc.ins_visible (C.document c) 0 (letter ())) with
-     | c, C.Accepted m ->
-       ep_user.bctrl <- Some c;
-       Dce_netd.Client.send ep_user.bclient
-         (Dce_wire.Proto.Char_proto.encode_message m)
-     | _, C.Denied r -> failwith r);
+    bench_edit ep_user;
     (* keep the loop turning so the outbox drains as we go *)
     Dce_hub.Hub.step hub;
     List.iter bench_ep_step eps
@@ -945,7 +917,7 @@ let run_netd_session () =
     "%d edits generated, relayed, validated and integrated in %.3f s (%.0f edits/s)\n"
     edits dt
     (float_of_int edits /. dt);
-  List.iter (fun ep -> Dce_netd.Client.close ep.bclient) eps
+  List.iter Dce_netd.Site.close eps
 
 let run_netd () =
   Printf.printf "== netd: loopback transport throughput ==\n";
@@ -977,26 +949,15 @@ let run_hub_docs ~quick ndocs =
         None )
   in
   let hub =
-    Dce_hub.Hub.create
-      ~config:{ Dce_hub.Hub.default_config with Dce_hub.Hub.default_doc = doc_name 0 }
-      ~metrics:bench_metrics ~codec:Dce_wire.Proto.char_codec ~factory
+    Dce_hub.Hub.create ~metrics:bench_metrics ~codec:Dce_wire.Proto.char_codec ~factory
       ~docs:(List.init ndocs doc_name) ~port:0 ()
   in
   Fun.protect ~finally:(fun () -> Dce_hub.Hub.shutdown hub) @@ fun () ->
   let port = Dce_hub.Hub.port hub in
-  let mk site doc =
-    {
-      bclient =
-        Dce_netd.Client.create ~metrics:bench_metrics ~doc ~host:"127.0.0.1"
-          ~port ~site ();
-      bsite = site;
-      bctrl = None;
-    }
-  in
   let groups =
     List.init ndocs (fun d ->
         let doc = doc_name d in
-        (doc, mk adm doc, mk user doc))
+        (doc, bench_ep ~doc ~port adm, bench_ep ~doc ~port user))
   in
   let eps = List.concat_map (fun (_, a, u) -> [ a; u ]) groups in
   let pump_until cond =
@@ -1011,19 +972,11 @@ let run_hub_docs ~quick ndocs =
     in
     go 0
   in
-  pump_until (fun () -> List.for_all (fun ep -> ep.bctrl <> None) eps);
+  pump_until (fun () -> List.for_all (fun ep -> Dce_netd.Site.controller ep <> None) eps);
   let len ep =
-    match ep.bctrl with
+    match Dce_netd.Site.controller ep with
     | None -> 0
     | Some c -> Tdoc.visible_length (C.document c)
-  in
-  let send_edit ep =
-    let c = Option.get ep.bctrl in
-    match C.generate c (Tdoc.ins_visible (C.document c) 0 (letter ())) with
-    | c', C.Accepted m ->
-      ep.bctrl <- Some c';
-      Dce_netd.Client.send ep.bclient (Dce_wire.Proto.Char_proto.encode_message m)
-    | _, C.Denied r -> failwith r
   in
   (* fan-out latency, one quiet edit at a time on a sample of docs *)
   let fan_h =
@@ -1036,7 +989,7 @@ let run_hub_docs ~quick ndocs =
       if i < samples then begin
         let target = len ep_a + 1 in
         let t0 = Obs.Clock.now_ns () in
-        send_edit ep_u;
+        bench_edit ep_u;
         pump_until (fun () -> len ep_a >= target);
         Obs.Metrics.observe fan_h (Obs.Clock.now_ns () - t0)
       end)
@@ -1051,7 +1004,7 @@ let run_hub_docs ~quick ndocs =
       (fun (_, ep_a, ep_u) (_, want) ->
         List.for_all
           (fun ep ->
-            match ep.bctrl with
+            match Dce_netd.Site.controller ep with
             | None -> false
             | Some c ->
               Tdoc.visible_length (C.document c) = want
@@ -1061,7 +1014,7 @@ let run_hub_docs ~quick ndocs =
   in
   let t0 = now () in
   for _ = 1 to edits_per_doc do
-    List.iter (fun (_, _, ep_u) -> send_edit ep_u) groups;
+    List.iter (fun (_, _, ep_u) -> bench_edit ep_u) groups;
     Dce_hub.Hub.step hub;
     List.iter bench_ep_step eps
   done;
@@ -1083,7 +1036,7 @@ let run_hub_docs ~quick ndocs =
     ndocs total dt frames_per_s
     (fan.Obs.Metrics.p50 /. 1e6)
     samples;
-  List.iter (fun ep -> Dce_netd.Client.close ep.bclient) eps
+  List.iter Dce_netd.Site.close eps
 
 let run_hub ~quick () =
   Printf.printf "== hub: multi-document scaling (frames/s, fan-out latency) ==\n";

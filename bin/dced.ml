@@ -16,7 +16,7 @@
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1 --doc notes
 
-   Old clients (no --doc) attach to the default document "main".
+   Clients without --doc attach to the document "main".
    Federation: a leaf hub relays a home hub's documents to its own
    members with
 
@@ -85,7 +85,7 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
   let docs =
     List.filter (fun d -> d <> "") (String.split_on_char ',' docs_arg)
   in
-  let docs = if docs = [] then [ Hub.default_config.Hub.default_doc ] else docs in
+  let docs = if docs = [] then [ "main" ] else docs in
   let default_doc = List.hd docs in
   let with_sink f =
     match trace_file with
@@ -158,7 +158,6 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
           Hub.heartbeat_ms;
           idle_timeout_ms;
           hub_id;
-          default_doc;
           auto_create;
         }
       in
@@ -356,8 +355,9 @@ let stats_jsonl =
 let docs_arg =
   Arg.(value & opt string "main"
        & info [ "docs" ] ~docv:"NAMES"
-           ~doc:"Comma-separated document names to host (the first is the default \
-                 document old single-doc clients attach to).")
+           ~doc:"Comma-separated document names to host.  The first is the \
+                 default document: its journal keeps the --data-dir root and \
+                 /sessions reports it at top level.")
 
 let auto_create =
   Arg.(value & flag

@@ -20,9 +20,9 @@
    frames through a seeded [Dce_netd.Faults] plan (drop, duplicate,
    delay, reorder), and --partition-ms cuts the odd-site editors off
    one-sidedly for a window in the middle of the run, then heals by
-   forcing a reconnect: the rejoin snapshot plus catch-up re-broadcast
-   must recover everything the partition swallowed, which the delivery
-   ratio gate verifies.  The whole run is reproducible from --seed.
+   forcing a reconnect: the resuming join (a delta, or a snapshot plus
+   catch-up) and its re-broadcast must recover everything the partition
+   swallowed, which the delivery ratio gate verifies.  The whole run is reproducible from --seed.
 
    Outputs BENCH_load.json (delivered throughput, end-to-end
    propagation percentiles, queue depths, overflow/reconnect counts)
@@ -156,11 +156,12 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
            ?config:cfg
            ~seed ~label:(Printf.sprintf "site-%d" site) ())
   in
-  let client =
-    Netd.Client.create ~metrics ~trace:sink ~seed ~doc ?faults ~host:"127.0.0.1"
-      ~port:relay_port ~site ()
+  let ed =
+    Netd.Site.create ~metrics ~trace:sink ~codec:Proto.char_codec ~eq:Char.equal
+      (Netd.Client.create ~metrics ~trace:sink ~seed ~doc ?faults ~host:"127.0.0.1"
+         ~port:relay_port ~site ())
   in
-  let e2e = Obs.Metrics.histogram metrics "e2e.propagation_ns" in
+  let client = Netd.Site.client ed in
   (* doc-labeled, so the harness can break the merged totals down per
      shard after scraping *)
   let sent_c =
@@ -172,83 +173,20 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
       (Obs.Metrics.with_label "load.delivered" ~key:"doc" ~value:doc)
   in
   let outbox_g = Obs.Metrics.gauge metrics "netd.outbox_bytes" in
-  let ctrl = ref None in
-  let send m =
-    Netd.Client.send client
-      (Proto.Char_proto.encode_message ~stamp:(Proto.stamp_now ~site ()) m)
-  in
   (* open loop: op k is due at join + k/rate, whether or not the
      system kept up with op k-1 *)
   let total = int_of_float (rate *. duration) in
   let k = ref 0 in
   let start = ref None in
-  let handle = function
-    | Netd.Client.Connected -> ()
-    | Netd.Client.Snapshot blob -> (
-      match Proto.Char_proto.decode_state blob with
-      | Error _ -> ()
-      | Ok state -> (
-        match Controller.load ~eq:Char.equal ~trace:sink ~metrics state with
-        | Error _ -> ()
-        | Ok donor ->
-          let c =
-            match !ctrl with
-            | Some mine ->
-              let mine, out = Controller.catch_up mine donor in
-              List.iter send out;
-              mine
-            | None -> Controller.rejoin ~site donor
-          in
-          ctrl := Some c;
-          if !start = None then start := Some (Obs.Clock.now_ms ());
-          Netd.Client.set_stamp client (fun () ->
-              match !ctrl with
-              | Some c -> (Controller.clock c, Controller.version c)
-              | None -> (Dce_ot.Vclock.empty, 0))))
-    | Netd.Client.Message blob -> (
-      match Proto.Char_proto.decode_message_stamped blob with
-      | Error _ -> ()
-      | Ok (stamp, m) -> (
-        match !ctrl with
-        | None -> ()
-        | Some c -> (
-          match Controller.receive c m with
-          | c, emitted ->
-            ctrl := Some c;
-            Obs.Metrics.incr delivered_c;
-            (match stamp with
-             | Some s ->
-               Obs.Metrics.observe e2e (Obs.Clock.now_ns () - s.Proto.s_ns)
-             | None -> ());
-            List.iter send emitted
-          | exception _ -> ())))
-    | Netd.Client.Beacon blob -> (
-      (* the hub's aggregate stability gossip: absorbing it is what lets
-         this editor compact below, keeping |H| flat for the whole run *)
-      match Proto.decode_frontier blob with
-      | Error _ -> ()
-      | Ok entries -> (
-        match !ctrl with
-        | None -> ()
-        | Some c ->
-          ctrl :=
-            Some
-              (List.fold_left
-                 (fun c (b : Proto.beacon) ->
-                   Controller.receive_beacon c ~peer:b.Proto.b_site
-                     ~clock:b.Proto.b_clock ~version:b.Proto.b_version)
-                 c entries)))
-    | Netd.Client.Delta _ ->
-      (* editors here never present a resume point, so no delta arrives;
-         tolerate one anyway (the snapshot fallback heals on reconnect) *)
-      ()
-    | Netd.Client.Disconnected _ | Netd.Client.Reconnecting _ -> ()
-    | Netd.Client.Gave_up _ -> stop := true
+  let on_notice = function
+    | Netd.Site.Joined _ -> if !start = None then start := Some (Obs.Clock.now_ms ())
+    | Netd.Site.Integrated _ -> Obs.Metrics.incr delivered_c
+    | Netd.Site.Link (Netd.Client.Gave_up _) -> stop := true
+    | Netd.Site.Dropped _ | Netd.Site.Link _ -> ()
   in
-  let last_compact = ref 0. in
   (* one-sided partition: outgoing frames silently dropped for the
-     window, then heal by severing the link — the rejoin snapshot and
-     catch-up re-broadcast recover what the partition swallowed *)
+     window, then heal by severing the link — the rejoin transfer and
+     its re-broadcast recover what the partition swallowed *)
   let pstate = ref `Before in
   let partition_step () =
     match (partition, faults, !start) with
@@ -277,14 +215,11 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
       | Some d -> max 0 (min 20 (int_of_float (d -. Obs.Clock.now_ms ())))
       | None -> 50
     in
-    let events =
-      try Netd.Client.step ~timeout_ms client
-      with Unix.Unix_error (Unix.EINTR, _, _) -> []
-    in
-    List.iter handle events;
+    (try List.iter on_notice (Netd.Site.step ~timeout_ms ed)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     Netd.Admin.step admin;
     Obs.Metrics.set outbox_g (Netd.Client.outbox_bytes client);
-    (match (due_ms, !ctrl) with
+    (match (due_ms, Netd.Site.controller ed) with
      | Some d, Some c
        when Obs.Clock.now_ms () >= d && Netd.Client.connected client -> (
        incr k;
@@ -292,23 +227,14 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
        let len = Tdoc.visible_length doc in
        let pos = if len = 0 then 0 else !k mod len in
        let ch = Char.chr (Char.code 'a' + (!k mod 26)) in
-       match Controller.generate c (Tdoc.ins_visible doc pos ch) with
-       | c, Controller.Accepted m ->
-         ctrl := Some c;
+       match Netd.Site.generate ed (Tdoc.ins_visible doc pos ch) with
+       | Ok _ ->
          Obs.Metrics.incr sent_c;
-         cell.ec_sent <- cell.ec_sent + 1;
-         send m
-       | _, Controller.Denied _ -> ())
+         cell.ec_sent <- cell.ec_sent + 1
+       | Error _ -> ())
      | _ -> ());
-    (let now = Obs.Clock.now_ms () in
-     if now -. !last_compact >= 2_000. then begin
-       last_compact := now;
-       match !ctrl with
-       | Some c -> ctrl := Some (Controller.compact c)
-       | None -> ()
-     end);
-    cell.ec_joined <- Option.is_some !ctrl;
-    match !ctrl with
+    cell.ec_joined <- Option.is_some (Netd.Site.controller ed);
+    match Netd.Site.controller ed with
     | Some c ->
       cell.ec_doc_len <- Tdoc.visible_length (Controller.document c);
       cell.ec_version <- Controller.version c;
@@ -317,7 +243,7 @@ let editor_child ~cell ~metrics ~admin ~site ~doc ~relay_port ~rate ~duration
       cell.ec_tentative <- List.length (Controller.tentative c)
     | None -> ()
   done;
-  Netd.Client.close client;
+  Netd.Site.close ed;
   Netd.Admin.close admin;
   close_out_noerr oc;
   exit 0
@@ -406,15 +332,15 @@ let run editors rate duration drain_ms port text trace_dir out min_ratio docs_k
         Policy.make ~users:sites
           [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
       in
+      (* one relay site per document, so the shared relay trace holds one
+         monotone causal stream per hosted replica *)
       Ok
-        ( Controller.create ~eq:Char.equal ~site:relay_site ~admin ~policy
+        ( Controller.create ~eq:Char.equal ~site:(relay_site + d) ~admin ~policy
             ~trace:relay_sink ~metrics:relay_metrics (Tdoc.of_string text),
           None )
   in
   let hub =
-    Hub.create
-      ~config:{ Hub.default_config with Hub.default_doc = doc_name 0 }
-      ~metrics:relay_metrics ~trace:relay_sink ~codec:Proto.char_codec ~factory
+    Hub.create ~metrics:relay_metrics ~trace:relay_sink ~codec:Proto.char_codec ~factory
       ~docs:(List.init ndocs doc_name) ~port ()
   in
   let relay_port = Hub.port hub in

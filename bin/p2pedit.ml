@@ -8,9 +8,9 @@
      dune exec bin/p2pedit.exe -- --users 2 --text "abc"
 
    With --connect the same tool becomes ONE site of a multi-process
-   session hosted by a dced relay (see bin/dced.ml): this process runs
-   a single controller, joins from a snapshot, and exchanges messages
-   over real TCP.  Connect-mode commands drop the site column (you are
+   session hosted by a dced relay (see bin/dced.ml): this process drives
+   a single [Dce_netd.Site], which joins from a snapshot (or a delta)
+   and exchanges messages over real TCP.  Connect-mode commands drop the site column (you are
    the site) and add `sleep <ms>` to pump the network from scripts:
 
      dune exec bin/p2pedit.exe -- --connect 127.0.0.1:7471 --site 1
@@ -75,17 +75,17 @@ let pp_message ppf = function
   | Controller.Coop q -> Request.pp Fmt.char ppf q
   | Controller.Admin r -> Admin_op.pp_request ppf r
 
+let show_site u c =
+  Printf.printf "site %d%s: %S  (policy v%d%s)\n%!" u
+    (if Controller.is_admin c then "*" else "")
+    (Tdoc.visible_string (Controller.document c))
+    (Controller.version c)
+    (match List.length (Controller.tentative c) with
+     | 0 -> ""
+     | n -> Printf.sprintf ", %d tentative" n)
+
 let show st =
-  List.iter
-    (fun (u, c) ->
-      Printf.printf "site %d%s: %S  (policy v%d%s)\n" u
-        (if Controller.is_admin c then "*" else "")
-        (Tdoc.visible_string (Controller.document c))
-        (Controller.version c)
-        (match List.length (Controller.tentative c) with
-         | 0 -> ""
-         | n -> Printf.sprintf ", %d tentative" n))
-    st.sites;
+  List.iter (fun (u, c) -> show_site u c) st.sites;
   Printf.printf "%d message(s) in flight\n" (List.length st.wire)
 
 let edit st u op =
@@ -126,6 +126,24 @@ let right_of_string = function
   | "r" | "rR" -> Some Right.Read
   | _ -> None
 
+(* the administrator's commands, in both modes: [None] when [words] is
+   not one of them *)
+let admin_command words =
+  let auth mk u r =
+    match right_of_string r with
+    | Some right ->
+      Ok (Admin_op.Add_auth (0, mk [ Subject.User (int_of_string u) ] [ Docobj.Whole ] [ right ]))
+    | None -> Error (Printf.sprintf "unknown right %S (use i, d, u or r)" r)
+  in
+  match words with
+  | [ "deny"; u; r ] -> Some (auth Auth.deny u r)
+  | [ "allow"; u; r ] -> Some (auth Auth.grant u r)
+  | [ "adduser"; u ] -> Some (Ok (Admin_op.Add_user (int_of_string u)))
+  | _ -> None
+
+let words_of line =
+  List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line))
+
 let session users text sink =
   let all = List.init (users + 1) Fun.id in
   let policy =
@@ -147,10 +165,7 @@ let session users text sink =
   (try
      while true do
        print_string "> ";
-       let line = read_line () in
-       let words =
-         List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim line))
-       in
+       let words = words_of (read_line ()) in
        try
          match words with
          | [] -> ()
@@ -181,23 +196,6 @@ let session users text sink =
            edit st u
              (Tdoc.up_visible (Controller.document (controller st u)) (int_of_string p)
                 ch.[0])
-         | [ "deny"; u; r ] -> (
-             match right_of_string r with
-             | Some right ->
-               admin st
-                 (Admin_op.Add_auth
-                    (0, Auth.deny [ Subject.User (int_of_string u) ] [ Docobj.Whole ]
-                       [ right ]))
-             | None -> Printf.printf "unknown right %S (use i, d, u or r)\n" r)
-         | [ "allow"; u; r ] -> (
-             match right_of_string r with
-             | Some right ->
-               admin st
-                 (Admin_op.Add_auth
-                    (0, Auth.grant [ Subject.User (int_of_string u) ] [ Docobj.Whole ]
-                       [ right ]))
-             | None -> Printf.printf "unknown right %S (use i, d, u or r)\n" r)
-         | [ "adduser"; u ] -> admin st (Admin_op.Add_user (int_of_string u))
          | [ "save"; u; path ] ->
            Dce_wire.Proto.Char_proto.save path (controller st (int_of_string u));
            Printf.printf "site %s saved to %s\n" u path
@@ -219,7 +217,11 @@ let session users text sink =
          | [ "policy"; u ] ->
            Format.printf "%a@." Policy.pp
              (Controller.policy (controller st (int_of_string u)))
-         | _ -> Printf.printf "unrecognized command (see the header of bin/p2pedit.ml)\n"
+         | _ -> (
+           match admin_command words with
+           | Some (Ok op) -> admin st op
+           | Some (Error e) -> print_endline e
+           | None -> Printf.printf "unrecognized command (see the header of bin/p2pedit.ml)\n")
        with
        | Exit -> raise Exit
        | Failure msg -> Printf.printf "error: %s\n" msg
@@ -232,428 +234,196 @@ let session users text sink =
 (* ----- networked mode (--connect): one site against a dced relay ----- *)
 
 module Netd = Dce_netd
+module Site = Netd.Site
+module Persist = Dce_store.Persist
 module Proto = Dce_wire.Proto
 
-type net_state = {
-  client : Netd.Client.t;
-  my_site : int;
-  sink : Obs.Trace.sink;
-  journal : char Dce_store.Persist.t option;
-  metrics : Obs.Metrics.t option;
-  (* origin-stamp to integration latency of incoming stamped messages;
-     points into a disabled registry when --metrics is off *)
-  e2e_ns : Obs.Metrics.histogram;
-  mutable ctrl : char Controller.t option;
-  (* messages owed to the group (WAL-replay re-emissions) held until the
-     connection is live: Client.send drops anything sent earlier *)
-  mutable pending : char Controller.message list;
-  mutable admin_srv : Netd.Admin.t option;
-  mutable last_compact_ms : float;
-}
+let net_show site =
+  let me = Netd.Client.site (Site.client site) in
+  match Site.controller site with
+  | None -> Printf.printf "site %d: not joined yet\n%!" me
+  | Some c -> show_site me c
 
-(* every outgoing message carries an origin stamp: receivers measure
-   end-to-end propagation from it, and it costs ~15 bytes *)
-let net_send st m =
-  Netd.Client.send st.client
-    (Proto.Char_proto.encode_message ~stamp:(Proto.stamp_now ~site:st.my_site ()) m)
-
-let journal_record st r =
-  match st.journal with
-  | None -> ()
-  | Some j -> (
-    Dce_store.Persist.record j r;
-    match st.ctrl with
-    | None -> ()
-    | Some c -> (
-      match Dce_store.Persist.maybe_checkpoint j c with
-      | Ok _ -> ()
-      | Error e -> Printf.printf "journal error: %s\n%!" e))
-
-let journal_checkpoint st =
-  match (st.journal, st.ctrl) with
-  | Some j, Some c -> (
-    match Dce_store.Persist.checkpoint j c with
-    | Ok () -> ()
-    | Error e -> Printf.printf "journal error: %s\n%!" e)
-  | _ -> ()
-
-let net_show st =
-  match st.ctrl with
-  | None -> Printf.printf "site %d: not joined yet\n%!" st.my_site
-  | Some c ->
-    Printf.printf "site %d%s: %S  (policy v%d%s)\n%!" st.my_site
-      (if Controller.is_admin c then "*" else "")
-      (Tdoc.visible_string (Controller.document c))
-      (Controller.version c)
-      (match List.length (Controller.tentative c) with
-       | 0 -> ""
-       | n -> Printf.sprintf ", %d tentative" n)
-
-let net_handle st = function
-  | Netd.Client.Connected ->
-    Printf.printf "connected; joining as site %d...\n%!" st.my_site
-  | Netd.Client.Snapshot blob -> (
-    match Proto.Char_proto.decode_state blob with
-    | Error e -> Printf.printf "bad snapshot: %s\n%!" e
-    | Ok state -> (
-      match Controller.load ~eq:Char.equal ~trace:st.sink ?metrics:st.metrics state with
-      | Error e -> Printf.printf "snapshot rejected: %s\n%!" e
-      | Ok donor ->
-        let to_send =
-          match st.ctrl with
-          | Some mine ->
-            (* we hold local state (journal recovery, or a previous
-               connection): keep it, replay the relay's history through
-               our own controller, and re-broadcast whatever the group
-               has not seen — the durable alternative to the lossy
-               [rejoin] *)
-            let mine, out = Controller.catch_up mine donor in
-            st.ctrl <- Some mine;
-            if out <> [] then
-              Printf.printf "caught up; re-broadcasting %d message(s)\n%!"
-                (List.length out);
-            out
-          | None ->
-            st.ctrl <- Some (Controller.rejoin ~site:st.my_site donor);
-            []
-        in
-        let to_send = to_send @ st.pending in
-        st.pending <- [];
-        List.iter (net_send st) to_send;
-        (* the catch-up inputs came from the snapshot, not the journal:
-           cut a checkpoint so the store reflects the merged state *)
-        journal_checkpoint st;
-        Netd.Client.set_stamp st.client (fun () ->
-            match st.ctrl with
-            | Some c -> (Controller.clock c, Controller.version c)
-            | None -> (Vclock.empty, 0));
-        net_show st))
-  | Netd.Client.Message blob -> (
-    match Proto.Char_proto.decode_message_stamped blob with
-    | Error e -> Printf.printf "bad message: %s\n%!" e
-    | Ok (stamp, m) -> (
-      match st.ctrl with
-      | None -> ()
-      | Some c -> (
-        (* the blob decoded, but applying it is what validates its
-           semantics — a buggy or hostile relay/peer must not abort
-           this process, so drop the message instead of propagating *)
-        match Controller.receive c m with
-        | c, emitted ->
-          st.ctrl <- Some c;
-          (match stamp with
-           | Some s ->
-             Obs.Metrics.observe st.e2e_ns (Obs.Clock.now_ns () - s.Proto.s_ns)
-           | None -> ());
-          journal_record st (Dce_store.Persist.Received m);
-          List.iter (net_send st) emitted
-        | exception e ->
-          let detail =
-            match e with
-            | Invalid_argument m | Failure m | Document.Edit_conflict m -> m
-            | e -> Printexc.to_string e
-          in
-          Printf.printf "bad message (dropped): %s\n%!" detail)))
-  | Netd.Client.Delta blob -> (
-    (* the relay honored our resume point: a log suffix instead of a full
-       snapshot.  Only ever sent when we presented local state, so a
-       missing controller here is a protocol violation worth reporting *)
-    match Proto.Char_proto.decode_delta blob with
-    | Error e -> Printf.printf "bad delta: %s\n%!" e
-    | Ok d -> (
-      match st.ctrl with
-      | None -> Printf.printf "delta without local state (dropped)\n%!"
-      | Some mine -> (
-        match Controller.apply_delta mine d with
-        | Error e -> Printf.printf "delta rejected: %s\n%!" e
-        | Ok (mine, out) ->
-          st.ctrl <- Some mine;
-          if out <> [] then
-            Printf.printf "caught up (delta); re-broadcasting %d message(s)\n%!"
-              (List.length out);
-          let to_send = out @ st.pending in
-          st.pending <- [];
-          List.iter (net_send st) to_send;
-          journal_checkpoint st;
-          Netd.Client.set_stamp st.client (fun () ->
-              match st.ctrl with
-              | Some c -> (Controller.clock c, Controller.version c)
-              | None -> (Vclock.empty, 0));
-          net_show st)))
-  | Netd.Client.Beacon blob -> (
-    match Proto.decode_frontier blob with
-    | Error _ -> () (* gossip is advisory; a bad blob costs nothing *)
-    | Ok entries -> (
-      match st.ctrl with
-      | None -> ()
-      | Some c ->
-        st.ctrl <-
-          Some
-            (List.fold_left
-               (fun c (b : Proto.beacon) ->
-                 Controller.receive_beacon c ~peer:b.Proto.b_site
-                   ~clock:b.Proto.b_clock ~version:b.Proto.b_version)
-               c entries)))
-  | Netd.Client.Disconnected reason -> Printf.printf "disconnected: %s\n%!" reason
-  | Netd.Client.Reconnecting { attempt; delay_ms } ->
+let net_notice site = function
+  | Site.Joined { delta; resent } ->
+    if resent > 0 then
+      Printf.printf "caught up%s; re-broadcasting %d message(s)\n%!"
+        (if delta then " (delta)" else "")
+        resent;
+    net_show site
+  | Site.Integrated _ -> ()
+  | Site.Dropped reason -> Printf.printf "dropped: %s\n%!" reason
+  | Site.Link Netd.Client.Connected ->
+    Printf.printf "connected; joining as site %d...\n%!"
+      (Netd.Client.site (Site.client site))
+  | Site.Link (Netd.Client.Disconnected reason) ->
+    Printf.printf "disconnected: %s\n%!" reason
+  | Site.Link (Netd.Client.Reconnecting { attempt; delay_ms }) ->
     Printf.printf "reconnecting (attempt %d) in %d ms\n%!" attempt delay_ms
-  | Netd.Client.Gave_up reason -> Printf.printf "gave up: %s\n%!" reason
+  | Site.Link (Netd.Client.Gave_up reason) -> Printf.printf "gave up: %s\n%!" reason
+  | Site.Link _ -> ()
 
-(* Periodic window compaction.  Journaled editors never let the
-   compaction cut outrun the durable snapshot: checkpoint first when the
-   stable frontier moved past the last cut, then clamp to it. *)
-let net_compact st =
-  match st.ctrl with
-  | None -> ()
-  | Some c -> (
-    match st.journal with
-    | None -> st.ctrl <- Some (Controller.compact c)
-    | Some j ->
-      (match Dce_store.Persist.checkpoint_clock j with
-       | Some cut when Vclock.leq (Controller.stable_frontier c) cut -> ()
-       | _ -> journal_checkpoint st);
-      (match Dce_store.Persist.checkpoint_clock j with
-       | Some limit -> st.ctrl <- Some (Controller.compact ~limit c)
-       | None -> ()))
+let net_step site admin_srv timeout_ms =
+  List.iter (net_notice site) (Site.step ~timeout_ms site);
+  Option.iter Netd.Admin.step admin_srv
 
-let compact_every_ms = 5_000.
-
-let net_step st timeout_ms =
-  List.iter (net_handle st) (Netd.Client.step ~timeout_ms st.client);
-  let now = Obs.Clock.now_ms () in
-  if now -. st.last_compact_ms >= compact_every_ms then begin
-    st.last_compact_ms <- now;
-    net_compact st
-  end;
-  Option.iter Netd.Admin.step st.admin_srv
-
-let net_pump st ms =
+let net_pump site admin_srv ms =
   let deadline = Obs.Clock.now_ms () +. float_of_int ms in
   let rec go () =
     let remaining_ms = deadline -. Obs.Clock.now_ms () in
-    if remaining_ms > 0. && not (Netd.Client.stopped st.client) then begin
-      net_step st (int_of_float (Float.min 50. remaining_ms));
+    if remaining_ms > 0. && not (Netd.Client.stopped (Site.client site)) then begin
+      net_step site admin_srv (int_of_float (Float.min 50. remaining_ms));
       go ()
     end
   in
   go ()
 
-let net_edit st op_of_ctrl =
-  match st.ctrl with
-  | None -> Printf.printf "not joined yet\n%!"
-  | Some c -> (
-    let op = op_of_ctrl c in
-    match Controller.generate c op with
-    | c, Controller.Accepted m ->
-      st.ctrl <- Some c;
-      (* journal before broadcast: the group must never hold a request
-         its origin site could forget in a crash *)
-      journal_record st (Dce_store.Persist.Generated op);
-      net_send st m;
-      Printf.printf "site %d -> %S\n%!" st.my_site
-        (Tdoc.visible_string (Controller.document c))
-    | _, Controller.Denied reason -> Printf.printf "denied: %s\n%!" reason)
-
-let net_admin st op =
-  match st.ctrl with
-  | None -> Printf.printf "not joined yet\n%!"
-  | Some c -> (
-    match Controller.admin_update c op with
-    | Ok (c, m) ->
-      st.ctrl <- Some c;
-      journal_record st (Dce_store.Persist.Admin_cmd op);
-      net_send st m;
-      Printf.printf "admin -> policy v%d\n%!" (Controller.version c)
-    | Error e -> Printf.printf "admin error: %s\n%!" e)
-
-let net_command st words =
+let net_command site admin_srv words =
+  let joined f =
+    match Site.controller site with
+    | None -> Printf.printf "not joined yet\n%!"
+    | Some c -> f c
+  in
+  let edit op_of_doc =
+    joined (fun c ->
+        match Site.generate site (op_of_doc (Controller.document c)) with
+        | Ok _ ->
+          Printf.printf "site %d -> %S\n%!" (Controller.site c)
+            (Tdoc.visible_string
+               (Controller.document (Option.get (Site.controller site))))
+        | Error reason -> Printf.printf "denied: %s\n%!" reason)
+  in
   match words with
   | [] -> ()
   | w :: _ when String.length w > 0 && w.[0] = '#' -> ()
   | [ "quit" ] | [ "exit" ] -> raise Exit
-  | [ "show" ] -> net_show st
-  | [ "sleep"; ms ] -> net_pump st (int_of_string ms)
+  | [ "show" ] -> net_show site
+  | [ "sleep"; ms ] -> net_pump site admin_srv (int_of_string ms)
   | [ "ins"; p; ch ] when String.length ch = 1 ->
-    net_edit st (fun c ->
-        Tdoc.ins_visible (Controller.document c) (int_of_string p) ch.[0])
-  | [ "del"; p ] ->
-    net_edit st (fun c -> Tdoc.del_visible (Controller.document c) (int_of_string p))
+    edit (fun d -> Tdoc.ins_visible d (int_of_string p) ch.[0])
+  | [ "del"; p ] -> edit (fun d -> Tdoc.del_visible d (int_of_string p))
   | [ "up"; p; ch ] when String.length ch = 1 ->
-    net_edit st (fun c ->
-        Tdoc.up_visible (Controller.document c) (int_of_string p) ch.[0])
-  | [ "deny"; u; r ] -> (
-      match right_of_string r with
-      | Some right ->
-        net_admin st
-          (Admin_op.Add_auth
-             (0, Auth.deny [ Subject.User (int_of_string u) ] [ Docobj.Whole ] [ right ]))
-      | None -> Printf.printf "unknown right %S (use i, d, u or r)\n%!" r)
-  | [ "allow"; u; r ] -> (
-      match right_of_string r with
-      | Some right ->
-        net_admin st
-          (Admin_op.Add_auth
-             (0, Auth.grant [ Subject.User (int_of_string u) ] [ Docobj.Whole ] [ right ]))
-      | None -> Printf.printf "unknown right %S (use i, d, u or r)\n%!" r)
-  | [ "adduser"; u ] -> net_admin st (Admin_op.Add_user (int_of_string u))
-  | [ "log" ] -> (
-      match st.ctrl with
-      | None -> Printf.printf "not joined yet\n%!"
-      | Some c -> Format.printf "%a@." (Oplog.pp Fmt.char) (Controller.oplog c))
-  | [ "policy" ] -> (
-      match st.ctrl with
-      | None -> Printf.printf "not joined yet\n%!"
-      | Some c -> Format.printf "%a@." Policy.pp (Controller.policy c))
-  | _ ->
-    Printf.printf
-      "unrecognized command (connect mode: ins/del/up/deny/allow/adduser/show/log/policy/sleep/quit)\n%!"
+    edit (fun d -> Tdoc.up_visible d (int_of_string p) ch.[0])
+  | [ "log" ] -> joined (fun c -> Format.printf "%a@." (Oplog.pp Fmt.char) (Controller.oplog c))
+  | [ "policy" ] -> joined (fun c -> Format.printf "%a@." Policy.pp (Controller.policy c))
+  | _ -> (
+    match admin_command words with
+    | Some (Ok op) -> (
+      match Site.admin site op with
+      | Ok _ ->
+        Printf.printf "admin -> policy v%d\n%!"
+          (Controller.version (Option.get (Site.controller site)))
+      | Error e -> Printf.printf "admin error: %s\n%!" e)
+    | Some (Error e) -> Printf.printf "%s\n%!" e
+    | None ->
+      Printf.printf
+        "unrecognized command (connect mode: \
+         ins/del/up/deny/allow/adduser/show/log/policy/sleep/quit)\n%!")
+
+(* the health and session reports of the admin socket: a disconnected
+   editor or a failed checkpoint is degraded (served as a 503) *)
+let net_healthz site () =
+  let connected = Netd.Client.connected (Site.client site) in
+  let reasons =
+    (if connected then [] else [ "relay link down" ])
+    @ if Site.journal_errors site = 0 then [] else [ "journal errors" ]
+  in
+  Obs.Json.Obj
+    ([
+       ("status", Obs.Json.String (if reasons = [] then "ok" else "degraded"));
+       ("role", Obs.Json.String "editor");
+       ("site", Obs.Json.Int (Netd.Client.site (Site.client site)));
+       ("pid", Obs.Json.Int (Unix.getpid ()));
+       ("connected", Obs.Json.Bool connected);
+       ("journal_errors", Obs.Json.Int (Site.journal_errors site));
+     ]
+    @
+    if reasons = [] then []
+    else [ ("reasons", Obs.Json.List (List.map (fun r -> Obs.Json.String r) reasons)) ])
+
+let net_sessions site () =
+  match Site.controller site with
+  | None -> Obs.Json.Obj [ ("joined", Obs.Json.Bool false) ]
+  | Some c ->
+    Obs.Json.Obj
+      [
+        ("joined", Obs.Json.Bool true);
+        ("site", Obs.Json.Int (Controller.site c));
+        ("doc_len", Obs.Json.Int (Tdoc.visible_length (Controller.document c)));
+        ("policy_version", Obs.Json.Int (Controller.version c));
+        ("pending_coop", Obs.Json.Int (Controller.pending_coop c));
+        ("pending_admin", Obs.Json.Int (Controller.pending_admin c));
+        ("tentative", Obs.Json.Int (List.length (Controller.tentative c)));
+        ("window_len", Obs.Json.Int (Controller.window_len c));
+        ("compacted_upto", Obs.Json.Int (Vclock.sum (Controller.compacted_upto c)));
+        ("stable_lag", Obs.Json.Int (Controller.stable_lag c));
+      ]
 
 (* stdin is consumed with raw reads and an explicit line buffer, so it
    can sit in the same select as the socket without an in_channel
    buffering the lines away between wakeups *)
 let net_session host port my_site doc sink metrics data_dir fsync admin_port seed
     chaos =
-  let journal, ctrl0, pending0 =
+  let journal, recovered =
     match data_dir with
-    | None -> (None, None, [])
+    | None -> (None, None)
     | Some dir -> (
       let config = { Dce_store.Store.default_config with fsync } in
-      match
-        Dce_store.Persist.opendir ~config ~eq:Char.equal ~trace:sink
-          ~codec:Proto.char_codec dir
-      with
+      match Persist.opendir ~config ~eq:Char.equal ~trace:sink ~codec:Proto.char_codec dir with
       | Error e ->
         prerr_endline ("p2pedit: " ^ e);
         exit 1
-      | Ok (j, rec_) ->
-        (match rec_.Dce_store.Persist.controller with
-         | Some _ ->
-           Printf.printf
-             "recovered site %d from %s (generation %d, %d log record(s) replayed%s)\n%!"
-             my_site dir
-             (Dce_store.Persist.generation j)
-             rec_.Dce_store.Persist.replayed
-             (if rec_.Dce_store.Persist.truncated_bytes > 0 then
-                Printf.sprintf ", %d torn byte(s) dropped"
-                  rec_.Dce_store.Persist.truncated_bytes
-              else "")
-         | None -> ());
-        ( Some j,
-          rec_.Dce_store.Persist.controller,
-          rec_.Dce_store.Persist.emitted ))
+      | Ok (j, r) -> (Some j, Some r))
   in
-  (match ctrl0 with
-   | Some c when Controller.site c <> my_site ->
-     Printf.eprintf "p2pedit: %s holds state for site %d, not --site %d\n"
-       (Option.get data_dir) (Controller.site c) my_site;
-     exit 2
+  let state = Option.bind recovered (fun r -> r.Persist.controller) in
+  (match (state, recovered, journal) with
+   | Some c, Some r, Some j ->
+     Printf.printf
+       "recovered site %d from %s (generation %d, %d log record(s) replayed%s)\n%!"
+       my_site (Persist.dir j) (Persist.generation j) r.Persist.replayed
+       (if r.Persist.truncated_bytes > 0 then
+          Printf.sprintf ", %d torn byte(s) dropped" r.Persist.truncated_bytes
+        else "");
+     if Controller.site c <> my_site then begin
+       Printf.eprintf "p2pedit: %s holds state for site %d, not --site %d\n"
+         (Persist.dir j) (Controller.site c) my_site;
+       exit 2
+     end
    | _ -> ());
-  let ctrl0 =
-    match (ctrl0, metrics) with
-    | Some c, Some m -> Some (Controller.with_metrics m c)
-    | _ -> ctrl0
-  in
-  (* advertise recovered state on (re)connect so the relay can answer
-     with a cheap log-suffix delta instead of a full snapshot; reads
-     through a cell because the live controller is held by [st] below *)
-  let resume_src =
-    ref (fun () ->
-        match ctrl0 with
-        | Some c -> Some (Controller.clock c, Controller.version c)
-        | None -> None)
-  in
   let faults =
     Option.map
       (fun cfg ->
-        Netd.Faults.create ~config:cfg ~seed
-          ~label:(Printf.sprintf "site-%d" my_site)
-          ())
+        Netd.Faults.create ~config:cfg ~seed ~label:(Printf.sprintf "site-%d" my_site) ())
       chaos
   in
-  let client =
-    Netd.Client.create ?metrics ~trace:sink ~seed ?doc ?faults ~host ~port
-      ~site:my_site
-      ~resume:(fun () -> !resume_src ())
-      ()
+  let site =
+    Site.create ?metrics ~trace:sink ?journal ?state
+      ?owed:(Option.map (fun r -> r.Persist.emitted) recovered)
+      ~codec:Proto.char_codec ~eq:Char.equal
+      (Netd.Client.create ?metrics ~trace:sink ~seed ?doc ?faults ~host ~port
+         ~site:my_site ())
   in
-  let e2e_ns =
-    let reg =
-      match metrics with Some m -> m | None -> Obs.Metrics.create ~enabled:false ()
-    in
-    Obs.Metrics.histogram reg "e2e.propagation_ns"
-  in
-  let st =
-    {
-      client;
-      my_site;
-      sink;
-      journal;
-      metrics;
-      e2e_ns;
-      ctrl = ctrl0;
-      pending = pending0;
-      admin_srv = None;
-      last_compact_ms = 0.;
-    }
-  in
-  resume_src :=
-    (fun () ->
-      match st.ctrl with
-      | Some c -> Some (Controller.clock c, Controller.version c)
-      | None -> None);
-  st.admin_srv <-
+  let admin_srv =
     Option.map
       (fun p ->
-        (* real health: a disconnected editor is degraded (the admin
-           plane serves any not-"ok" status as a 503) *)
-        let healthz () =
-          let connected = Netd.Client.connected st.client in
-          Obs.Json.Obj
-            ([
-               ("status", Obs.Json.String (if connected then "ok" else "degraded"));
-               ("role", Obs.Json.String "editor");
-               ("site", Obs.Json.Int my_site);
-               ("pid", Obs.Json.Int (Unix.getpid ()));
-               ("connected", Obs.Json.Bool connected);
-             ]
-            @
-            if connected then []
-            else [ ("reasons", Obs.Json.List [ Obs.Json.String "relay link down" ]) ])
+        let a =
+          Netd.Admin.create ?metrics ~healthz:(net_healthz site)
+            ~sessions:(net_sessions site) ~port:p ()
         in
-        let sessions () =
-          match st.ctrl with
-          | None -> Obs.Json.Obj [ ("joined", Obs.Json.Bool false) ]
-          | Some c ->
-            Obs.Json.Obj
-              [
-                ("joined", Obs.Json.Bool true);
-                ("site", Obs.Json.Int my_site);
-                ("doc_len", Obs.Json.Int
-                   (Tdoc.visible_length (Controller.document c)));
-                ("policy_version", Obs.Json.Int (Controller.version c));
-                ("pending_coop", Obs.Json.Int (Controller.pending_coop c));
-                ("pending_admin", Obs.Json.Int (Controller.pending_admin c));
-                ("tentative", Obs.Json.Int
-                   (List.length (Controller.tentative c)));
-                ("window_len", Obs.Json.Int (Controller.window_len c));
-                ("compacted_upto", Obs.Json.Int
-                   (Vclock.sum (Controller.compacted_upto c)));
-                ("stable_lag", Obs.Json.Int (Controller.stable_lag c));
-              ]
-        in
-        let a = Netd.Admin.create ?metrics ~healthz ~sessions ~port:p () in
         Printf.printf "admin socket on %d\n%!" (Netd.Admin.port a);
         a)
-      admin_port;
+      admin_port
+  in
+  let client = Site.client site in
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let eof = ref false in
   (try
-     while not !eof && not (Netd.Client.stopped st.client) do
+     while not !eof && not (Netd.Client.stopped client) do
        let fds =
          Unix.stdin
-         :: ((match Netd.Client.fd st.client with Some fd -> [ fd ] | None -> [])
-             @ match st.admin_srv with Some a -> Netd.Admin.fds a | None -> [])
+         :: ((match Netd.Client.fd client with Some fd -> [ fd ] | None -> [])
+             @ match admin_srv with Some a -> Netd.Admin.fds a | None -> [])
        in
        let rd, _, _ =
          try Unix.select fds [] [] 0.1
@@ -663,9 +433,9 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
         | Some m ->
           Obs.Metrics.set
             (Obs.Metrics.gauge m "netd.outbox_bytes")
-            (Netd.Client.outbox_bytes st.client)
+            (Netd.Client.outbox_bytes client)
         | None -> ());
-       net_step st 0;
+       net_step site admin_srv 0;
        if List.mem Unix.stdin rd then begin
          (match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
           | 0 -> eof := true
@@ -677,14 +447,9 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
            | Some i ->
              let line = String.sub s 0 i in
              let rest = String.sub s (i + 1) (String.length s - i - 1) in
-             let words =
-               List.filter (fun w -> w <> "")
-                 (String.split_on_char ' ' (String.trim line))
-             in
-             (try net_command st words with
+             (try net_command site admin_srv (words_of line) with
               | Exit -> raise Exit
-              | Failure msg -> Printf.printf "error: %s\n%!" msg
-              | Invalid_argument msg -> Printf.printf "error: %s\n%!" msg);
+              | Failure msg | Invalid_argument msg -> Printf.printf "error: %s\n%!" msg);
              lines rest
            | None -> Buffer.add_string buf s
          in
@@ -692,15 +457,10 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
        end
      done
    with Exit -> ());
-  Option.iter Netd.Admin.close st.admin_srv;
-  Netd.Client.close st.client;
-  (match st.journal with
-   | None -> ()
-   | Some j ->
-     journal_checkpoint st;
-     Dce_store.Persist.close j);
+  Option.iter Netd.Admin.close admin_srv;
+  Site.close site;
   print_endline "final state:";
-  net_show st
+  net_show site
 
 let run_local users text trace_file metrics_flag =
   let metrics = if metrics_flag then Some (Obs.Metrics.create ()) else None in
@@ -823,9 +583,8 @@ let site_arg =
 let doc_arg =
   Arg.(value & opt (some string) None
        & info [ "doc" ] ~docv:"NAME"
-           ~doc:"With --connect: attach to the hub's document $(docv) (v2 wire \
-                 dialect).  Omitted, the client speaks the original single-doc \
-                 protocol and the hub attaches it to its default document.")
+           ~doc:"With --connect: attach to the hub's document $(docv) (default \
+                 $(b,main)).")
 
 let data_dir =
   Arg.(value & opt (some string) None

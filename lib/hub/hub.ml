@@ -15,7 +15,6 @@ type config = {
   max_outbox : int;
   max_frame : int;
   hub_id : int;
-  default_doc : string;
   auto_create : bool;
   max_docs : int;
   beacon_ms : int;
@@ -29,7 +28,6 @@ let default_config =
     max_outbox = 4 * 1024 * 1024;
     max_frame = 8 * 1024 * 1024;
     hub_id = 0;
-    default_doc = "main";
     auto_create = false;
     max_docs = 4096;
     beacon_ms = 5_000;
@@ -41,7 +39,6 @@ let default_config =
    per-doc member lists used for fan-out live in the sessions. *)
 type conn_state = {
   conn : Conn.t;
-  mutable v1 : bool; (* greeted with the single-doc Hello *)
   mutable atts : (string * int) list; (* doc name -> site *)
 }
 
@@ -55,6 +52,7 @@ type 'e t = {
   listen_fd : Unix.file_descr;
   port : int;
   registry : 'e Registry.t;
+  default_doc : string option; (* the first of [~docs]: what [?doc] means *)
   upstream : Upstream.t option;
   (* chaos runs: seeded fault plans for every accepted member
      connection (and the federation link), reproducible from one seed *)
@@ -138,13 +136,14 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null)
       listen_fd = fd;
       port;
       registry;
+      default_doc = (match docs with d :: _ -> Some d | [] -> None);
       upstream;
       chaos;
       conn_seq = 0;
       conns = [];
       stopped = false;
-      last_beacon_ms = 0.;
-      last_compact_ms = 0.;
+      last_beacon_ms = neg_infinity;
+      last_compact_ms = neg_infinity;
       journal_errors = 0;
     }
   in
@@ -153,7 +152,6 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null)
 
 let port t = t.port
 let hub_id t = t.cfg.hub_id
-let default_doc t = t.cfg.default_doc
 let docs t = Registry.names t.registry
 let stopped t = t.stopped
 let upstream_connected t =
@@ -206,7 +204,10 @@ let session t doc =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Hub: unknown document %S" doc)
 
-let the_doc t doc = match doc with Some d -> d | None -> t.cfg.default_doc
+let the_doc t doc =
+  match (doc, t.default_doc) with
+  | Some d, _ | None, Some d -> d
+  | None, None -> invalid_arg "Hub: no document named and none hosted from the start"
 
 let controller ?doc t = Session.controller (session t (the_doc t doc))
 
@@ -224,36 +225,36 @@ let outbox_bytes t =
 (* ------------------------------------------------------------------ *)
 (* Attach / fan-out                                                   *)
 
-(* [resume] is a v2 joiner's presented resume point.  When the hosted
+(* [resume] is the joiner's presented resume point.  When the hosted
    log still covers it, the state transfer is a delta — the suffix the
    joiner lacks — instead of the full O(n x |H|) snapshot encode; when
    the log has compacted past it (or there is no resume point), the
-   full snapshot is the sound fallback. *)
-let greeting_frames t s dialect doc ~resume =
+   full snapshot is the sound fallback.  Counted and traced as what was
+   actually sent. *)
+let send_transfer t cs s ~site ~resume =
+  let doc = Session.name s in
   let ctrl = Session.controller s in
-  let relay_site = Controller.site ctrl in
-  let full () = Proto.encode_state t.codec (Controller.dump ctrl) in
-  match dialect with
-  | Session.V1 ->
-    [ Relay_proto.Welcome { relay_site; heartbeat_ms = t.cfg.heartbeat_ms };
-      Relay_proto.Snapshot (full ());
-    ]
-  | Session.V2 ->
-    let transfer =
-      match
-        Option.bind resume (fun (clock, version) ->
-            Controller.delta_since ctrl ~clock ~version)
-      with
-      | Some d ->
-        M.incr (M.counter t.reg "hub.deltas");
-        Relay_proto.Doc_delta { doc; delta = Proto.encode_delta t.codec d }
-      | None -> Relay_proto.Doc_snapshot { doc; state = full () }
-    in
-    [ Relay_proto.Attached { doc; relay_site; heartbeat_ms = t.cfg.heartbeat_ms };
-      transfer;
-    ]
+  let transfer, what =
+    match
+      Option.bind resume (fun (clock, version) -> Controller.delta_since ctrl ~clock ~version)
+    with
+    | Some d ->
+      M.incr (M.counter t.reg "hub.deltas");
+      (Relay_proto.Doc_delta { doc; delta = Proto.encode_delta t.codec d }, "delta")
+    | None ->
+      M.incr t.tele.Tele.snapshots;
+      let state = Proto.encode_state t.codec (Controller.dump ctrl) in
+      (Relay_proto.Doc_snapshot { doc; state }, "snapshot")
+  in
+  let attached =
+    Relay_proto.Attached
+      { doc; relay_site = Controller.site ctrl; heartbeat_ms = t.cfg.heartbeat_ms }
+  in
+  Conn.send cs.conn (Relay_proto.encode attached);
+  Conn.send cs.conn (Relay_proto.encode transfer);
+  trace_s t s site what ""
 
-let attach ?resume t cs ~dialect ~session:s ~site =
+let attach ?resume t cs ~session:s ~site =
   let doc = Session.name s in
   (* a site reconnecting through a fresh socket supersedes its old,
      possibly half-dead attachment; the old connection is closed once it
@@ -268,15 +269,11 @@ let attach ?resume t cs ~dialect ~session:s ~site =
       | None -> ())
    | _ -> ());
   cs.atts <- cs.atts @ [ (doc, site) ];
-  let again = Session.add_member s { Session.conn = cs.conn; site; dialect } in
+  let again = Session.add_member s { Session.conn = cs.conn; site } in
   M.incr t.tele.Tele.connects;
   if again then M.incr t.tele.Tele.reconnects;
   trace_s t s site (if again then "reconnect" else "connect") (Conn.peer cs.conn);
-  List.iter
-    (fun frame -> Conn.send cs.conn (Relay_proto.encode frame))
-    (greeting_frames t s dialect doc ~resume);
-  M.incr t.tele.Tele.snapshots;
-  trace_s t s site "snapshot" "";
+  send_transfer t cs s ~site ~resume;
   update_doc_gauges t s
 
 (* Journal an integrated message and checkpoint on cadence.  Journal
@@ -294,15 +291,13 @@ let journal_received t s m =
       trace_s t s (Controller.site (Session.controller s)) "journal_error" e)
 
 let fan_frame s ~except ~origin bytes =
-  let doc = Session.name s in
-  let v1 = lazy (Relay_proto.encode (Relay_proto.Msg bytes)) in
-  let v2 = lazy (Relay_proto.encode (Relay_proto.Doc_msg { doc; origin; msg = bytes })) in
+  let frame =
+    Relay_proto.encode (Relay_proto.Doc_msg { doc = Session.name s; origin; msg = bytes })
+  in
   List.iter
     (fun (m : Session.member) ->
       let skip = match except with Some c -> m.Session.conn == c | None -> false in
-      if not skip then
-        Conn.send m.Session.conn
-          (Lazy.force (match m.Session.dialect with Session.V1 -> v1 | Session.V2 -> v2)))
+      if not skip then Conn.send m.Session.conn frame)
     (Session.members s)
 
 let forward_up t ~from_upstream ~doc ~origin bytes =
@@ -311,8 +306,7 @@ let forward_up t ~from_upstream ~doc ~origin bytes =
   | _ -> ()
 
 (* Apply one replication frame to a session and propagate it: fan the
-   original bytes verbatim to the doc's other members (v1 members get
-   the bare [Msg] dialect), forward up the federation link unless the
+   original bytes verbatim to the doc's other members, forward up the federation link unless the
    frame came down it, and fan any validations the hosted controller
    emitted.  [src = None] marks frames from upstream. *)
 let route t ~session:s ~src ~origin ~from_upstream bytes =
@@ -373,7 +367,7 @@ let open_for_attach t name =
     match Registry.find t.registry name with
     | Some s -> Ok s
     | None ->
-      if not (t.cfg.auto_create || name = t.cfg.default_doc) then
+      if not t.cfg.auto_create then
         Error (Printf.sprintf "unknown document %S" name)
       else (
         match Registry.open_doc t.registry name with
@@ -388,23 +382,14 @@ let dispatch t cs payload =
   | Error e -> corrupt cs.conn ("bad envelope: " ^ e)
   | Ok msg -> (
     match msg with
-    | Relay_proto.Hello { site } ->
-      if cs.atts <> [] || cs.v1 then corrupt cs.conn "duplicate hello"
-      else (
-        cs.v1 <- true;
-        match open_for_attach t t.cfg.default_doc with
-        | Ok s -> attach t cs ~dialect:Session.V1 ~session:s ~site
-        | Error e -> corrupt cs.conn e)
     | Relay_proto.Attach { doc; site } ->
-      if cs.v1 then corrupt cs.conn "attach on a v1 connection"
-      else if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
+      if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
       else (
         match open_for_attach t doc with
-        | Ok s -> attach t cs ~dialect:Session.V2 ~session:s ~site
+        | Ok s -> attach t cs ~session:s ~site
         | Error e -> corrupt cs.conn e)
     | Relay_proto.Attach_at { doc; site; resume } ->
-      if cs.v1 then corrupt cs.conn "attach on a v1 connection"
-      else if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
+      if List.mem_assoc doc cs.atts then corrupt cs.conn ("duplicate attach: " ^ doc)
       else (
         match Proto.decode_frontier resume with
         | Error e -> corrupt cs.conn ("bad resume point: " ^ e)
@@ -424,56 +409,42 @@ let dispatch t cs payload =
                 Some (b.Proto.b_clock, b.Proto.b_version)
               | _ -> None (* malformed resume blob: serve the snapshot *)
             in
-            attach ?resume t cs ~dialect:Session.V2 ~session:s ~site
+            attach ?resume t cs ~session:s ~site
           | Error e -> corrupt cs.conn e))
     | Relay_proto.Beacon { doc; frontier } -> (
-      if cs.v1 then corrupt cs.conn "beacon on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("beacon for unattached document " ^ doc)
-        | true -> (
-          match Proto.decode_frontier frontier with
-          | Error e -> corrupt cs.conn ("bad frontier: " ^ e)
-          | Ok entries ->
-            let s = session t doc in
-            List.iter
-              (fun (b : Proto.beacon) ->
-                Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
-                  ~version:b.Proto.b_version)
-              entries))
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("beacon for unattached document " ^ doc)
+      | true -> (
+        match Proto.decode_frontier frontier with
+        | Error e -> corrupt cs.conn ("bad frontier: " ^ e)
+        | Ok entries ->
+          let s = session t doc in
+          List.iter
+            (fun (b : Proto.beacon) ->
+              Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
+                ~version:b.Proto.b_version)
+            entries))
     | Relay_proto.Detach { doc } -> (
-      if cs.v1 then corrupt cs.conn "detach on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("detach without attach: " ^ doc)
-        | true ->
-          cs.atts <- List.filter (fun (d, _) -> d <> doc) cs.atts;
-          (match Registry.find t.registry doc with
-           | Some s ->
-             ignore (Session.remove_conn s cs.conn);
-             (* a conn can re-attach later; sessions keep running *)
-             update_doc_gauges t s
-           | None -> ()))
-    | Relay_proto.Msg bytes -> (
-      match cs.atts with
-      | [ (doc, _site) ] when cs.v1 ->
-        route t ~session:(session t doc) ~src:(Some cs.conn) ~origin:0
-          ~from_upstream:false bytes
-      | _ when not cs.v1 -> corrupt cs.conn "single-doc message on a multi-doc connection"
-      | _ -> corrupt cs.conn "message before hello")
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("detach without attach: " ^ doc)
+      | true -> (
+        cs.atts <- List.filter (fun (d, _) -> d <> doc) cs.atts;
+        match Registry.find t.registry doc with
+        | Some s ->
+          ignore (Session.remove_conn s cs.conn);
+          (* a conn can re-attach later; sessions keep running *)
+          update_doc_gauges t s
+        | None -> ()))
     | Relay_proto.Doc_msg { doc; origin; msg } -> (
-      if cs.v1 then corrupt cs.conn "multi-doc message on a v1 connection"
-      else
-        match List.mem_assoc doc cs.atts with
-        | false -> corrupt cs.conn ("message for unattached document " ^ doc)
-        | true ->
-          route t ~session:(session t doc) ~src:(Some cs.conn) ~origin
-            ~from_upstream:false msg)
+      match List.mem_assoc doc cs.atts with
+      | false -> corrupt cs.conn ("message for unattached document " ^ doc)
+      | true ->
+        route t ~session:(session t doc) ~src:(Some cs.conn) ~origin ~from_upstream:false
+          msg)
     | Relay_proto.Ping -> Conn.send cs.conn (Relay_proto.encode Relay_proto.Pong)
     | Relay_proto.Pong -> ()
     | Relay_proto.Bye _ -> Conn.mark_closed cs.conn (Conn.Local "bye")
-    | Relay_proto.Welcome _ | Relay_proto.Snapshot _ | Relay_proto.Attached _
-    | Relay_proto.Doc_snapshot _ | Relay_proto.Doc_delta _ ->
+    | Relay_proto.Attached _ | Relay_proto.Doc_snapshot _ | Relay_proto.Doc_delta _ ->
       corrupt cs.conn "server-only envelope from a client")
 
 (* ------------------------------------------------------------------ *)
@@ -483,16 +454,11 @@ let dispatch t cs payload =
    late joiner gets, used after a federation merge brings in history
    that was never fanned out as frames. *)
 let resync_members t s =
-  let doc = Session.name s in
   let state = Proto.encode_state t.codec (Controller.dump (Session.controller s)) in
+  let frame = Relay_proto.encode (Relay_proto.Doc_snapshot { doc = Session.name s; state }) in
   List.iter
     (fun (m : Session.member) ->
-      let frame =
-        match m.Session.dialect with
-        | Session.V1 -> Relay_proto.Snapshot state
-        | Session.V2 -> Relay_proto.Doc_snapshot { doc; state }
-      in
-      Conn.send m.Session.conn (Relay_proto.encode frame);
+      Conn.send m.Session.conn frame;
       M.incr t.tele.Tele.snapshots)
     (Session.members s)
 
@@ -595,7 +561,7 @@ let rec accept_all t =
       Conn.create ~max_outbox:t.cfg.max_outbox ~max_frame:t.cfg.max_frame ?faults
         ~tele:t.tele ~peer fd
     in
-    t.conns <- t.conns @ [ { conn; v1 = false; atts = [] } ];
+    t.conns <- t.conns @ [ { conn; atts = [] } ];
     accept_all t
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
 
@@ -623,7 +589,7 @@ let doc_window_gauges t s =
   g "hub.stable_lag" (Controller.stable_lag ctrl)
 
 (* Fan the per-doc aggregate frontier — every member's latest
-   advertisement plus the hub's own — to v2 members and up the
+   advertisement plus the hub's own — to members and up the
    federation link.  Gossip converges because [note_frontier] merges
    monotonically at every hop; echoes (the home fanning our own report
    back) are idempotent no-ops. *)
@@ -639,13 +605,8 @@ let beacon_session t s =
   in
   let doc = Session.name s in
   let blob = Proto.encode_frontier entries in
-  let frame = lazy (Relay_proto.encode (Relay_proto.Beacon { doc; frontier = blob })) in
-  List.iter
-    (fun (m : Session.member) ->
-      match m.Session.dialect with
-      | Session.V2 -> Conn.send m.Session.conn (Lazy.force frame)
-      | Session.V1 -> () (* a v1 peer would drop the unknown tag *))
-    (Session.members s);
+  let frame = Relay_proto.encode (Relay_proto.Beacon { doc; frontier = blob }) in
+  List.iter (fun (m : Session.member) -> Conn.send m.Session.conn frame) (Session.members s);
   Option.iter (fun u -> Upstream.send_beacon u ~doc blob) t.upstream
 
 (* Compact one session's log behind its stability frontier.  For a
@@ -677,16 +638,27 @@ let compact_session t s =
      | None -> ());
   doc_window_gauges t s
 
+(* Both cadences keep the phase of the hub's first step: a tick the loop
+   reaches late does not shift every later one, so over a long session
+   they never creep onto the instant a member's request arrives, where
+   the newest request is not yet known stable and compaction keeps far
+   more of the log than it would a moment earlier. *)
 let stability t =
   let now = Obs.Clock.now_ms () in
-  if now -. t.last_beacon_ms >= float_of_int t.cfg.beacon_ms then begin
-    t.last_beacon_ms <- now;
-    List.iter (beacon_session t) (Registry.docs t.registry)
-  end;
-  if now -. t.last_compact_ms >= float_of_int t.cfg.compact_ms then begin
-    t.last_compact_ms <- now;
+  (match
+     Obs.Clock.tick ~period_ms:(float_of_int t.cfg.beacon_ms) ~last:t.last_beacon_ms now
+   with
+   | Some due ->
+     t.last_beacon_ms <- due;
+     List.iter (beacon_session t) (Registry.docs t.registry)
+   | None -> ());
+  match
+    Obs.Clock.tick ~period_ms:(float_of_int t.cfg.compact_ms) ~last:t.last_compact_ms now
+  with
+  | Some due ->
+    t.last_compact_ms <- due;
     List.iter (compact_session t) (Registry.docs t.registry)
-  end
+  | None -> ()
 
 let reap t =
   let dead, live = List.partition (fun cs -> not (Conn.alive cs.conn)) t.conns in

@@ -3,12 +3,11 @@
     Where the old single-session relay owned one controller and a flat
     connection list, a hub owns a {!Registry} of named {!Session}s and a
     set of multiplexed connections, stepped together from one
-    {!Evloop}-based loop that tolerates thousands of fds.  Per
-    connection the wire dialect is fixed by the greeting: a v1 [Hello]
-    attaches the peer to the hub's default document and speaks bare
-    [Msg]/[Snapshot] frames (full backward compatibility with old
-    clients), a v2 [Attach] speaks [Doc_msg]/[Doc_snapshot] and may
-    attach the same socket to any number of documents.
+    {!Evloop}-based loop that tolerates thousands of fds.  Every peer
+    speaks the one {!Dce_netd.Relay_proto} dialect: it [Attach]es by
+    document name, exchanges [Doc_msg]/[Doc_snapshot]/[Doc_delta]/
+    [Beacon] frames, and may attach the same socket to any number of
+    documents.
 
     Replication per document is the relay discipline unchanged: apply
     to the hosted controller first (semantically invalid input drops
@@ -30,14 +29,13 @@ type config = {
   max_outbox : int;
   max_frame : int;
   hub_id : int;  (** 0 = standalone; federation requires nonzero *)
-  default_doc : string;  (** what a v1 [Hello] attaches to *)
   auto_create : bool;
       (** open unknown docs on [Attach] via the factory; off, an
           unknown name drops the peer as [Corrupt] *)
   max_docs : int;  (** registry bound, see {!Registry.create} *)
   beacon_ms : int;
       (** cadence of the per-doc aggregate stability [Beacon] fanned to
-          v2 members and reported up the federation link *)
+          members and reported up the federation link *)
   compact_ms : int;
       (** cadence of automatic {!Dce_core.Controller.compact} on every
           hosted session; journaled sessions checkpoint first so the
@@ -46,7 +44,7 @@ type config = {
 
 val default_config : config
 (** 5s heartbeat, 30s idle timeout, 4 MiB outbox, 8 MiB frames,
-    [hub_id = 0], default doc ["main"], no auto-create, 4096 docs,
+    [hub_id = 0], no auto-create, 4096 docs,
     5s beacon and compaction cadences. *)
 
 type 'e t
@@ -68,7 +66,8 @@ val create :
   'e t
 (** Bind and listen (port 0 picks a free port, see {!port}); [docs] are
     opened through the factory immediately, further names on demand
-    (auto-create or the default doc).  [upstream] makes this hub a
+    when [auto_create] is set.  The first of [docs] is the default
+    document: what the accessors below mean when [?doc] is omitted.  [upstream] makes this hub a
     federation leaf; [seed] fixes its reconnect jitter and [eq] is the
     element equality used when loading upstream snapshots.  Raises
     [Failure] when a pre-opened doc's factory fails and
@@ -77,14 +76,13 @@ val create :
 
 val port : 'e t -> int
 val hub_id : 'e t -> int
-val default_doc : 'e t -> string
 
 val docs : 'e t -> string list
 (** Hosted document names, sorted. *)
 
 val controller : ?doc:string -> 'e t -> 'e Dce_core.Controller.t
-(** The hosted replica of [doc] (default: the default document).
-    Raises [Invalid_argument] for unknown names. *)
+(** The hosted replica of [doc] (default: the first of {!create}'s
+    [docs]).  Raises [Invalid_argument] for unknown names. *)
 
 val connected_sites : ?doc:string -> 'e t -> int list
 val member_count : ?doc:string -> 'e t -> int

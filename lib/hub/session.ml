@@ -5,9 +5,7 @@ module Persist = Dce_store.Persist
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
-type dialect = V1 | V2
-
-type member = { conn : Conn.t; site : int; dialect : dialect }
+type member = { conn : Conn.t; site : int }
 
 type 'e t = {
   name : string;

@@ -2,16 +2,11 @@
 
     A session owns the document's replica (its {!Dce_core.Controller}
     with the hosted relay site), its optional durability journal and its
-    member list — which connection is attached as which site, speaking
-    which protocol dialect.  All stepping, fan-out and policy lives in
+    member list — which connection is attached as which site.  All stepping, fan-out and policy lives in
     {!Hub}; this module is plain state so the registry and the hub can
     share it without a dependency cycle. *)
 
-type dialect =
-  | V1  (** greeted with [Hello]: bare [Msg]/[Snapshot] frames *)
-  | V2  (** greeted with [Attach]: [Doc_msg]/[Doc_snapshot] frames *)
-
-type member = { conn : Dce_netd.Conn.t; site : int; dialect : dialect }
+type member = { conn : Dce_netd.Conn.t; site : int }
 
 type 'e t
 
@@ -51,5 +46,5 @@ val note_frontier :
     periodic self-report. *)
 
 val frontier : 'e t -> (int * (Dce_ot.Vclock.t * int)) list
-(** The aggregate gossip table, site-ascending — what the hub fans to v2
+(** The aggregate gossip table, site-ascending — what the hub fans to
     members and reports upstream. *)

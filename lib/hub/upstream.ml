@@ -238,10 +238,7 @@ let dispatch t payload =
         Conn.mark_closed c (Conn.Local ("upstream: " ^ reason));
         []
       | None -> [])
-    | Relay_proto.Welcome _ | Relay_proto.Snapshot _ | Relay_proto.Msg _ ->
-      corrupt t "v1 envelope on a federation link"
-    | Relay_proto.Hello _ | Relay_proto.Attach _ | Relay_proto.Attach_at _
-    | Relay_proto.Detach _ ->
+    | Relay_proto.Attach _ | Relay_proto.Attach_at _ | Relay_proto.Detach _ ->
       corrupt t "client-only envelope from upstream")
 
 let pump_conn t c timeout_ms =

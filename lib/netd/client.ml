@@ -35,7 +35,7 @@ let default_config =
 type phase =
   | Waiting of float (* reconnect at this wall-clock ms *)
   | Connecting of Unix.file_descr
-  | Greeting of Conn.t (* hello sent, waiting for the snapshot *)
+  | Greeting of Conn.t (* attach sent, waiting for the state transfer *)
   | Live of Conn.t
   | Stopped
 
@@ -46,8 +46,8 @@ type t = {
   host : string;
   port : int;
   site : int;
-  doc : string option; (* None = v1 Hello dialect, Some = v2 Attach *)
-  resume : unit -> (Dce_ot.Vclock.t * int) option;
+  doc : string;
+  mutable resume : unit -> (Dce_ot.Vclock.t * int) option;
   faults : Faults.t option;
   backoff : Backoff.t;
   mutable phase : phase;
@@ -59,8 +59,8 @@ type t = {
 
 let now_ms = Dce_obs.Clock.now_ms
 
-let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null) ?seed ?doc
-    ?(resume = fun () -> None) ?faults ~host ~port ~site () =
+let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null) ?seed
+    ?(doc = "main") ?(resume = fun () -> None) ?faults ~host ~port ~site () =
   {
     cfg = config;
     tele = Tele.make ?metrics ();
@@ -86,6 +86,8 @@ let site t = t.site
 let doc t = t.doc
 
 let set_stamp t f = t.stamp <- f
+
+let set_resume t f = t.resume <- f
 
 let trace t action detail =
   if Obs.Trace.enabled t.trace then begin
@@ -122,12 +124,8 @@ let drop_link ?(reason = "link dropped by harness") t =
 let send t bytes =
   match t.phase with
   | Live c ->
-    let frame =
-      match t.doc with
-      | None -> Relay_proto.Msg bytes
-      | Some doc -> Relay_proto.Doc_msg { doc; origin = 0; msg = bytes }
-    in
-    Conn.send c (Relay_proto.encode frame)
+    Conn.send c
+      (Relay_proto.encode (Relay_proto.Doc_msg { doc = t.doc; origin = 0; msg = bytes }))
   | _ -> ()
 
 let resolve t =
@@ -169,23 +167,20 @@ let greet t fd =
       ~peer:(Printf.sprintf "%s:%d" t.host t.port)
       fd
   in
-  let hello =
-    match t.doc with
-    | None -> Relay_proto.Hello { site = t.site }
-    | Some doc -> (
-      (* a client with recovered local state presents its resume point:
-         the hub answers with a delta when its log still covers it, and
-         a full snapshot otherwise *)
-      match t.resume () with
-      | Some (clock, version) ->
-        let resume =
-          Dce_wire.Proto.encode_frontier
-            [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
-        in
-        Relay_proto.Attach_at { doc; site = t.site; resume }
-      | None -> Relay_proto.Attach { doc; site = t.site })
+  let attach =
+    (* a client with local state presents its resume point: the hub
+       answers with a delta when its log still covers it, and a full
+       snapshot otherwise *)
+    match t.resume () with
+    | Some (clock, version) ->
+      let resume =
+        Dce_wire.Proto.encode_frontier
+          [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
+      in
+      Relay_proto.Attach_at { doc = t.doc; site = t.site; resume }
+    | None -> Relay_proto.Attach { doc = t.doc; site = t.site }
   in
-  Conn.send conn (Relay_proto.encode hello);
+  Conn.send conn (Relay_proto.encode attach);
   Conn.handle_writable conn;
   t.phase <- Greeting conn;
   [ Connected ]
@@ -215,7 +210,7 @@ let dispatch t payload =
   | Ok msg -> (
     (* joining (or a server-initiated resync): the session is live.
        [what] is "snapshot" or "delta"; the matching event is returned. *)
-    let go_live_with what event c s =
+    let go_live what event c s =
       t.phase <- Live c;
       if t.was_live then M.incr t.tele.Tele.reconnects else M.incr t.tele.Tele.connects;
       trace t (if t.was_live then "reconnect" else "connect") "";
@@ -225,7 +220,6 @@ let dispatch t payload =
       t.failed_attempts <- 0;
       [ event ]
     in
-    let go_live c s = go_live_with "snapshot" (Snapshot s) c s in
     let corrupt why =
       (match conn t with
        | Some c -> Conn.mark_closed c (Conn.Corrupt why)
@@ -233,34 +227,23 @@ let dispatch t payload =
       []
     in
     match (msg, t.phase) with
-    | Relay_proto.Snapshot s, (Greeting c | Live c) when t.doc = None -> go_live c s
-    | Relay_proto.Snapshot _, (Greeting _ | Live _) ->
-      corrupt "single-doc snapshot on a multi-doc session"
-    | Relay_proto.Snapshot _, _ -> []
-    | Relay_proto.Doc_snapshot { doc; state }, (Greeting c | Live c)
-      when t.doc = Some doc ->
-      go_live c state
+    | Relay_proto.Doc_snapshot { doc; state }, (Greeting c | Live c) when doc = t.doc ->
+      go_live "snapshot" (Snapshot state) c state
     | Relay_proto.Doc_snapshot _, (Greeting _ | Live _) ->
       corrupt "snapshot for a document this client never attached"
     | Relay_proto.Doc_snapshot _, _ -> []
-    | Relay_proto.Doc_delta { doc; delta }, (Greeting c | Live c)
-      when t.doc = Some doc ->
-      go_live_with "delta" (Delta delta) c delta
+    | Relay_proto.Doc_delta { doc; delta }, (Greeting c | Live c) when doc = t.doc ->
+      go_live "delta" (Delta delta) c delta
     | Relay_proto.Doc_delta _, (Greeting _ | Live _) ->
       corrupt "delta for a document this client never attached"
     | Relay_proto.Doc_delta _, _ -> []
-    | Relay_proto.Beacon { doc; frontier }, Live _ when t.doc = Some doc ->
-      [ Beacon frontier ]
+    | Relay_proto.Beacon { doc; frontier }, Live _ when doc = t.doc -> [ Beacon frontier ]
     | Relay_proto.Beacon _, _ -> []
-    | Relay_proto.Msg bytes, Live _ when t.doc = None -> [ Message bytes ]
-    | Relay_proto.Msg _, Live _ -> corrupt "single-doc message on a multi-doc session"
-    | Relay_proto.Msg _, _ -> corrupt "message before snapshot"
-    | Relay_proto.Doc_msg { doc; msg; _ }, Live _ when t.doc = Some doc ->
-      [ Message msg ]
+    | Relay_proto.Doc_msg { doc; msg; _ }, Live _ when doc = t.doc -> [ Message msg ]
     | Relay_proto.Doc_msg _, Live _ ->
       corrupt "message for a document this client never attached"
     | Relay_proto.Doc_msg _, _ -> corrupt "message before snapshot"
-    | (Relay_proto.Welcome _ | Relay_proto.Attached _), _ -> []
+    | Relay_proto.Attached _, _ -> []
     | Relay_proto.Ping, _ ->
       (match conn t with
        | Some c -> Conn.send c (Relay_proto.encode Relay_proto.Pong)
@@ -272,9 +255,7 @@ let dispatch t payload =
        | Some c -> Conn.mark_closed c (Conn.Local ("server: " ^ reason))
        | None -> ());
       []
-    | ( ( Relay_proto.Hello _ | Relay_proto.Attach _ | Relay_proto.Attach_at _
-        | Relay_proto.Detach _ ),
-        _ ) ->
+    | (Relay_proto.Attach _ | Relay_proto.Attach_at _ | Relay_proto.Detach _), _ ->
       corrupt "client-only envelope from server")
 
 let pump_conn t c timeout_ms =
@@ -296,25 +277,19 @@ let pump_conn t c timeout_ms =
     else if now -. Conn.last_send_ms c > float_of_int t.cfg.heartbeat_ms then
       Conn.send c (Relay_proto.encode Relay_proto.Ping);
     (* stability beacon: the client's own delivery clock, on the
-       heartbeat cadence, v2 sessions only (a v1 server would drop the
-       connection on the unknown tag).  Sent even — especially — when
-       idle: this is what lets the rest of the group compact past a
-       silent editor.  Unlike the Ping above it is not suppressed by
-       regular traffic, so the cadence holds under load too. *)
+       heartbeat cadence.  Sent even — especially — when idle: this is
+       what lets the rest of the group compact past a silent editor.
+       Unlike the Ping above it is not suppressed by regular traffic, so
+       the cadence holds under load too. *)
     match t.phase with
-    | Live _
-      when t.doc <> None
-           && now -. t.last_beacon_ms > float_of_int t.cfg.heartbeat_ms -> (
-      match t.doc with
-      | Some doc ->
-        let clock, version = t.stamp () in
-        let frontier =
-          Dce_wire.Proto.encode_frontier
-            [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
-        in
-        Conn.send c (Relay_proto.encode (Relay_proto.Beacon { doc; frontier }));
-        t.last_beacon_ms <- now
-      | None -> ())
+    | Live _ when now -. t.last_beacon_ms > float_of_int t.cfg.heartbeat_ms ->
+      let clock, version = t.stamp () in
+      let frontier =
+        Dce_wire.Proto.encode_frontier
+          [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
+      in
+      Conn.send c (Relay_proto.encode (Relay_proto.Beacon { doc = t.doc; frontier }));
+      t.last_beacon_ms <- now
     | _ -> ()
   end;
   match Conn.closed_reason c with

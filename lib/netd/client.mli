@@ -1,15 +1,15 @@
 (** A site's connection to the relay, with automatic reconnection.
 
-    The client owns the transport only; the session logic stays with the
-    caller, which holds the controller.  The lifecycle surfaces as
-    {!event}s returned from {!step}:
+    The client owns the transport only; the session logic — what to do
+    with each event — is {!Site}'s, which holds the controller.  The
+    lifecycle surfaces as {!event}s returned from {!step}:
 
-    - [Connected]: TCP is up and the [Hello] went out;
-    - [Snapshot blob]: the relay's state transfer — decode it with
+    - [Connected]: TCP is up and the [Attach] went out;
+    - [Snapshot blob]: the relay's full state transfer — decode it with
       [Proto.decode_state], load it, and {!Dce_core.Controller.rejoin}
-      as your own site.  Emitted on every (re)join: reconnection is a
-      resynchronization, not a resumption, because the relay has no way
-      to know which fan-outs a dead socket actually delivered;
+      as your own site (or {!Dce_core.Controller.catch_up} local state).
+      Emitted on a (re)join without a usable resume point: the relay has
+      no way to know which fan-outs a dead socket actually delivered;
     - [Message blob]: a [Proto.encode_message] blob from another site;
     - [Disconnected] / [Reconnecting]: the link dropped (any reason:
       EOF, idle, corruption, backpressure) and a jittered exponential
@@ -72,26 +72,22 @@ val create :
   unit ->
   t
 (** Does not touch the network; the first {!step} starts connecting.
-    [seed] fixes the backoff jitter (tests).  [doc] selects the wire
-    dialect: omitted, the client greets with the v1 [Hello] and the hub
-    attaches it to its default document; given, it greets with the v2
-    [Attach doc] and exchanges [Doc_msg]/[Doc_snapshot] frames for that
-    document.  Either way the {!event} surface is identical.
+    [seed] fixes the backoff jitter (tests).  [doc] (default ["main"])
+    names the hub document the client attaches to.
 
-    [resume] (v2 only) is consulted at every (re)connect: return the
-    local controller's clock and policy version to request a [Delta]
-    instead of a full snapshot — the hub still answers [Snapshot] if its
-    log is compacted past that point.  Return [None] (the default) when
-    there is no local state to resume from.
+    [resume] is consulted at every (re)connect: return the local
+    controller's clock and policy version to request a [Delta] instead of
+    a full snapshot — the hub still answers [Snapshot] if its log is
+    compacted past that point.  Return [None] (the default) when there
+    is no local state to resume from.  {!set_resume} replaces it.
 
     [faults] (chaos runs) injects the seeded fault plan into every
     connection this client opens — see {!Conn.create}. *)
 
 val site : t -> int
 
-val doc : t -> string option
-(** The document requested at {!create} ([None] = the v1 dialect on the
-    hub's default document). *)
+val doc : t -> string
+(** The document requested at {!create}. *)
 
 val step : ?timeout_ms:int -> t -> event list
 (** Advance the state machine: progress the non-blocking connect, read,
@@ -121,9 +117,12 @@ val fd : t -> Unix.file_descr option
 val set_stamp : t -> (unit -> Dce_ot.Vclock.t * int) -> unit
 (** How to stamp this client's [Net] trace events with a vector clock
     and policy version — point it at the live controller so traces stay
-    causally auditable.  On v2 sessions the same source feeds the
-    periodic stability beacon (sent on the heartbeat cadence, even when
+    causally auditable.  The same source feeds the periodic stability
+    beacon (sent on the heartbeat cadence, even when
     idle, so the rest of the group can compact past this site). *)
+
+val set_resume : t -> (unit -> (Dce_ot.Vclock.t * int) option) -> unit
+(** Replace {!create}'s [resume] source (see there). *)
 
 val drop_link : ?reason:string -> t -> unit
 (** Sever the live connection as if the network cut it (no [Bye]); the

@@ -1,24 +1,17 @@
 open Dce_wire.Codec
 
 type t =
-  | Hello of { site : int }
-  | Welcome of { relay_site : int; heartbeat_ms : int }
-  | Snapshot of string
-  | Msg of string
   | Ping
   | Pong
   | Bye of string
-  (* v2: multi-document multiplexing.  Old peers reject these tags as
-     "unknown relay message kind" and drop the connection — which is the
-     correct failure mode for a v1-only peer wired to a v2-only flow —
-     while the hub speaks v1 to any connection that greeted with
-     [Hello]. *)
+  (* multi-document multiplexing: every frame that carries session
+     traffic names its document *)
   | Attach of { doc : string; site : int }
   | Attached of { doc : string; relay_site : int; heartbeat_ms : int }
   | Detach of { doc : string }
   | Doc_snapshot of { doc : string; state : string }
   | Doc_msg of { doc : string; origin : int; msg : string }
-  (* v2 stability protocol.  [Attach_at] is [Attach] plus the joiner's
+  (* stability protocol.  [Attach_at] is [Attach] plus the joiner's
      resume point (an encoded [Proto] frontier beacon): the hub answers
      [Doc_delta] when its log still covers that point, [Doc_snapshot]
      otherwise.  [Beacon] carries an encoded frontier — one entry from a
@@ -30,19 +23,6 @@ type t =
   | Beacon of { doc : string; frontier : string }
 
 let put b = function
-  | Hello { site } ->
-    put_char b 'H';
-    put_varint b site
-  | Welcome { relay_site; heartbeat_ms } ->
-    put_char b 'W';
-    put_varint b relay_site;
-    put_varint b heartbeat_ms
-  | Snapshot s ->
-    put_char b 'S';
-    put_string b s
-  | Msg s ->
-    put_char b 'M';
-    put_string b s
   | Ping -> put_char b 'P'
   | Pong -> put_char b 'Q'
   | Bye reason ->
@@ -86,19 +66,6 @@ let put b = function
 let get d =
   let* c = get_char d in
   match c with
-  | 'H' ->
-    let* site = get_varint d in
-    Ok (Hello { site })
-  | 'W' ->
-    let* relay_site = get_varint d in
-    let* heartbeat_ms = get_varint d in
-    Ok (Welcome { relay_site; heartbeat_ms })
-  | 'S' ->
-    let* s = get_string d in
-    Ok (Snapshot s)
-  | 'M' ->
-    let* s = get_string d in
-    Ok (Msg s)
   | 'P' -> Ok Ping
   | 'Q' -> Ok Pong
   | 'B' ->
@@ -145,10 +112,6 @@ let encode m = to_string put m
 let decode s = of_string get s
 
 let label = function
-  | Hello _ -> "hello"
-  | Welcome _ -> "welcome"
-  | Snapshot _ -> "snapshot"
-  | Msg _ -> "msg"
   | Ping -> "ping"
   | Pong -> "pong"
   | Bye _ -> "bye"

@@ -1,45 +1,37 @@
 (** The session envelope spoken over a relay connection.
 
-    Each value is one {!Dce_wire.Codec} frame payload.  [Snapshot] and
-    [Msg] carry the {!Dce_wire.Proto} encodings ({!encode_state} /
-    {!encode_message} output) verbatim as opaque strings: the relay fans
-    [Msg] bytes out without re-encoding, and stays generic over the
-    element type.
+    Each value is one {!Dce_wire.Codec} frame payload.  [Doc_snapshot],
+    [Doc_delta] and [Doc_msg] carry the {!Dce_wire.Proto} encodings
+    ({!encode_state} / {!encode_delta} / {!encode_message} output)
+    verbatim as opaque strings: the relay fans [Doc_msg] bytes out
+    without re-encoding, and stays generic over the element type.
 
-    {b v1 handshake (single document)}: the client sends [Hello] with
-    its site id; the relay answers [Welcome] then [Snapshot] (the
-    current session state, which is how late joiners and reconnecting
-    sites catch up), after which both sides exchange [Msg] and keep the
-    link alive with [Ping]/[Pong].  [Bye] announces an orderly close.
-    A v1 connection is implicitly attached to the hub's default
-    document.
-
-    {b v2 handshake (multi-document)}: the client sends [Attach] naming
-    a document; the hub answers [Attached] then [Doc_snapshot] for that
-    document.  One connection can attach to several documents (send
-    further [Attach] frames at any time) and carries [Doc_msg] frames
-    tagged with the document name; [Detach] leaves one document without
-    closing the socket.  [Doc_msg.origin] is the hub id of the relay
-    that first accepted the message into the federation (0 = an
-    ordinary editor); hubs drop frames whose origin equals their own id,
-    which is what prevents forwarding loops between federated relays.
-    [Ping]/[Pong]/[Bye] are shared with v1.
+    {b Handshake}: the client sends [Attach] naming a document (or
+    [Attach_at], adding its resume point); the hub answers [Attached]
+    then [Doc_snapshot] — or [Doc_delta] for a resume point its log still
+    covers — after which both sides exchange [Doc_msg] and [Beacon]
+    frames and keep the link alive with [Ping]/[Pong].  [Bye] announces
+    an orderly close.  One connection can attach to several documents
+    (send further [Attach] frames at any time); [Detach] leaves one
+    document without closing the socket.  [Doc_msg.origin] is the hub id
+    of the relay that first accepted the message into the federation (0
+    = an ordinary editor); hubs drop frames whose origin equals their
+    own id, which is what prevents forwarding loops between federated
+    relays.
 
     Like every decoder in this repo, {!decode} never raises — the
-    envelope is parsed from untrusted bytes. *)
+    envelope is parsed from untrusted bytes.  An unknown tag (including
+    the retired single-document ['H'], ['W'], ['S'] and ['M']) is an
+    [Error], and the hub drops the peer that sent it. *)
 
 type t =
-  | Hello of { site : int }
-  | Welcome of { relay_site : int; heartbeat_ms : int }
-  | Snapshot of string  (** a [Proto.encode_state] blob *)
-  | Msg of string  (** a [Proto.encode_message] blob *)
   | Ping
   | Pong
   | Bye of string
   | Attach of { doc : string; site : int }
-      (** v2 hello: join [doc] as [site]; repeatable per connection *)
+      (** join [doc] as [site]; repeatable per connection *)
   | Attached of { doc : string; relay_site : int; heartbeat_ms : int }
-      (** v2 welcome, answered per [Attach] *)
+      (** answered per [Attach] *)
   | Detach of { doc : string }  (** leave one doc, keep the socket *)
   | Doc_snapshot of { doc : string; state : string }
       (** a [Proto.encode_state] blob for one document *)
@@ -48,7 +40,7 @@ type t =
           federation loop guard (hub id of the first relay, 0 = editor)
           *)
   | Attach_at of { doc : string; site : int; resume : string }
-      (** v2 resuming attach: like [Attach] plus the joiner's resume
+      (** resuming attach: like [Attach] plus the joiner's resume
           point, a [Proto.encode_frontier] blob holding one beacon (the
           joiner's own clock and policy version).  The hub answers
           [Attached] then [Doc_delta] when its log still covers that

@@ -25,3 +25,8 @@ let now_ms () =
     last_ms := t;
     t
   end
+
+let tick ~period_ms ~last now =
+  if last = neg_infinity then Some now
+  else if now -. last < period_ms then None
+  else Some (last +. (period_ms *. Float.floor ((now -. last) /. period_ms)))

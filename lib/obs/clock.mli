@@ -21,6 +21,16 @@ val now_ms : unit -> float
     clock until real time catches up instead of rewinding it, so idle
     and heartbeat deadlines never fire spuriously. *)
 
+val tick : period_ms:float -> last:float -> float -> float option
+(** Fixed-phase cadence.  [tick ~period_ms ~last now] is [None] while
+    the tick after [last] is not yet due, and otherwise [Some due]: the
+    latest point of the grid [last + k * period_ms] at or before [now],
+    which the caller stores as its new [last].  [last = neg_infinity]
+    means never ticked: the tick is due at once and the grid starts at
+    [now].  A loop that reaches the due time late thus does not push
+    every later tick back, and one that stalls across several periods
+    ticks once and then resumes on the grid. *)
+
 val set_source : (unit -> float) option -> unit
 (** Replace the raw time source ([Unix.gettimeofday], in seconds) that
     both {!now_ns} and {!now_ms} read — [None] restores the real clock.

@@ -1,17 +1,22 @@
 (* Tests for the multi-document hub: document-name hygiene, the
    poll-based event loop (including the select() FD_SETSIZE cliff it
    exists to avoid), multi-doc isolation over real TCP, raw-socket
-   multiplexing with attach/detach, v1/v2 interop on the default
-   document, hostile attach frames, and two-hub federation with a late
-   joiner snapshotting from the leaf. *)
+   multiplexing with attach/detach, hostile attach frames and the
+   retired single-document greeting, two-hub federation with a late
+   joiner snapshotting from the leaf, delta resumes, and the editor
+   runtime's journal discipline. *)
 
 open Dce_ot
 open Dce_core
 module Netd = Dce_netd
+module Site = Netd.Site
+module Persist = Dce_store.Persist
+module Io = Dce_store.Io
 module Hub = Dce_hub.Hub
 module Upstream = Dce_hub.Upstream
 module Evloop = Dce_hub.Evloop
 module Doc_name = Dce_hub.Doc_name
+module Vclock = Dce_ot.Vclock
 module Codec = Dce_wire.Codec
 module Proto = Dce_wire.Proto
 module Obs = Dce_obs
@@ -137,82 +142,29 @@ let mk_hub ?metrics ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream ?(auto_create =
     ~factory:(fun _doc -> Ok (mk_controller ~site:(relay_site + hub_id) "abc", None))
     ~docs ~port ()
 
+(* every endpoint is a [Netd.Site], the one editor runtime; the test
+   keeps only counts *)
 type endpoint = {
-  client : Netd.Client.t;
+  s : char Site.t;
   site : int;
-  mutable ctrl : char Controller.t option;
-  mutable snapshots : int;
+  mutable joins : int; (* state transfers integrated *)
+  mutable resent : int; (* messages re-sent behind them *)
   mutable got_msgs : int;
 }
 
-let on_event ep = function
-  | Netd.Client.Snapshot blob -> (
-    match Proto.Char_proto.decode_state blob with
-    | Error e -> Alcotest.failf "site %d: bad snapshot: %s" ep.site e
-    | Ok state -> (
-      match Controller.load ~eq:Char.equal state with
-      | Error e -> Alcotest.failf "site %d: snapshot rejected: %s" ep.site e
-      | Ok donor ->
-        ep.snapshots <- ep.snapshots + 1;
-        (match ep.ctrl with
-         | None -> ep.ctrl <- Some (Controller.rejoin ~site:ep.site donor)
-         | Some mine ->
-           (* a mid-session resync (e.g. after a federation heal): keep
-              local state and re-broadcast what the group lacks, like
-              p2pedit does *)
-           let mine, out = Controller.catch_up mine donor in
-           ep.ctrl <- Some mine;
-           List.iter
-             (fun m ->
-               Netd.Client.send ep.client (Proto.Char_proto.encode_message m))
-             out)))
-  | Netd.Client.Message blob -> (
-    match Proto.Char_proto.decode_message blob with
-    | Error e -> Alcotest.failf "site %d: bad message: %s" ep.site e
-    | Ok m ->
-      ep.got_msgs <- ep.got_msgs + 1;
-      let c = Option.get ep.ctrl in
-      let c, emitted = Controller.receive c m in
-      ep.ctrl <- Some c;
-      List.iter
-        (fun m' -> Netd.Client.send ep.client (Proto.Char_proto.encode_message m'))
-        emitted)
-  | Netd.Client.Beacon blob -> (
-    (* absorb the hub's aggregate gossip like a real editor would *)
-    match Proto.decode_frontier blob with
-    | Error e -> Alcotest.failf "site %d: bad frontier: %s" ep.site e
-    | Ok entries -> (
-      match ep.ctrl with
-      | None -> ()
-      | Some c ->
-        ep.ctrl <-
-          Some
-            (List.fold_left
-               (fun c (b : Proto.beacon) ->
-                 Controller.receive_beacon c ~peer:b.Proto.b_site
-                   ~clock:b.Proto.b_clock ~version:b.Proto.b_version)
-               c entries)))
-  | Netd.Client.Delta blob -> (
-    match Proto.Char_proto.decode_delta blob with
-    | Error e -> Alcotest.failf "site %d: bad delta: %s" ep.site e
-    | Ok d -> (
-      match ep.ctrl with
-      | None -> Alcotest.failf "site %d: delta before any local state" ep.site
-      | Some mine -> (
-        match Controller.apply_delta mine d with
-        | Error e -> Alcotest.failf "site %d: delta rejected: %s" ep.site e
-        | Ok (mine, out) ->
-          ep.snapshots <- ep.snapshots + 1;
-          ep.ctrl <- Some mine;
-          List.iter
-            (fun m ->
-              Netd.Client.send ep.client (Proto.Char_proto.encode_message m))
-            out)))
-  | Netd.Client.Connected | Netd.Client.Disconnected _ | Netd.Client.Reconnecting _ ->
-    ()
-  | Netd.Client.Gave_up reason -> Alcotest.failf "site %d gave up: %s" ep.site reason
+let ctrl ep = Site.controller ep.s
 
-let mk_endpoint ?doc ?heartbeat_ms ?resume ~port ~site () =
+let on_notice ep = function
+  | Site.Joined { resent; _ } ->
+    ep.joins <- ep.joins + 1;
+    ep.resent <- ep.resent + resent
+  | Site.Integrated _ -> ep.got_msgs <- ep.got_msgs + 1
+  | Site.Dropped reason -> Alcotest.failf "site %d dropped input: %s" ep.site reason
+  | Site.Link (Netd.Client.Gave_up reason) ->
+    Alcotest.failf "site %d gave up: %s" ep.site reason
+  | Site.Link _ -> ()
+
+let mk_endpoint ?doc ?heartbeat_ms ?journal ?state ?owed ~port ~site () =
   let config =
     {
       Netd.Client.default_config with
@@ -226,26 +178,18 @@ let mk_endpoint ?doc ?heartbeat_ms ?resume ~port ~site () =
     | None -> config
     | Some h -> { config with Netd.Client.heartbeat_ms = h }
   in
-  let ep =
-    {
-      client =
-        Netd.Client.create ~config ~seed:site ?doc ?resume ~host:"127.0.0.1" ~port
-          ~site ();
-      site;
-      ctrl = None;
-      snapshots = 0;
-      got_msgs = 0;
-    }
-  in
-  (* stamp traces — and, on v2, the periodic stability beacon — from the
-     live controller once one exists *)
-  Netd.Client.set_stamp ep.client (fun () ->
-      match ep.ctrl with
-      | Some c -> (Controller.clock c, Controller.version c)
-      | None -> (Dce_ot.Vclock.empty, 0));
-  ep
+  let client = Netd.Client.create ~config ~seed:site ?doc ~host:"127.0.0.1" ~port ~site () in
+  {
+    s = Site.create ?journal ?state ?owed ~codec:Proto.char_codec ~eq:Char.equal client;
+    site;
+    joins = 0;
+    resent = 0;
+    got_msgs = 0;
+  }
 
-let ep_step ep = List.iter (on_event ep) (Netd.Client.step ~timeout_ms:0 ep.client)
+let ep_step ep = List.iter (on_notice ep) (Site.step ep.s)
+
+let close ep = Site.close ep.s
 
 let pump_until ?(max_rounds = 8000) hubs eps cond =
   let rec go i =
@@ -263,12 +207,12 @@ let pump_until ?(max_rounds = 8000) hubs eps cond =
 let require name ok = if not ok then Alcotest.failf "timeout waiting for %s" name
 
 let doc_of ep =
-  match ep.ctrl with
+  match ctrl ep with
   | Some c -> Tdoc.visible_string (Controller.document c)
   | None -> "<not joined>"
 
 let settled ep =
-  match ep.ctrl with
+  match ctrl ep with
   | None -> false
   | Some c ->
     Controller.tentative c = []
@@ -276,12 +220,10 @@ let settled ep =
     && Controller.pending_admin c = 0
 
 let edit ep pos ch =
-  let c = Option.get ep.ctrl in
-  match Controller.generate c (Tdoc.ins_visible (Controller.document c) pos ch) with
-  | c, Controller.Accepted m ->
-    ep.ctrl <- Some c;
-    Netd.Client.send ep.client (Proto.Char_proto.encode_message m)
-  | _, Controller.Denied r -> Alcotest.failf "site %d denied: %s" ep.site r
+  let c = Option.get (ctrl ep) in
+  match Site.generate ep.s (Tdoc.ins_visible (Controller.document c) pos ch) with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "site %d denied: %s" ep.site r
 
 let hub_doc ?doc hub = Tdoc.visible_string (Controller.document (Hub.controller ?doc hub))
 
@@ -299,7 +241,7 @@ let isolation_test () =
   let b1 = mk_endpoint ~doc:"beta" ~port ~site:1 () in
   let eps = [ a0; a1; b1 ] in
   require "all joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   Alcotest.(check (list int)) "alpha members" [ 0; 1 ]
     (Hub.connected_sites ~doc:"alpha" hub);
   Alcotest.(check (list int)) "beta members" [ 1 ]
@@ -327,7 +269,7 @@ let isolation_test () =
       (Obs.Metrics.gauges metrics)
   in
   Alcotest.(check int) "alpha member gauge" 2 g;
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- raw-socket multiplexing: one socket, two docs ----- *)
 
@@ -429,32 +371,6 @@ let multiplex_test () =
   let _, eof = drain_frames hub fd ~rounds:2000 (fun _ -> false) in
   Alcotest.(check bool) "message after detach drops the peer" true eof
 
-(* ----- v1/v2 interop on the default document ----- *)
-
-let interop_test () =
-  let hub = mk_hub () in
-  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
-  let port = Hub.port hub in
-  (* ep_old speaks the original single-doc protocol (no --doc), ep_new
-     attaches to "main" explicitly; they must share the session *)
-  let ep_old = mk_endpoint ~port ~site:0 () in
-  let ep_new = mk_endpoint ~doc:"main" ~port ~site:1 () in
-  let eps = [ ep_old; ep_new ] in
-  require "both joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
-  Alcotest.(check (list int)) "one session, both dialects" [ 0; 1 ]
-    (Hub.connected_sites hub);
-  edit ep_old 0 'o';
-  require "v1 edit reaches the v2 member"
-    (pump_until [ hub ] eps (fun () -> doc_of ep_new = "oabc"));
-  edit ep_new 4 'n';
-  require "v2 edit reaches the v1 member"
-    (pump_until [ hub ] eps (fun () ->
-         doc_of ep_old = "oabcn" && doc_of ep_new = "oabcn"
-         && List.for_all settled eps));
-  Alcotest.(check string) "hub copy agrees" "oabcn" (hub_doc hub);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
-
 (* ----- hostile attach frames ----- *)
 
 let hostile_attach_test () =
@@ -491,20 +407,21 @@ let hostile_attach_test () =
   let fd = connect_raw () in
   send_payload fd "A\x05";
   Alcotest.(check bool) "malformed attach envelope dropped" true (dropped fd);
-  (* v1 greeting then a v2 attach on the same socket *)
+  (* attaching the same document twice on one socket *)
   let fd = connect_raw () in
-  send_payload fd (Netd.Relay_proto.encode (Netd.Relay_proto.Hello { site = 1 }));
   send_payload fd
     (Netd.Relay_proto.encode (Netd.Relay_proto.Attach { doc = "main"; site = 1 }));
-  Alcotest.(check bool) "attach after hello dropped" true (dropped fd);
+  send_payload fd
+    (Netd.Relay_proto.encode (Netd.Relay_proto.Attach { doc = "main"; site = 1 }));
+  Alcotest.(check bool) "duplicate attach dropped" true (dropped fd);
   (* after all of it, an honest member still gets served *)
   let ep = mk_endpoint ~doc:"main" ~port:(Hub.port hub) ~site:2 () in
   require "honest client joins after abuse"
-    (pump_until [ hub ] [ ep ] (fun () -> ep.ctrl <> None));
+    (pump_until [ hub ] [ ep ] (fun () -> ctrl ep <> None));
   Alcotest.(check string) "and sees the document" "abc" (doc_of ep);
   Alcotest.(check int) "hostile attaches never became sessions" 1
     (List.length (Hub.docs hub));
-  Netd.Client.close ep.client
+  close ep
 
 (* ----- federation: home + leaf, late joiner from the leaf ----- *)
 
@@ -523,7 +440,7 @@ let federation_test () =
   let eps = [ ep0; ep2 ] in
   require "members joined and the leaf linked up"
     (pump_until hubs eps (fun () ->
-         ep0.ctrl <> None && ep2.ctrl <> None && Hub.upstream_connected leaf));
+         ctrl ep0 <> None && ctrl ep2 <> None && Hub.upstream_connected leaf));
   (* the leaf presents its hosted site at the home hub *)
   Alcotest.(check (list int)) "home sees admin + leaf" [ 0; relay_site + 2 ]
     (Hub.connected_sites home);
@@ -544,7 +461,7 @@ let federation_test () =
       "DIAG ep0=%S ep2=%S settled0=%b settled2=%b home=%S leaf=%S fh=%s fl=%s \
        snaps2=%d msgs2=%d leaf_sites=%s up=%b\n%!"
       (doc_of ep0) (doc_of ep2) (settled ep0) (settled ep2) (hub_doc home)
-      (hub_doc leaf) (fingerprint home) (fingerprint leaf) ep2.snapshots
+      (hub_doc leaf) (fingerprint home) (fingerprint leaf) ep2.joins
       ep2.got_msgs
       (String.concat "," (List.map string_of_int (Hub.connected_sites leaf)))
       (Hub.upstream_connected leaf);
@@ -560,7 +477,7 @@ let federation_test () =
   let ep1 = mk_endpoint ~doc:"main" ~port:(Hub.port leaf) ~site:1 () in
   let eps = ep1 :: eps in
   require "late joiner boots from the leaf"
-    (pump_until hubs eps (fun () -> ep1.ctrl <> None));
+    (pump_until hubs eps (fun () -> ctrl ep1 <> None));
   Alcotest.(check string) "late joiner caught up from the leaf snapshot" "labch"
     (doc_of ep1);
   edit ep1 0 'z';
@@ -571,7 +488,7 @@ let federation_test () =
          && fingerprint home = fingerprint leaf));
   (* convergence oracle over the three real member controllers *)
   let report =
-    Dce_sim.Convergence.check (List.map (fun ep -> Option.get ep.ctrl) eps)
+    Dce_sim.Convergence.check (List.map (fun ep -> Option.get (ctrl ep)) eps)
   in
   if not (Dce_sim.Convergence.ok report) then
     Alcotest.failf "convergence violated: %s"
@@ -580,7 +497,7 @@ let federation_test () =
   Alcotest.(check int) "no loop drops at the home hub" 0
     (try List.assoc "hub.loop_drops" (Obs.Metrics.counters home_metrics)
      with Not_found -> 0);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- upstream: reconnect storm ----- *)
 
@@ -735,7 +652,7 @@ let degraded_heal_test () =
   let eps = [ ep0; ep2 ] in
   require "everyone linked"
     (pump_until [ home; leaf ] eps (fun () ->
-         ep0.ctrl <> None && ep2.ctrl <> None && Hub.upstream_connected leaf));
+         ctrl ep0 <> None && ctrl ep2 <> None && Hub.upstream_connected leaf));
   edit ep2 0 'a';
   require "pre-partition convergence"
     (pump_until [ home; leaf ] eps (fun () ->
@@ -778,8 +695,8 @@ let degraded_heal_test () =
        fl=%s snaps0=%d snaps2=%d leaf_health=%s\n%!"
       (Hub.upstream_connected leaf)
       (doc_of ep0) (doc_of ep2) (settled ep0) (settled ep2) (hub_doc home2)
-      (hub_doc leaf) (fingerprint home2) (fingerprint leaf) ep0.snapshots
-      ep2.snapshots
+      (hub_doc leaf) (fingerprint home2) (fingerprint leaf) ep0.joins
+      ep2.joins
       (match Hub.upstream_health leaf with
        | Some Upstream.Healthy -> "healthy"
        | Some (Upstream.Degraded { reason; _ }) -> "degraded: " ^ reason
@@ -788,12 +705,12 @@ let degraded_heal_test () =
   Alcotest.(check string) "healthz healthy after the heal" "ok"
     (json_status (Hub.healthz leaf ()));
   let report =
-    Dce_sim.Convergence.check (List.map (fun ep -> Option.get ep.ctrl) eps)
+    Dce_sim.Convergence.check (List.map (fun ep -> Option.get (ctrl ep)) eps)
   in
   if not (Dce_sim.Convergence.ok report) then
     Alcotest.failf "convergence violated after heal: %s"
       (Format.asprintf "%a" Dce_sim.Convergence.pp report);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- delta catch-up: resume inside the hosted window ----- *)
 
@@ -806,32 +723,36 @@ let delta_resume_test () =
   let ep1 = mk_endpoint ~doc:"main" ~port ~site:1 () in
   let eps = [ ep0; ep1 ] in
   require "both joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   edit ep0 0 'x';
   edit ep1 3 'y';
   require "both converged"
     (pump_until [ hub ] eps (fun () ->
          doc_of ep0 = doc_of ep1 && List.for_all settled eps));
   (* ep1 goes away holding its state — a laptop lid closing *)
-  let parked = Option.get ep1.ctrl in
-  Netd.Client.close ep1.client;
+  let parked = Option.get (ctrl ep1) in
+  close ep1;
   (* the session moves on without it *)
   edit ep0 0 'z';
   require "the survivor settles alone"
     (pump_until [ hub ] [ ep0 ] (fun () -> settled ep0));
-  (* resume presenting the parked clock: the hub has never compacted,
-     so the state transfer must be the missed suffix, not a snapshot *)
-  let resume () = Some (Controller.clock parked, Controller.version parked) in
-  let ep1b = mk_endpoint ~doc:"main" ~resume ~port ~site:1 () in
-  ep1b.ctrl <- Some parked;
+  (* a site started from the parked state presents its clock: the hub
+     has never compacted, so the state transfer must be the missed
+     suffix, not a snapshot *)
+  let counter name =
+    try List.assoc name (Obs.Metrics.counters metrics) with Not_found -> 0
+  in
+  let snapshots_before = counter "netd.snapshots" in
+  let ep1b = mk_endpoint ~doc:"main" ~state:parked ~port ~site:1 () in
   let eps = [ ep0; ep1b ] in
   require "resumed client catches up via the delta"
     (pump_until [ hub ] eps (fun () ->
          doc_of ep1b = doc_of ep0 && List.for_all settled eps));
-  Alcotest.(check int) "the hub answered with a delta" 1
-    (try List.assoc "hub.deltas" (Obs.Metrics.counters metrics) with Not_found -> 0);
+  Alcotest.(check int) "the hub answered with a delta" 1 (counter "hub.deltas");
+  Alcotest.(check int) "and counted no snapshot for it" snapshots_before
+    (counter "netd.snapshots");
   Alcotest.(check string) "hub copy agrees" (doc_of ep0) (hub_doc hub);
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+  List.iter close eps
 
 (* ----- delta catch-up: resume behind the compaction cut ----- *)
 
@@ -848,13 +769,13 @@ let snapshot_fallback_test () =
   let ep2 = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~port ~site:2 () in
   let eps = [ ep0; ep1; ep2 ] in
   require "all joined"
-    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   edit ep1 0 'a';
   require "first edit converges"
     (pump_until [ hub ] eps (fun () ->
          List.for_all (fun e -> doc_of e = "aabc") eps && List.for_all settled eps));
   (* the resurrection point: ep1's state before the next round of edits *)
-  let stale = Option.get ep1.ctrl in
+  let stale = Option.get (ctrl ep1) in
   edit ep0 0 'b';
   edit ep2 0 'c';
   (* keep everyone — ep1 included — live and beaconing until the hub's
@@ -869,12 +790,10 @@ let snapshot_fallback_test () =
   in
   require "hub compacts past the stale clock" (pump_until [ hub ] eps cut_past_stale);
   let converged = doc_of ep0 in
-  Netd.Client.close ep1.client;
+  close ep1;
   (* resurrect site 1 from the stale state: the hosted log no longer
      covers its clock, so the hub must fall back to a full snapshot *)
-  let resume () = Some (Controller.clock stale, Controller.version stale) in
-  let ep1b = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~resume ~port ~site:1 () in
-  ep1b.ctrl <- Some stale;
+  let ep1b = mk_endpoint ~doc:"main" ~heartbeat_ms:5 ~state:stale ~port ~site:1 () in
   let eps = [ ep0; ep1b; ep2 ] in
   require "stale resume falls back to a snapshot and converges"
     (pump_until [ hub ] eps (fun () ->
@@ -883,10 +802,132 @@ let snapshot_fallback_test () =
   Alcotest.(check int) "no delta was served" 0
     (try List.assoc "hub.deltas" (Obs.Metrics.counters metrics) with Not_found -> 0);
   Alcotest.(check int) "the resurrected site resynced from one snapshot" 1
-    ep1b.snapshots;
-  List.iter (fun ep -> Netd.Client.close ep.client) eps
+    ep1b.joins;
+  List.iter close eps
+
+(* ----- Site: journaled editors ----- *)
+
+let mem_journal world =
+  match
+    Persist.opendir ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec "site"
+  with
+  | Ok jr -> jr
+  | Error e -> Alcotest.failf "journal: %s" e
+
+(* A journaled site edits while its link is down, then dies without a
+   final checkpoint.  Reopened from the journal alone, it must hold the
+   recovered re-emissions until its join, then send every one. *)
+let journaled_reopen_test () =
+  let hub = mk_hub () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let world = Io.Mem.create () in
+  let j, _ = mem_journal world in
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~journal:j ~port ~site:1 () in
+  require "both joined"
+    (pump_until [ hub ] [ ep0; ep1 ] (fun () -> ctrl ep0 <> None && ctrl ep1 <> None));
+  Netd.Client.close (Site.client ep1.s);
+  edit ep1 0 'p';
+  edit ep1 1 'q';
+  (* kill -9: only the journal survives *)
+  Io.Mem.crash world;
+  let j, recovered = mem_journal world in
+  let owed = recovered.Persist.emitted in
+  Alcotest.(check int) "recovery re-emits both unsent edits" 2 (List.length owed);
+  let ep1b =
+    mk_endpoint ~journal:j ?state:recovered.Persist.controller ~owed ~port ~site:1 ()
+  in
+  let eps = [ ep0; ep1b ] in
+  let early = ref false in
+  require "the reopened site rejoins"
+    (pump_until [ hub ] eps (fun () ->
+         if ep1b.joins = 0 && hub_doc hub <> "abc" then early := true;
+         ep1b.joins > 0));
+  Alcotest.(check bool) "nothing owed left before the join" false !early;
+  (* the transfer re-sends both unacknowledged edits, and the owed
+     copies follow them: peers deduplicate *)
+  Alcotest.(check int) "everything owed went out behind the join"
+    (2 * List.length owed) ep1b.resent;
+  require "no recovered edit is lost"
+    (pump_until [ hub ] eps (fun () ->
+         hub_doc hub = "pqabc" && doc_of ep0 = "pqabc" && doc_of ep1b = "pqabc"
+         && List.for_all settled eps));
+  List.iter close eps
+
+(* Checkpoint-then-clamp: compaction checkpoints first when the stable
+   frontier has passed the durable cut, and when that checkpoint fails
+   the cut stays where the journal can rebuild it. *)
+let journaled_compaction_test () =
+  let hub = mk_hub ~beacon_ms:5 () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let world = Io.Mem.create () in
+  let j, _ = mem_journal world in
+  let ep0 = mk_endpoint ~heartbeat_ms:5 ~port ~site:0 () in
+  let ep1 = mk_endpoint ~heartbeat_ms:5 ~journal:j ~port ~site:1 () in
+  let ep2 = mk_endpoint ~heartbeat_ms:5 ~port ~site:2 () in
+  let eps = [ ep0; ep1; ep2 ] in
+  require "all joined"
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
+  let c1 () = Option.get (ctrl ep1) in
+  let durable () = Option.get (Persist.checkpoint_clock j) in
+  let all_stable () =
+    List.for_all settled eps
+    && doc_of ep0 = doc_of ep1 && doc_of ep1 = doc_of ep2
+    && Vclock.leq (Controller.clock (c1 ())) (Controller.stable_frontier (c1 ()))
+  in
+  edit ep0 0 'x';
+  edit ep2 0 'y';
+  require "first round stable at the journaled site" (pump_until [ hub ] eps all_stable);
+  let joined_cut = durable () in
+  Site.compact ep1.s;
+  Alcotest.(check bool) "a checkpoint was cut first" false (Vclock.leq (durable ()) joined_cut);
+  Alcotest.(check bool) "the log compacted" true
+    (Vclock.sum (Controller.compacted_upto (c1 ())) > 0);
+  Alcotest.(check bool) "within the durable cut" true
+    (Vclock.leq (Controller.compacted_upto (c1 ())) (durable ()));
+  let cut = durable () in
+  edit ep0 0 'z';
+  require "second round stable" (pump_until [ hub ] eps all_stable);
+  (Io.Mem.faults world).Io.Mem.fail_atomic_write_after <- 1;
+  Site.compact ep1.s;
+  Alcotest.(check int) "the pre-compaction checkpoint failed" 1 (Site.journal_errors ep1.s);
+  Alcotest.(check bool) "the frontier had moved past the durable cut" false
+    (Vclock.leq (Controller.stable_frontier (c1 ())) cut);
+  Alcotest.(check bool) "compaction stayed within it" true
+    (Vclock.leq (Controller.compacted_upto (c1 ())) cut);
+  List.iter close eps
+
+(* ----- the retired single-document greeting ----- *)
+
+let retired_hello_test () =
+  let hub = mk_hub () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~port ~site:1 () in
+  let eps = [ ep0; ep1 ] in
+  require "members joined"
+    (pump_until [ hub ] eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* tag 'H' and a site varint: the old single-document Hello *)
+  send_payload fd "H\001";
+  let _, eof = drain_frames hub fd ~rounds:2000 (fun _ -> false) in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "the retired greeting drops its sender" true eof;
+  Alcotest.(check (list int)) "the members stay attached" [ 0; 1 ]
+    (Hub.connected_sites hub);
+  edit ep1 0 'h';
+  require "and the hub keeps serving them"
+    (pump_until [ hub ] eps (fun () ->
+         doc_of ep0 = "habc" && doc_of ep1 = "habc" && List.for_all settled eps));
+  List.iter close eps
 
 let () =
+  (* the hub writes to sockets the tests slam shut: EPIPE, not SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "dce_hub"
     [
       ("doc_name", doc_name_tests);
@@ -897,10 +938,10 @@ let () =
             isolation_test;
           Alcotest.test_case "one socket multiplexes attach/detach over two docs"
             `Quick multiplex_test;
-          Alcotest.test_case "v1 and v2 clients interoperate on the default doc"
-            `Quick interop_test;
           Alcotest.test_case "hostile attach frames drop the peer, not the hub"
             `Quick hostile_attach_test;
+          Alcotest.test_case "a retired Hello frame drops only its sender" `Quick
+            retired_hello_test;
         ] );
       ( "federation",
         [
@@ -921,5 +962,12 @@ let () =
           Alcotest.test_case
             "resume behind the compaction cut falls back to a snapshot" `Quick
             snapshot_fallback_test;
+        ] );
+      ( "site",
+        [
+          Alcotest.test_case "a reopened journal re-sends what it owes once live"
+            `Quick journaled_reopen_test;
+          Alcotest.test_case "a journaled site never compacts past its durable cut"
+            `Quick journaled_compaction_test;
         ] );
     ]

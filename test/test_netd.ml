@@ -1,7 +1,7 @@
 (* Tests for the TCP transport: incremental frame splitting (fed one
    byte at a time, against hostile corruption), backoff scheduling, the
    hub envelope, connection backpressure over a real socketpair, and
-   a full loopback session — hub plus three endpoints over real TCP,
+   a full loopback session — hub plus three [Site]s over real TCP,
    with a late joiner and a kicked-and-reconnecting client — checked
    against the same convergence oracle the simulator uses, and against
    an in-process replay of the same scenario. *)
@@ -190,14 +190,29 @@ let envelope_tests =
             | Ok m' -> Alcotest.(check bool) (Relay_proto.label m) true (m = m')
             | Error e -> Alcotest.fail e)
           [
-            Relay_proto.Hello { site = 3 };
-            Relay_proto.Welcome { relay_site = 1_000_000; heartbeat_ms = 5000 };
-            Relay_proto.Snapshot "blob\x00\xff";
-            Relay_proto.Msg "";
             Relay_proto.Ping;
             Relay_proto.Pong;
             Relay_proto.Bye "reason";
-          ]);
+            Relay_proto.Attach { doc = "main"; site = 3 };
+            Relay_proto.Attached { doc = "main"; relay_site = 1_000_000; heartbeat_ms = 5000 };
+            Relay_proto.Detach { doc = "main" };
+            Relay_proto.Doc_snapshot { doc = "main"; state = "blob\x00\xff" };
+            Relay_proto.Doc_msg { doc = "main"; origin = 0; msg = "" };
+            Relay_proto.Attach_at { doc = "main"; site = 3; resume = "F" };
+            Relay_proto.Doc_delta { doc = "main"; delta = "d" };
+            Relay_proto.Beacon { doc = "main"; frontier = "" };
+          ];
+        (* the surviving frames are byte-for-byte what they always were *)
+        Alcotest.(check string) "Doc_msg golden bytes" "m\004main\002\003\001op"
+          (Relay_proto.encode (Relay_proto.Doc_msg { doc = "main"; origin = 2; msg = "\001op" }));
+        Alcotest.(check string) "Beacon golden bytes" "F\004main\002F\000"
+          (Relay_proto.encode (Relay_proto.Beacon { doc = "main"; frontier = "F\000" }));
+        (* the retired single-document tags no longer decode *)
+        List.iter
+          (fun tag ->
+            Alcotest.(check bool) (Printf.sprintf "retired tag %C" tag) true
+              (Result.is_error (Relay_proto.decode (String.make 1 tag ^ "\001"))))
+          [ 'H'; 'W'; 'S'; 'M' ]);
     qtest "hostile envelope bytes never raise" ~count:500
       QCheck2.Gen.(string_size (int_range 0 40))
       (Printf.sprintf "%S")
@@ -325,41 +340,24 @@ let mk_hub ?config ?metrics ?(docs = [ "main" ]) ?upstream ?hub_id () =
       Ok (mk_controller ~site:relay_site ~trace:Obs.Trace.null "abc", None))
     ~docs ~port:0 ()
 
+(* every endpoint is a [Site], the one editor runtime; the test keeps
+   only counts *)
 type endpoint = {
-  client : Client.t;
+  s : char Site.t;
   site : int;
-  mutable ctrl : char Controller.t option;
-  mutable snapshots : int;
+  mutable joins : int; (* state transfers integrated *)
   mutable reconnect_events : int;
 }
 
-let on_event ep = function
-  | Client.Snapshot blob -> (
-    match Proto.Char_proto.decode_state blob with
-    | Error e -> Alcotest.failf "site %d: bad snapshot: %s" ep.site e
-    | Ok state -> (
-      match Controller.load ~eq:Char.equal state with
-      | Error e -> Alcotest.failf "site %d: snapshot rejected: %s" ep.site e
-      | Ok donor ->
-        ep.snapshots <- ep.snapshots + 1;
-        ep.ctrl <- Some (Controller.rejoin ~site:ep.site donor)))
-  | Client.Message blob -> (
-    match Proto.Char_proto.decode_message blob with
-    | Error e -> Alcotest.failf "site %d: bad message: %s" ep.site e
-    | Ok m ->
-      let c = Option.get ep.ctrl in
-      let c, emitted = Controller.receive c m in
-      ep.ctrl <- Some c;
-      List.iter
-        (fun m' -> Client.send ep.client (Proto.Char_proto.encode_message m'))
-        emitted)
-  | Client.Beacon _ | Client.Delta _ ->
-    (* these endpoints never present a resume point and don't compact;
-       stability traffic is exercised in test_hub *)
-    ()
-  | Client.Reconnecting _ -> ep.reconnect_events <- ep.reconnect_events + 1
-  | Client.Connected | Client.Disconnected _ -> ()
-  | Client.Gave_up reason -> Alcotest.failf "site %d gave up: %s" ep.site reason
+let ctrl ep = Site.controller ep.s
+
+let on_notice ep = function
+  | Site.Joined _ -> ep.joins <- ep.joins + 1
+  | Site.Integrated _ -> ()
+  | Site.Dropped reason -> Alcotest.failf "site %d dropped input: %s" ep.site reason
+  | Site.Link (Client.Reconnecting _) -> ep.reconnect_events <- ep.reconnect_events + 1
+  | Site.Link (Client.Gave_up reason) -> Alcotest.failf "site %d gave up: %s" ep.site reason
+  | Site.Link _ -> ()
 
 let mk_endpoint ~port ~site =
   let config =
@@ -370,14 +368,16 @@ let mk_endpoint ~port ~site =
       max_attempts = Some 100;
     }
   in
-  { client = Client.create ~config ~seed:site ~host:"127.0.0.1" ~port ~site ();
+  {
+    s =
+      Site.create ~codec:Proto.char_codec ~eq:Char.equal
+        (Client.create ~config ~seed:site ~host:"127.0.0.1" ~port ~site ());
     site;
-    ctrl = None;
-    snapshots = 0;
+    joins = 0;
     reconnect_events = 0;
   }
 
-let ep_step ep = List.iter (on_event ep) (Client.step ~timeout_ms:0 ep.client)
+let ep_step ep = List.iter (on_notice ep) (Site.step ep.s)
 
 let pump_until ?(max_rounds = 4000) hub eps cond =
   let rec go i =
@@ -395,12 +395,12 @@ let pump_until ?(max_rounds = 4000) hub eps cond =
 let require name ok = if not ok then Alcotest.failf "timeout waiting for %s" name
 
 let doc ep =
-  match ep.ctrl with
+  match ctrl ep with
   | Some c -> Tdoc.visible_string (Controller.document c)
   | None -> "<not joined>"
 
 let settled ep =
-  match ep.ctrl with
+  match ctrl ep with
   | None -> false
   | Some c ->
     Controller.tentative c = []
@@ -408,28 +408,18 @@ let settled ep =
     && Controller.pending_admin c = 0
 
 let edit ep pos ch =
-  let c = Option.get ep.ctrl in
-  match Controller.generate c (Tdoc.ins_visible (Controller.document c) pos ch) with
-  | c, Controller.Accepted m ->
-    ep.ctrl <- Some c;
-    Client.send ep.client (Proto.Char_proto.encode_message m)
-  | _, Controller.Denied r -> Alcotest.failf "site %d denied: %s" ep.site r
+  let c = Option.get (ctrl ep) in
+  match Site.generate ep.s (Tdoc.ins_visible (Controller.document c) pos ch) with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "site %d denied: %s" ep.site r
 
 let try_update ep pos ch =
-  let c = Option.get ep.ctrl in
-  match Controller.generate c (Tdoc.up_visible (Controller.document c) pos ch) with
-  | c, Controller.Accepted m ->
-    ep.ctrl <- Some c;
-    Client.send ep.client (Proto.Char_proto.encode_message m);
-    true
-  | _, Controller.Denied _ -> false
+  let c = Option.get (ctrl ep) in
+  Result.is_ok (Site.generate ep.s (Tdoc.up_visible (Controller.document c) pos ch))
 
 let admin_op ep op =
-  let c = Option.get ep.ctrl in
-  match Controller.admin_update c op with
-  | Ok (c, m) ->
-    ep.ctrl <- Some c;
-    Client.send ep.client (Proto.Char_proto.encode_message m)
+  match Site.admin ep.s op with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "admin error: %s" e
 
 (* The same scenario, replayed through in-process controllers with
@@ -484,7 +474,7 @@ let integration_test () =
   let ep1 = mk_endpoint ~port ~site:1 in
   let eps = [ ep0; ep1 ] in
   require "initial join"
-    (pump_until hub eps (fun () -> ep0.ctrl <> None && ep1.ctrl <> None));
+    (pump_until hub eps (fun () -> ctrl ep0 <> None && ctrl ep1 <> None));
   Alcotest.(check (list int)) "both connected" [ 0; 1 ] (Hub.connected_sites hub);
 
   (* a user edit propagates and gets validated by the admin *)
@@ -500,20 +490,20 @@ let integration_test () =
   admin_op ep0
     (Admin_op.Add_auth
        (0, Auth.deny [ Subject.User 2 ] [ Docobj.Whole ] [ Right.Update ]));
-  let target_version = Controller.version (Option.get ep0.ctrl) in
+  let target_version = Controller.version (Option.get (ctrl ep0)) in
   require "restriction everywhere"
     (pump_until hub eps (fun () ->
-         (match ep1.ctrl with
+         (match ctrl ep1 with
           | Some b -> Controller.version b >= target_version
           | None -> false)));
 
   (* site 2 joins late, purely from the relay snapshot *)
   let ep2 = mk_endpoint ~port ~site:2 in
   let eps = [ ep0; ep1; ep2 ] in
-  require "late join" (pump_until hub eps (fun () -> ep2.ctrl <> None));
+  require "late join" (pump_until hub eps (fun () -> ctrl ep2 <> None));
   Alcotest.(check string) "late joiner caught up from snapshot" "xabc" (doc ep2);
   Alcotest.(check bool) "late joiner sees the restriction" true
-    (Controller.version (Option.get ep2.ctrl) >= target_version);
+    (Controller.version (Option.get (ctrl ep2)) >= target_version);
   (* ...and the restriction binds its local checks *)
   Alcotest.(check bool) "denied update locally" false (try_update ep2 0 'Q');
 
@@ -526,17 +516,16 @@ let integration_test () =
   (* kick site 1: its client must reconnect with backoff and resync *)
   require "settled before kick"
     (pump_until hub eps (fun () -> List.for_all settled eps));
-  let snapshots_before = ep1.snapshots in
+  let joins_before = ep1.joins in
   Alcotest.(check bool) "kick found the connection" true (Hub.kick hub ~site:1);
-  require "reconnected with a fresh snapshot"
+  require "reconnected and resynced"
     (pump_until hub eps (fun () ->
-         ep1.snapshots > snapshots_before && Client.connected ep1.client));
+         ep1.joins > joins_before && Client.connected (Site.client ep1.s)));
   Alcotest.(check bool) "reconnect went through backoff" true
     (ep1.reconnect_events > 0);
 
   (* the reconnected site keeps editing: serial numbering must have
-     resumed (Controller.rejoin), or every peer would drop this as a
-     duplicate *)
+     carried over, or every peer would drop this as a duplicate *)
   edit ep1 1 'y';
   require "post-reconnect edit propagated"
     (pump_until hub eps (fun () ->
@@ -544,7 +533,7 @@ let integration_test () =
          && List.for_all settled eps));
 
   (* the paper's convergence oracle over the three real controllers *)
-  let ctrls = List.map (fun ep -> Option.get ep.ctrl) [ ep0; ep1; ep2 ] in
+  let ctrls = List.map (fun ep -> Option.get (ctrl ep)) [ ep0; ep1; ep2 ] in
   let report = Dce_sim.Convergence.check ctrls in
   if not (Dce_sim.Convergence.ok report) then
     Alcotest.failf "convergence violated: %s"
@@ -565,9 +554,10 @@ let integration_test () =
   Alcotest.(check bool) "frames flowed" true
     (counter "frames_in" > 0 && counter "frames_out" > 0);
   Alcotest.(check bool) "reconnect counted" true (counter "reconnects" >= 1);
-  Alcotest.(check int) "snapshots served: 0,1 join; 2 late; 1 resync" 4
-    (counter "snapshots");
-  List.iter (fun ep -> Client.close ep.client) [ ep0; ep1; ep2 ]
+  Alcotest.(check int) "snapshots served: 0,1 join; 2 late" 3 (counter "snapshots");
+  Alcotest.(check int) "the kicked site resumed by delta" 1
+    (List.assoc "hub.deltas" (Obs.Metrics.counters metrics));
+  List.iter (fun ep -> Site.close ep.s) [ ep0; ep1; ep2 ]
 
 (* a hostile peer: raw bytes at the relay must never crash it *)
 let hostile_peer_test () =
@@ -620,15 +610,15 @@ let hostile_peer_test () =
   in
   Alcotest.(check bool) "truncated frame waits, not drops" true still_open;
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (* a well-framed Hello then a well-encoded Msg that is semantically
-     invalid for the hosted session (edit far beyond the document):
-     applying it must drop the peer, never the daemon *)
+  (* a well-framed Attach then a well-encoded Doc_msg that is
+     semantically invalid for the hosted session (edit far beyond the
+     document): applying it must drop the peer, never the daemon *)
   let fd = connect_raw () in
   let send_payload s =
     let framed = Codec.frame s in
     ignore (Unix.write_substring fd framed 0 (String.length framed))
   in
-  send_payload (Relay_proto.encode (Relay_proto.Hello { site = 2 }));
+  send_payload (Relay_proto.encode (Relay_proto.Attach { doc = "main"; site = 2 }));
   let donor = mk_controller ~site:2 ~trace:Obs.Trace.null "abcdefghij" in
   let bad_msg =
     match
@@ -637,17 +627,18 @@ let hostile_peer_test () =
     | _, Controller.Accepted m -> Proto.Char_proto.encode_message m
     | _, Controller.Denied r -> Alcotest.failf "donor edit denied: %s" r
   in
-  send_payload (Relay_proto.encode (Relay_proto.Msg bad_msg));
+  send_payload
+    (Relay_proto.encode (Relay_proto.Doc_msg { doc = "main"; origin = 0; msg = bad_msg }));
   Alcotest.(check bool) "semantically invalid message dropped" true (wait_eof fd);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (* after all that abuse, an honest client still gets served *)
   let ep = mk_endpoint ~port:(Hub.port hub) ~site:1 in
   require "honest client joins after abuse"
-    (pump_until hub [ ep ] (fun () -> ep.ctrl <> None));
+    (pump_until hub [ ep ] (fun () -> ctrl ep <> None));
   Alcotest.(check string) "and sees the document" "abc" (doc ep);
   Alcotest.(check bool) "framing errors counted" true
     (List.assoc "netd.framing_errors" (Obs.Metrics.counters metrics) >= 1);
-  Client.close ep.client
+  Site.close ep.s
 
 (* max_attempts bounds the number of failed connection attempts exactly *)
 let gives_up_after_max_attempts () =
@@ -747,7 +738,7 @@ let admin_scrape_test () =
   let ep2 = mk_endpoint ~port ~site:2 in
   let eps = [ ep0; ep1; ep2 ] in
   require "all three joined"
-    (pump_until hub eps (fun () -> List.for_all (fun e -> e.ctrl <> None) eps));
+    (pump_until hub eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
   edit ep1 0 'x';
   edit ep2 0 'y';
   require "edits settled"

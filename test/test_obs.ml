@@ -483,6 +483,19 @@ let clock_tests =
         let a = Obs.Clock.now_ms () in
         let b = Obs.Clock.now_ms () in
         Alcotest.(check bool) "still monotone" true (b >= a));
+    Alcotest.test_case "a cadence keeps its phase when ticks are reached late" `Quick
+      (fun () ->
+        let tick = Obs.Clock.tick ~period_ms:5000. in
+        let due = Alcotest.(option (float 1e-9)) in
+        Alcotest.check due "the first tick is due at once" (Some 12.)
+          (tick ~last:neg_infinity 12.);
+        Alcotest.check due "not before a period" None (tick ~last:12. 5011.9);
+        Alcotest.check due "reached 3 ms late, still on the grid" (Some 5012.)
+          (tick ~last:12. 5015.);
+        Alcotest.check due "the next one is not pushed back" (Some 10012.)
+          (tick ~last:5012. 10012.5);
+        Alcotest.check due "a stall over several periods ticks once" (Some 25012.)
+          (tick ~last:5012. 27000.));
   ]
 
 let () =
