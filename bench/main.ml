@@ -242,13 +242,13 @@ let core_policy =
     ~users:[ adm; user; remote ]
     [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
 
-(* a user site over an n-cell document with |H| = h random local edits
-   (tentative: [user] is not the administrator) *)
-let build_core_site ~n ~h =
+(* a site over an n-cell document with |H| = h random local edits:
+   tentative at [user], which is not the administrator, and born valid
+   at [adm] *)
+let build_core_site ~site ~n ~h =
   let text = String.init n (fun i -> Char.chr (97 + (i mod 26))) in
   let c =
-    C.create ~eq:Char.equal ~site:user ~admin:adm ~policy:core_policy
-      (Tdoc.of_string text)
+    C.create ~eq:Char.equal ~site ~admin:adm ~policy:core_policy (Tdoc.of_string text)
   in
   let rec go c i =
     if i = h then c
@@ -504,6 +504,69 @@ let run_delta_sync () =
      (%d%% of full bytes; gate: <= 10)\n"
     lag h (String.length full_blob) t_full (String.length delta_blob) t_delta pct
 
+(* ----- the administrator's settled log -----
+
+   Every point above is a user site: nobody validates its requests, so
+   each canonization bubble there moves tentative entries.  The
+   administrator's own requests are born valid, so its bubbles cross a
+   settled tail — what any site pays once validations have arrived.
+   These points time generate and integrate on that log, and
+   core.generate_words_per_moved.h10k counts the words one insertion
+   allocates per entry its bubble transposed.  The count is exact for a
+   given compiler, so CI gates on it.  Built after every other core
+   site, so the random histories of those stay as they were. *)
+
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* the deletion/update tail an insertion appended now would bubble past *)
+let movable_tail c =
+  let movable op = Op.is_del op || Op.is_undel op || Op.is_up op in
+  let rec go k = function op :: rest when movable op -> go (k + 1) rest | _ -> k in
+  go 0 (List.rev (Oplog.ops (C.oplog c)))
+
+let run_core_admin () =
+  Printf.printf "== core: administrator site (settled log) ==\n";
+  Printf.printf "%8s %8s %11s %11s %8s %12s\n" "n" "|H|" "gen(ms)" "integ(ms)" "moved"
+    "words/moved";
+  let n = 1_000 in
+  List.iter
+    (fun h ->
+      let c = build_core_site ~site:adm ~n ~h in
+      let point = Printf.sprintf "admin_n%s_h%s" (size_label n) (size_label h) in
+      let put what v =
+        Obs.Metrics.add
+          (Obs.Metrics.counter bench_metrics (Printf.sprintf "core.%s.%s" what point))
+          v
+      in
+      let hist what =
+        Obs.Metrics.histogram bench_metrics (Printf.sprintf "core.%s_ns.%s" what point)
+      in
+      let insert = Tdoc.ins_visible (C.document c) 0 'z' in
+      let t_gen =
+        median_ms ~hist:(hist "generate") (fun () -> ignore (C.generate c insert))
+      in
+      put "generate_per_s" (int_of_float (1000. /. Float.max t_gen 1e-9));
+      let t_recv =
+        median_ms ~hist:(hist "integrate") (fun () ->
+            ignore (C.receive c (C.Coop (remote_insert 1))))
+      in
+      put "integrate_per_s" (int_of_float (1000. /. Float.max t_recv 1e-9));
+      let moved = movable_tail c in
+      let w0 = allocated_words () in
+      (match C.generate c insert with
+       | _, C.Accepted _ -> ()
+       | _, C.Denied r -> failwith r);
+      let per_moved = int_of_float (allocated_words () -. w0) / max moved 1 in
+      if h = 10_000 then
+        Obs.Metrics.add
+          (Obs.Metrics.counter bench_metrics "core.generate_words_per_moved.h10k")
+          per_moved;
+      Printf.printf "%8s %8s %11.4f %11.4f %8d %12d\n" (size_label n) (size_label h) t_gen
+        t_recv moved per_moved)
+    [ 1_000; 10_000 ]
+
 let run_core ~quick () =
   Printf.printf "== core: engine scaling baseline%s ==\n"
     (if quick then " (quick)" else "");
@@ -519,7 +582,7 @@ let run_core ~quick () =
   let site100k =
     List.fold_left
       (fun acc (n, h) ->
-        let c = build_core_site ~n ~h in
+        let c = build_core_site ~site:user ~n ~h in
         core_point ~n ~h c;
         if n = 100_000 && h = 100 then Some c else acc)
       None points
@@ -530,6 +593,8 @@ let run_core ~quick () =
   print_newline ();
   run_steady ();
   run_delta_sync ();
+  print_newline ();
+  run_core_admin ();
   print_newline ()
 
 (* ----- E6: Fig. 7 ----- *)

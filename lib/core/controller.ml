@@ -378,13 +378,13 @@ let apply_admin t (r : Admin_op.request) =
        (* only upgrade tentative requests: an Invalid entry stays
           invalid (the situation cannot arise for honest traffic) *)
        let t =
-         match Oplog.find id t.oplog with
-         | Some q when q.Request.flag = Request.Tentative ->
-           let t = { t with oplog = Oplog.set_flag id Request.Valid t.oplog } in
+         match Oplog.validate id t.oplog with
+         | Some oplog ->
+           let t = { t with oplog } in
            ev t (Dce_obs.Trace.Validate id);
            M.incr t.m.m_validated;
            t
-         | Some _ | None -> t
+         | None -> t
        in
        Ok (t, [])
      | Admin_op.Transfer_admin u when u = t.site && t.features.validation && not t.replay ->

@@ -78,7 +78,7 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null) ?seed
     failed_attempts = 0;
     was_live = false;
     stamp = (fun () -> (Dce_ot.Vclock.empty, 0));
-    last_beacon_ms = 0.;
+    last_beacon_ms = neg_infinity;
   }
 
 let site t = t.site
@@ -280,16 +280,23 @@ let pump_conn t c timeout_ms =
        heartbeat cadence.  Sent even — especially — when idle: this is
        what lets the rest of the group compact past a silent editor.
        Unlike the Ping above it is not suppressed by regular traffic, so
-       the cadence holds under load too. *)
+       the cadence holds under load too, and it keeps a fixed phase: a
+       loop that reaches it late does not push later beacons back. *)
     match t.phase with
-    | Live _ when now -. t.last_beacon_ms > float_of_int t.cfg.heartbeat_ms ->
-      let clock, version = t.stamp () in
-      let frontier =
-        Dce_wire.Proto.encode_frontier
-          [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
-      in
-      Conn.send c (Relay_proto.encode (Relay_proto.Beacon { doc = t.doc; frontier }));
-      t.last_beacon_ms <- now
+    | Live _ -> (
+      match
+        Obs.Clock.tick ~period_ms:(float_of_int t.cfg.heartbeat_ms) ~last:t.last_beacon_ms
+          now
+      with
+      | Some due ->
+        let clock, version = t.stamp () in
+        let frontier =
+          Dce_wire.Proto.encode_frontier
+            [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
+        in
+        Conn.send c (Relay_proto.encode (Relay_proto.Beacon { doc = t.doc; frontier }));
+        t.last_beacon_ms <- due
+      | None -> ())
     | _ -> ()
   end;
   match Conn.closed_reason c with

@@ -2,40 +2,58 @@ type role = Normal | Canceller of Request.id
 
 type 'e entry = { req : 'e Request.t; role : role }
 
-module Id_map = Map.Make (struct
-  type t = int * int
+module Id = struct
+  type t = Request.id
 
-  let compare (a : t) b = compare a b
-end)
+  let compare (a : t) (b : t) =
+    let c = Int.compare a.Request.site b.Request.site in
+    if c <> 0 then c else Int.compare a.Request.serial b.Request.serial
+end
+
+module Ids = Set.Make (Id)
+module Id_map = Map.Make (Id)
 
 (* Entries in execution order in a stat tree (measure: tentative normal
    entries, so the tentative set enumerates without scanning settled
-   entries), plus an id -> position index over normal entries.  Indexed
-   positions are absolute — [base] counts entries dropped by compaction,
-   so the tree position of id is [index(id) - base] and compaction never
-   rewrites the index.  [compacted] is the per-site serial floor below
-   which entries have been compacted away. *)
+   entries), indexed twice over:
+   - [ids] holds every normal entry's id, for [mem]; reorderings never
+     touch it;
+   - [tpos] maps each tentative normal entry to its position.  Tentative
+     entries are the only ones the controller looks up by position
+     (validation, retroactive undo, rejection), so a reordering rewrites
+     the positions of the tentative entries it moves and of no others;
+     looking up a settled entry scans instead.
+   Positions are absolute — [base] counts entries dropped by compaction,
+   so the tree position of id is [tpos(id) - base], and compaction, which
+   drops no tentative entry, never rewrites [tpos].  [compacted] is the
+   per-site serial floor below which entries have been compacted away. *)
 type 'e t = {
   entries : 'e entry Stree.t;
-  index : int Id_map.t;
+  ids : Ids.t;
+  tpos : int Id_map.t;
   base : int;
   compacted : Vclock.t;
 }
 
-let tentative e =
+let is_tentative e =
   match e.role with
-  | Normal when e.req.Request.flag = Request.Tentative -> 1
-  | Normal | Canceller _ -> 0
+  | Normal -> e.req.Request.flag = Request.Tentative
+  | Canceller _ -> false
 
-let key (id : Request.id) = (id.Request.site, id.Request.serial)
+let tentative e = if is_tentative e then 1 else 0
 
-let index_set e pos index =
-  match e.role with
-  | Normal -> Id_map.add (key e.req.Request.id) pos index
-  | Canceller _ -> index
+(* record entry [e] at absolute position [pos] if it is tentative *)
+let place e pos tpos =
+  if is_tentative e then Id_map.add e.req.Request.id pos tpos else tpos
 
 let empty =
-  { entries = Stree.empty; index = Id_map.empty; base = 0; compacted = Vclock.empty }
+  {
+    entries = Stree.empty;
+    ids = Ids.empty;
+    tpos = Id_map.empty;
+    base = 0;
+    compacted = Vclock.empty;
+  }
 
 let length h = Stree.length h.entries
 
@@ -45,12 +63,15 @@ let entries h = Stree.to_list h.entries
 
 let of_entries ~compacted entries =
   let tree = Stree.of_list ~measure:tentative entries in
-  let index, _ =
+  let ids, tpos, _ =
     List.fold_left
-      (fun (index, i) e -> (index_set e i index, i + 1))
-      (Id_map.empty, 0) entries
+      (fun (ids, tpos, i) e ->
+        match e.role with
+        | Normal -> (Ids.add e.req.Request.id ids, place e i tpos, i + 1)
+        | Canceller _ -> (ids, tpos, i + 1))
+      (Ids.empty, Id_map.empty, 0) entries
   in
-  { entries = tree; index; base = 0; compacted }
+  { entries = tree; ids; tpos; base = 0; compacted }
 
 let compacted_upto h = h.compacted
 
@@ -61,25 +82,41 @@ let requests h =
 
 let ops h = List.map (fun e -> e.req.Request.op) (entries h)
 
-let find id h =
-  match Id_map.find_opt (key id) h.index with
-  | None -> None
-  | Some pos -> Some (Stree.get h.entries (pos - h.base)).req
+(* Tree position of the normal entry [id]: one map lookup for a
+   tentative entry; for a settled one a scan from the right, which no
+   controller path takes. *)
+let position id h =
+  match Id_map.find_opt id h.tpos with
+  | Some pos -> Some (pos - h.base)
+  | None when not (Ids.mem id h.ids) -> None
+  | None ->
+    let other e =
+      match e.role with
+      | Normal -> Id.compare e.req.Request.id id <> 0
+      | Canceller _ -> true
+    in
+    Some (Stree.length h.entries - 1 - Stree.suffix_length other h.entries)
+
+let find id h = Option.map (fun i -> (Stree.get h.entries i).req) (position id h)
 
 let mem id h =
   Vclock.dominates_event h.compacted ~site:id.Request.site ~count:id.Request.serial
-  || Id_map.mem (key id) h.index
+  || Ids.mem id h.ids
 
 let set_flag id flag h =
-  match Id_map.find_opt (key id) h.index with
+  match position id h with
   | None -> h
-  | Some pos ->
+  | Some i ->
+    let e = Stree.get h.entries i in
+    let e = { e with req = { e.req with Request.flag } } in
     {
       h with
-      entries =
-        Stree.update ~measure:tentative h.entries (pos - h.base) (fun e ->
-            { e with req = { e.req with Request.flag } });
+      entries = Stree.set ~measure:tentative h.entries i e;
+      tpos = place e (h.base + i) (Id_map.remove id h.tpos);
     }
+
+let validate id h =
+  if Id_map.mem id h.tpos then Some (set_flag id Request.Valid h) else None
 
 let tentative_requests h =
   (* exactly the nonzero-measure entries, all normal by construction *)
@@ -96,67 +133,67 @@ let broadcast_form (q : 'e Request.t) h =
   in
   { q with Request.dep = last_normal (Stree.length h.entries - 1) }
 
+let with_op e op =
+  if op == e.req.Request.op then e else { e with req = { e.req with Request.op } }
+
 (* Adjacent transposition: given consecutive entries [a; b], produce
    [b'; a'] with the same combined effect.  [b'] excludes [a]'s effect;
    [a'] re-includes [b']'s.  Only [op] is rewritten: identity, role,
    flag and policy version are untouched, which is what lets the
-   id index and the context classification survive reorderings. *)
+   id set and the context classification survive reorderings.  An
+   operation the transposition leaves alone keeps its entry record. *)
 let transpose a b =
   let b_op = Transform.et b.req.Request.op a.req.Request.op in
   let a_op = Transform.it a.req.Request.op b_op in
-  ( { b with req = { b.req with Request.op = b_op } },
-    { a with req = { a.req with Request.op = a_op } } )
+  (with_op b b_op, with_op a a_op)
+
+let movable e =
+  let op = e.req.Request.op in
+  Op.is_del op || Op.is_undel op || Op.is_up op
 
 (* Canonize: bubble the entry at the end of the log (an insertion)
    backwards past the deletion/update entries before it, stopping at the
-   first insertion or Nop-carrying entry.  The bubble is batched: the
-   movable suffix is extracted once, transposed in a flat array, and
-   written back with a single {!Stree.set_range} walk — O(k + log H)
-   tree work for a bubble of extent [k], instead of two O(log H) tree
-   writes per transposition. *)
+   first insertion or Nop-carrying entry.  The bubble is batched: its
+   extent is found in one right-to-left walk, the movable suffix is
+   transposed in a flat array and written back with a single
+   {!Stree.set_range} walk — O(k + log H) tree work for a bubble of
+   extent [k], instead of two O(log H) tree writes per transposition.
+   [entry] is a normal entry. *)
 let append_entry_canonized h entry =
-  let movable op = Op.is_del op || Op.is_undel op || Op.is_up op in
   let pos = Stree.length h.entries in
+  let k =
+    if Op.is_ins entry.req.Request.op then Stree.suffix_length movable h.entries else 0
+  in
   let entries = Stree.append ~measure:tentative h.entries entry in
-  let index = index_set entry (h.base + pos) h.index in
-  if not (Op.is_ins entry.req.Request.op) then { h with entries; index }
+  let ids = Ids.add entry.req.Request.id h.ids in
+  if k = 0 then { h with entries; ids; tpos = place entry (h.base + pos) h.tpos }
   else begin
-    let k = ref 0 in
+    let lo = pos - k in
+    let window = Array.make (k + 1) entry in
+    let (_ : int) =
+      Stree.fold_range
+        (fun i e ->
+          window.(i) <- e;
+          i + 1)
+        0 h.entries ~pos:lo ~len:k
+    in
+    let i = ref k in
     while
-      !k < pos && movable (Stree.get entries (pos - !k - 1)).req.Request.op
+      !i > 0 && Op.is_ins window.(!i).req.Request.op && movable window.(!i - 1)
     do
-      incr k
+      let b', a' = transpose window.(!i - 1) window.(!i) in
+      window.(!i - 1) <- b';
+      window.(!i) <- a';
+      decr i
     done;
-    if !k = 0 then { h with entries; index }
-    else begin
-      let lo = pos - !k in
-      let w = !k + 1 in
-      let window = Array.make w entry in
-      let (_ : int) =
-        Stree.fold_range
-          (fun i e ->
-            window.(i) <- e;
-            i + 1)
-          0 entries ~pos:lo ~len:w
-      in
-      let i = ref (w - 1) in
-      while
-        !i > 0
-        && Op.is_ins window.(!i).req.Request.op
-        && movable window.(!i - 1).req.Request.op
-      do
-        let b', a' = transpose window.(!i - 1) window.(!i) in
-        window.(!i - 1) <- b';
-        window.(!i) <- a';
-        decr i
-      done;
-      let entries = Stree.set_range ~measure:tentative entries ~pos:lo window in
-      let index = ref index in
-      for j = 0 to w - 1 do
-        index := index_set window.(j) (h.base + lo + j) !index
-      done;
-      { h with entries; index = !index }
-    end
+    let entries = Stree.set_range ~measure:tentative entries ~pos:lo window in
+    (* the new entry landed at [!i], pushing what followed one place
+       right: only the tentative ones among them have a position *)
+    let tpos = ref h.tpos in
+    for j = !i to k do
+      tpos := place window.(j) (h.base + lo + j) !tpos
+    done;
+    { h with entries; ids; tpos = !tpos }
   end
 
 let append_local q h = append_entry_canonized h { req = q; role = Normal }
@@ -189,8 +226,8 @@ let in_context_of (q : _ Request.t) e =
 let integrate q h =
   let n = Stree.length h.entries in
   let p = Stree.prefix_length (in_context_of q) h.entries in
-  let entries, index, op =
-    if p = n then (h.entries, h.index, q.Request.op)
+  let entries, tpos, op =
+    if p = n then (h.entries, h.tpos, q.Request.op)
     else begin
       let w = n - p in
       let window = Array.make w (Stree.get h.entries p) in
@@ -223,20 +260,21 @@ let integrate q h =
       for i = !boundary to w - 1 do
         op := Transform.it !op window.(i).req.Request.op
       done;
-      if !boundary = 0 then (h.entries, h.index, !op)
+      if !boundary = 0 then (h.entries, h.tpos, !op)
       else begin
-        (* the window really was permuted: write it back in one walk *)
+        (* the window really was permuted: write it back in one walk,
+           and re-place its tentative entries *)
         let entries = Stree.set_range ~measure:tentative h.entries ~pos:p window in
-        let index = ref h.index in
+        let tpos = ref h.tpos in
         for i = 0 to w - 1 do
-          index := index_set window.(i) (h.base + p + i) !index
+          tpos := place window.(i) (h.base + p + i) !tpos
         done;
-        (entries, !index, !op)
+        (entries, !tpos, !op)
       end
     end
   in
   let entry = { req = { q with Request.op }; role = Normal } in
-  (op, append_entry_canonized { h with entries; index } entry)
+  (op, append_entry_canonized { h with entries; tpos } entry)
 
 let canceller_of ~cancel_version (q : 'e Request.t) op =
   {
@@ -246,10 +284,9 @@ let canceller_of ~cancel_version (q : 'e Request.t) op =
   }
 
 let undo ~cancel_version id h =
-  match Id_map.find_opt (key id) h.index with
+  match position id h with
   | None -> None
-  | Some pos ->
-    let i = pos - h.base in
+  | Some i ->
     let e = Stree.get h.entries i in
     if e.req.Request.flag = Request.Invalid then None
     else
@@ -266,7 +303,7 @@ let undo ~cancel_version id h =
       in
       let cancel = canceller_of ~cancel_version e.req inv in
       let entries = Stree.append ~measure:tentative entries cancel in
-      Some (inv, { h with entries })
+      Some (inv, { h with entries; tpos = Id_map.remove id h.tpos })
 
 (* Rejecting a request = integrating it and undoing it on the spot: the
    request's cells enter the model (as tombstones, net visible effect
@@ -296,8 +333,8 @@ let is_canonical h =
   ok
 
 (* Compaction: drop the longest stable prefix (see the .mli for the
-   soundness argument).  Positions in the id index are absolute, so only
-   the dropped ids leave the index — [base] absorbs the shift. *)
+   soundness argument).  Only settled entries are dropped, so only [ids]
+   loses members; [base] absorbs the shift of the tentative positions. *)
 let compact ~stable ~stable_version h =
   let droppable e =
     match e.role with
@@ -330,13 +367,13 @@ let compact ~stable ~stable_version h =
           | Canceller _ -> compacted)
         h.compacted dropped
     in
-    let index =
+    let ids =
       List.fold_left
-        (fun index e ->
+        (fun ids e ->
           match e.role with
-          | Normal -> Id_map.remove (key e.req.Request.id) index
-          | Canceller _ -> index)
-        h.index dropped
+          | Normal -> Ids.remove e.req.Request.id ids
+          | Canceller _ -> ids)
+        h.ids dropped
     in
     let rest =
       List.rev
@@ -344,10 +381,21 @@ let compact ~stable ~stable_version h =
     in
     {
       entries = Stree.of_list ~measure:tentative rest;
-      index;
+      ids;
+      tpos = h.tpos;
       base = h.base + k;
       compacted;
     }
+
+let well_formed h =
+  let indexed = List.mapi (fun i e -> (i, e)) (entries h) in
+  let normal = List.filter (fun (_, e) -> e.role = Normal) indexed in
+  let tentative = List.filter (fun (_, e) -> is_tentative e) normal in
+  Ids.equal h.ids (Ids.of_list (List.map (fun (_, e) -> e.req.Request.id) normal))
+  && Id_map.cardinal h.tpos = List.length tentative
+  && List.for_all
+       (fun (i, e) -> Id_map.find_opt e.req.Request.id h.tpos = Some (h.base + i))
+       tentative
 
 let pp pp_elt ppf h =
   let pp_entry ppf e =

@@ -40,17 +40,28 @@
 
     {2 Representation}
 
-    The log is a persistent stat tree of entries plus an id -> position
-    index over normal entries: {!length} is O(1), {!find}/{!mem}/
-    {!set_flag} are O(log H), {!tentative_requests} is O(T log H) for
-    [T] tentative entries, and {!integrate}'s reorder + transform work
-    touches only the {e concurrency window} — the log suffix after the
-    longest prefix lying entirely in the remote request's causal
-    context, which SOCT2 separation would leave in place anyway.
-    Canonization's [O(|Hdu|)] transposition count is inherent (Fig. 7),
-    but the bubble is batched: the movable suffix is reordered in a flat
-    array and written back in one [O(|Hdu| + log H)] range walk rather
-    than per-swap tree writes. *)
+    The log is a persistent stat tree of entries plus two indexes over
+    normal entries: the set of their ids, which reorderings never touch,
+    and a position map over the {e tentative} ones only.  Tentative
+    entries are the only ones the controller looks up by position
+    ({!validate}, retroactive {!undo}, {!append_rejected}), so a
+    reordering rewrites positions only for the tentative entries it
+    moves: a canonization bubble or a separation over settled entries
+    costs its transpositions and its tree write-back, and nothing per
+    entry in the index.
+
+    {!length} is O(1); {!mem} and {!validate} are O(log H);
+    {!find}/{!set_flag}/{!undo} are O(log H) on a tentative entry and
+    scan from the right on a settled one; {!tentative_requests} is
+    O(T log H) for [T] tentative entries.  {!integrate}'s reorder +
+    transform work touches only the {e concurrency window} — the log
+    suffix after the longest prefix lying entirely in the remote
+    request's causal context, which SOCT2 separation would leave in
+    place anyway — but finding that prefix walks it, O(|H| - window).
+    Canonization's [O(|Hdu|)] transposition count is inherent (Fig. 7);
+    the bubble's extent is found in one right-to-left walk, and the
+    movable suffix is reordered in a flat array and written back in one
+    [O(|Hdu| + log H)] range walk rather than per-swap tree writes. *)
 
 type role = Normal | Canceller of Request.id
 
@@ -79,14 +90,19 @@ val ops : 'e t -> 'e Op.t list
     state reproduces the current state. *)
 
 val find : Request.id -> 'e t -> 'e Request.t option
-(** O(log H) via the id index. *)
+(** O(log H) for a tentative entry; a settled one is found by a scan
+    from the right, O(distance from the end). *)
 
 val mem : Request.id -> 'e t -> bool
 (** [mem id h]: a normal entry with identity [id] is present (or was
     compacted away).  O(log H). *)
 
 val set_flag : Request.id -> Request.flag -> 'e t -> 'e t
-(** O(log H); the log is unchanged if [id] is absent. *)
+(** Costs as {!find}; the log is unchanged if [id] is absent. *)
+
+val validate : Request.id -> 'e t -> 'e t option
+(** Flag the tentative entry [id] [Valid]: [None] if [id] is not a
+    tentative entry of the log.  O(log H). *)
 
 val tentative_requests : 'e t -> 'e Request.t list
 (** Normal entries still flagged [Tentative], in log order — O(T log H)
@@ -122,7 +138,9 @@ val append_rejected :
 val undo : cancel_version:int -> Request.id -> 'e t -> ('e Op.t * 'e t) option
 (** Retroactively cancel the request: flag it [Invalid], append its
     canceller, and return the operation to execute on the document.
-    [None] if the request is not in the log or already invalid. *)
+    [None] if the request is not in the log or already invalid.  The
+    transform walks the log suffix after the request; a settled request
+    is first found by a scan over that same suffix (see {!find}). *)
 
 val causally_ready : 'e Request.t -> 'e t -> bool
 (** Every request in [q]'s causal context is present in the log.  (The
@@ -157,5 +175,10 @@ val is_canonical : 'e t -> bool
 (** All insertion entries precede all deletion/update entries.  Holds for
     append-only histories; integration's causal reordering may break it
     globally (it is restored locally at each append). *)
+
+val well_formed : 'e t -> bool
+(** The indexes agree with the entries: the id set holds exactly the
+    normal entries' ids, and the position map exactly the tentative
+    ones, each at its live position.  O(H log H); for tests. *)
 
 val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit

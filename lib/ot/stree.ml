@@ -189,6 +189,18 @@ let prefix_length p t =
   (try iter (fun x -> if p x then incr count else raise Exit) t with Exit -> ());
   !count
 
+let suffix_length p t =
+  let count = ref 0 in
+  let rec go = function
+    | Leaf -> ()
+    | Node { l; v; r; _ } ->
+      go r;
+      if p v then incr count else raise Exit;
+      go l
+  in
+  (try go t with Exit -> ());
+  !count
+
 let to_list t = List.rev (fold_left (fun acc x -> x :: acc) [] t)
 
 let of_list ~measure l =

@@ -89,6 +89,11 @@ val prefix_length : ('a -> bool) -> 'a t -> int
 (** Length of the longest prefix whose elements all satisfy the
     predicate.  Stops at the first failure: O(result + log n). *)
 
+val suffix_length : ('a -> bool) -> 'a t -> int
+(** Length of the longest suffix whose elements all satisfy the
+    predicate, walking right to left.  Stops at the first failure:
+    O(result + log n). *)
+
 val to_list : 'a t -> 'a list
 (** O(n). *)
 

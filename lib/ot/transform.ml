@@ -10,12 +10,23 @@ open Op
 
 let shift_after_ins p ins_pos = if p < ins_pos then p else p + 1
 
-let reposition o pos =
+(* [o]'s cell position mapped by [shift] against an insertion at
+   [ins_pos]; [o] itself when the position does not move, so callers
+   can tell an unchanged operation by physical equality *)
+let reposition o shift ins_pos =
   match o with
-  | Del d -> Del { d with pos }
-  | Undel d -> Undel { d with pos }
-  | Up u -> Up { u with pos }
-  | Unup u -> Unup { u with pos }
+  | Del d ->
+    let pos = shift d.pos ins_pos in
+    if pos = d.pos then o else Del { d with pos }
+  | Undel d ->
+    let pos = shift d.pos ins_pos in
+    if pos = d.pos then o else Undel { d with pos }
+  | Up u ->
+    let pos = shift u.pos ins_pos in
+    if pos = u.pos then o else Up { u with pos }
+  | Unup u ->
+    let pos = shift u.pos ins_pos in
+    if pos = u.pos then o else Unup { u with pos }
   | Ins _ | Nop -> assert false
 
 let it o1 o2 =
@@ -28,9 +39,7 @@ let it o1 o2 =
     else if i1.pr > i2.pr then Ins { i1 with pos = i1.pos + 1 }
     else o1
   | Ins _, (Del _ | Undel _ | Up _ | Unup _) -> o1
-  | (Del _ | Undel _ | Up _ | Unup _), Ins i2 ->
-    let p = Option.get (pos o1) in
-    reposition o1 (shift_after_ins p i2.pos)
+  | (Del _ | Undel _ | Up _ | Unup _), Ins i2 -> reposition o1 shift_after_ins i2.pos
   | (Del _ | Undel _ | Up _ | Unup _), (Del _ | Undel _ | Up _ | Unup _) -> o1
 
 (* Exclusion transformation: [et o1 o2] rewrites [o1] — defined on a state
@@ -44,9 +53,7 @@ let et o1 o2 =
   | o1, Nop -> o1
   | Ins i1, Ins i2 -> if i1.pos <= i2.pos then o1 else Ins { i1 with pos = i1.pos - 1 }
   | Ins _, (Del _ | Undel _ | Up _ | Unup _) -> o1
-  | (Del _ | Undel _ | Up _ | Unup _), Ins i2 ->
-    let p = Option.get (pos o1) in
-    reposition o1 (unshift_after_ins p i2.pos)
+  | (Del _ | Undel _ | Up _ | Unup _), Ins i2 -> reposition o1 unshift_after_ins i2.pos
   | (Del _ | Undel _ | Up _ | Unup _), (Del _ | Undel _ | Up _ | Unup _) -> o1
 
 let it_list o ops = List.fold_left it o ops

@@ -29,6 +29,9 @@
 
 val it : 'e Op.t -> 'e Op.t -> 'e Op.t
 val et : 'e Op.t -> 'e Op.t -> 'e Op.t
+(** Both return [o1] itself, physically, whenever the transformation
+    leaves it unchanged; {!Oplog} relies on this to keep the entry
+    records of operations a transposition did not move. *)
 
 val it_list : 'e Op.t -> 'e Op.t list -> 'e Op.t
 (** [it_list o ops] folds [it] left-to-right: transforms [o] against the

@@ -770,10 +770,78 @@ let admin_scrape_test () =
   let again = http_scrape admin "/healthz" in
   Alcotest.(check bool) "server survives" true (find_sub again "200" <> None)
 
+(* The stability beacon keeps a fixed phase: one reached late does not
+   push the next one back.  A bare listening socket plays the hub
+   (attach in, snapshot out) and counts the client's beacons while a
+   fake clock is advanced by hand.  The fake clock starts just ahead of
+   the real one and moves tens of milliseconds, so the monotone clamp
+   it leaves behind does not freeze the clock for later tests; each
+   check sits a millisecond off the grid, clear of float rounding. *)
+let beacon_keeps_phase () =
+  let base = Unix.gettimeofday () +. 0.1 in
+  let now = ref base in
+  Obs.Clock.set_source (Some (fun () -> !now));
+  Fun.protect ~finally:(fun () -> Obs.Clock.set_source None) @@ fun () ->
+  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let config = { Client.default_config with Client.heartbeat_ms = 10 } in
+  let client = Client.create ~config ~host:"127.0.0.1" ~port ~site:1 () in
+  let server = ref None in
+  let beacons = ref 0 in
+  Fun.protect ~finally:(fun () ->
+      Client.close client;
+      Option.iter Conn.shutdown !server;
+      Unix.close lsock)
+  @@ fun () ->
+  (* step both ends for a few rounds of real time; the fake clock
+     stands still meanwhile *)
+  let settle () =
+    for _ = 1 to 20 do
+      ignore (Client.step ~timeout_ms:1 client);
+      match !server with
+      | None -> (
+        match Unix.select [ lsock ] [] [] 0.001 with
+        | [ _ ], _, _ ->
+          let fd, _ = Unix.accept ~cloexec:true lsock in
+          server := Some (Conn.create ~tele:(Tele.make ()) ~peer:"client" fd)
+        | _ -> ())
+      | Some c ->
+        List.iter
+          (fun payload ->
+            match Relay_proto.decode payload with
+            | Ok (Relay_proto.Attach { doc; _ }) ->
+              Conn.send c (Relay_proto.encode (Relay_proto.Doc_snapshot { doc; state = "" }));
+              Conn.handle_writable c
+            | Ok (Relay_proto.Beacon _) -> incr beacons
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e)
+          (Conn.handle_readable c)
+    done
+  in
+  let beacons_at ms expected what =
+    now := base +. (ms /. 1000.);
+    settle ();
+    Alcotest.(check int) what expected !beacons
+  in
+  beacons_at 0. 1 "one beacon on going live";
+  Alcotest.(check bool) "live" true (Client.connected client);
+  beacons_at 13. 2 "the second, reached 3 ms late";
+  beacons_at 19. 2 "none before the grid point";
+  beacons_at 21. 3 "the third on the grid, not a period after the late one";
+  beacons_at 55. 4 "a stall over several periods sends one";
+  beacons_at 59. 4 "still on the grid after the stall";
+  beacons_at 61. 5 "and the next on it"
+
 let client_tests =
   [
     Alcotest.test_case "max_attempts failed connects, then Gave_up" `Quick
       gives_up_after_max_attempts;
+    Alcotest.test_case "a beacon reached late keeps the cadence's phase" `Quick
+      beacon_keeps_phase;
   ]
 
 let () =

@@ -251,6 +251,12 @@ let stree_tests =
         let t = Stree.of_list ~measure l in
         let rec naive = function x :: rest when p x -> 1 + naive rest | _ -> 0 in
         Stree.prefix_length p t = naive l);
+    qtest "suffix_length stops at the first failure from the right" ~count:500 gen_list
+      print_list (fun l ->
+        let p x = x mod 3 <> 0 in
+        let t = Stree.of_list ~measure l in
+        let rec naive = function x :: rest when p x -> 1 + naive rest | _ -> 0 in
+        Stree.suffix_length p t = naive (List.rev l));
     qtest "random append/insert sequences stay balanced enough to agree"
       ~count:200
       QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 1000) (int_range 0 100)))

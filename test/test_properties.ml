@@ -133,17 +133,16 @@ let cursor_properties =
 
 (* ----- Oplog invariants ----- *)
 
-(* a site generating a random local history *)
+(* a site generating a random local history, some of it already
+   validated *)
 let gen_local_history =
   let open QCheck2.Gen in
   let rec steps doc h ctx i n =
     if n = 0 then return (doc, h)
     else
       gen_user_op ~pr:1 doc >>= fun op ->
-      let q =
-        Request.make ~site:1 ~serial:i ~op ~ctx ~policy_version:0
-          ~flag:Request.Tentative ()
-      in
+      oneofl [ Request.Tentative; Request.Valid ] >>= fun flag ->
+      let q = Request.make ~site:1 ~serial:i ~op ~ctx ~policy_version:0 ~flag () in
       steps (Tdoc.apply doc op) (Oplog.append_local q h) (Vclock.tick ctx 1) (i + 1)
         (n - 1)
   in
@@ -216,86 +215,133 @@ let oplog_properties =
         && List.for_all
              (fun (q : char Request.t) -> Oplog.mem q.Request.id h')
              (Oplog.requests h));
-    (* The log's id index must keep agreeing with a scan of the stored
-       entries through every mutation: append, window-local integration
-       (which permutes entries), undo (which appends a canceller and
-       reflags), set_flag, and compaction (which shifts positions). *)
+    (* The log's indexes (id set, tentative positions) must keep
+       agreeing with a scan of the stored entries through every
+       mutation: appends that bubble, window-local integrations that
+       separate, validation, undo (which appends a canceller and
+       reflags) and compaction (which shifts positions).  Histories mix
+       settled and tentative entries, so both lookup paths run. *)
     qtest "id index agrees with entry scans through mixed workloads" ~count:500
       QCheck2.Gen.(
         gen_local_history >>= fun (_, h) ->
         let n = List.length (Oplog.requests h) in
-        list_size (int_range 0 4) (int_range 0 n) >>= fun floors ->
-        int_range 0 n >>= fun undo_serial ->
-        int_range 0 n >>= fun validate_serial ->
-        int_range 0 (n + 1) >>= fun compact_upto ->
-        return (h, floors, undo_serial, validate_serial, compact_upto))
-      (fun (h, floors, u, v, c) ->
-        Format.asprintf "|H|=%d remotes=%d undo=%d validate=%d compact=%d"
-          (Oplog.length h) (List.length floors) u v c)
-      (fun (h, floors, undo_serial, validate_serial, compact_upto) ->
-        (* integrate remote site-2 requests whose contexts cover random
-           prefixes of the site-1 history, so the concurrency windows
-           start at different depths and overlap each other *)
-        let h, _ =
-          List.fold_left
-            (fun (h, serial) floor ->
-              let ctx =
-                Vclock.merge
-                  (Vclock.of_list [ (1, floor) ])
-                  (Vclock.of_list [ (2, serial - 1) ])
-              in
-              let q =
-                Request.make ~site:2 ~serial ~op:(Op.ins ~pr:2 0 'z') ~ctx
-                  ~policy_version:0 ~flag:Request.Tentative ()
-              in
-              let _, h = Oplog.integrate q h in
-              (h, serial + 1))
-            (h, 1) floors
-        in
-        let h =
-          if validate_serial = 0 then h
-          else Oplog.set_flag { Request.site = 1; serial = validate_serial }
-              Request.Valid h
-        in
-        let h =
-          if undo_serial = 0 then h
-          else
-            match
-              Oplog.undo ~cancel_version:1 { Request.site = 1; serial = undo_serial } h
-            with
-            | Some (_, h) -> h
-            | None -> h
-        in
-        let h =
-          Oplog.compact ~stable:(Vclock.of_list [ (1, compact_upto) ])
-            ~stable_version:0 h
-        in
-        let scan_normal =
-          List.filter_map
-            (fun (e : char Oplog.entry) ->
+        let flag = oneofl [ Request.Tentative; Request.Valid ] in
+        let id = pair (int_range 1 2) (int_range 1 (n + 4)) in
+        list_size (int_range 0 12)
+          (oneof
+             [
+               map (fun f -> `Local f) flag;
+               map2 (fun floor f -> `Remote (floor, f)) (int_range 0 (n + 4)) flag;
+               map (fun i -> `Validate i) id;
+               map (fun i -> `Undo i) id;
+               map2 (fun c1 c2 -> `Compact (c1, c2)) (int_range 0 (n + 4)) (int_range 0 4);
+             ])
+        >>= fun steps -> return (h, steps))
+      (fun (h, steps) ->
+        Format.asprintf "|H|=%d steps=[%s]" (Oplog.length h)
+          (String.concat "; "
+             (List.map
+                (function
+                  | `Local _ -> "local"
+                  | `Remote (f, _) -> Printf.sprintf "remote@%d" f
+                  | `Validate (s, r) -> Printf.sprintf "validate %d.%d" s r
+                  | `Undo (s, r) -> Printf.sprintf "undo %d.%d" s r
+                  | `Compact (a, b) -> Printf.sprintf "compact %d,%d" a b)
+                steps)))
+      (fun (h, steps) ->
+        let normal =
+          List.filter_map (fun (e : char Oplog.entry) ->
               match e.Oplog.role with
               | Oplog.Normal -> Some e.Oplog.req
               | Oplog.Canceller _ -> None)
-            (Oplog.entries h)
         in
-        Oplog.length h = List.length (Oplog.entries h)
-        && List.for_all
-             (fun (q : char Request.t) ->
-               Oplog.mem q.Request.id h
-               &&
-               match Oplog.find q.Request.id h with
-               | Some q' ->
-                 Request.id_equal q'.Request.id q.Request.id
-                 && q'.Request.flag = q.Request.flag
-                 && Op.equal Char.equal q'.Request.op q.Request.op
-               | None -> false)
-             scan_normal
-        && Oplog.find { Request.site = 9; serial = 1 } h = None
-        && (not (Oplog.mem { Request.site = 9; serial = 1 } h))
-        && Oplog.tentative_requests h
-           = List.filter
-               (fun (q : char Request.t) -> q.Request.flag = Request.Tentative)
-               scan_normal);
+        let scan id h =
+          List.find_opt
+            (fun (q : char Request.t) -> Request.id_equal q.Request.id id)
+            (normal (Oplog.entries h))
+        in
+        let agrees h =
+          let scanned = normal (Oplog.entries h) in
+          Oplog.well_formed h
+          && Oplog.length h = List.length (Oplog.entries h)
+          && List.for_all
+               (fun (q : char Request.t) ->
+                 Oplog.mem q.Request.id h && Oplog.find q.Request.id h = Some q)
+               scanned
+          && Oplog.find { Request.site = 9; serial = 1 } h = None
+          && (not (Oplog.mem { Request.site = 9; serial = 1 } h))
+          && Oplog.tentative_requests h
+             = List.filter
+                 (fun (q : char Request.t) -> q.Request.flag = Request.Tentative)
+                 scanned
+        in
+        (* site 1 is the local site; site 2 sends insertions whose
+           contexts cover random prefixes of site 1's history, so the
+           concurrency windows start at different depths *)
+        let count site h =
+          List.fold_left
+            (fun m (q : char Request.t) ->
+              if q.Request.id.Request.site = site then max m q.Request.id.Request.serial
+              else m)
+            (Vclock.get (Oplog.compacted_upto h) site)
+            (normal (Oplog.entries h))
+        in
+        let clock h = Vclock.of_list [ (1, count 1 h); (2, count 2 h) ] in
+        let step h = function
+          | `Local flag ->
+            let q =
+              Request.make ~site:1 ~serial:(count 1 h + 1) ~op:(Op.ins ~pr:1 0 'l')
+                ~ctx:(clock h) ~policy_version:0 ~flag ()
+            in
+            Some (Oplog.append_local q h)
+          | `Remote (floor, flag) ->
+            let ctx =
+              Vclock.of_list [ (1, min floor (count 1 h)); (2, count 2 h) ]
+            in
+            let q =
+              Request.make ~site:2 ~serial:(count 2 h + 1) ~op:(Op.ins ~pr:2 0 'z') ~ctx
+                ~policy_version:0 ~flag ()
+            in
+            Some (snd (Oplog.integrate q h))
+          | `Validate (site, serial) ->
+            let id = { Request.site; serial } in
+            let h' = Oplog.validate id h in
+            (match (scan id h, h') with
+             | Some q, Some h' when q.Request.flag = Request.Tentative ->
+               let expect =
+                 List.map
+                   (fun (e : char Oplog.entry) ->
+                     match e.Oplog.role with
+                     | Oplog.Normal when Request.id_equal e.Oplog.req.Request.id id ->
+                       { e with Oplog.req = { q with Request.flag = Request.Valid } }
+                     | _ -> e)
+                   (Oplog.entries h)
+               in
+               if Oplog.entries h' = expect then Some h' else None
+             | Some q, None when q.Request.flag <> Request.Tentative -> Some h
+             | None, None -> Some h
+             | _ -> None)
+          | `Undo (site, serial) ->
+            let id = { Request.site; serial } in
+            (match (scan id h, Oplog.undo ~cancel_version:1 id h) with
+             | Some q, Some (_, h') when q.Request.flag <> Request.Invalid ->
+               (match Oplog.find id h' with
+                | Some q' when q'.Request.flag = Request.Invalid -> Some h'
+                | _ -> None)
+             | Some q, None when q.Request.flag = Request.Invalid -> Some h
+             | None, None -> Some h
+             | _ -> None)
+          | `Compact (c1, c2) ->
+            Some
+              (Oplog.compact ~stable:(Vclock.of_list [ (1, c1); (2, c2) ])
+                 ~stable_version:1 h)
+        in
+        let rec run h = function
+          | [] -> true
+          | s :: rest -> (
+            match step h s with Some h -> agrees h && run h rest | None -> false)
+        in
+        agrees h && run h steps);
   ]
 
 (* ----- Policy / Admin_log cross-checks ----- *)

@@ -345,6 +345,105 @@ let channel_tests =
           (List.for_all (Tdoc.equal_model Char.equal (List.hd docs)) docs));
   ]
 
+(* ----- golden state fingerprint -----
+
+   A seeded administrator-plus-user session whose final states are
+   pinned by digest: any change to the log's representation must leave
+   every entry where it was and every operation as it was.  The session
+   integrates remote requests both ways with seeded delivery lag, issues
+   two revocations of the user's insert right while user requests are
+   in flight (so the user retroactively undoes some of its own), and
+   ends with the administrator's traffic held back from the user, so
+   hundreds of the user's requests stay tentative there. *)
+
+let golden_session () =
+  let module C = Controller in
+  let policy =
+    Policy.make ~users:[ adm; s1 ]
+      [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+  in
+  let doc0 = Tdoc.of_string (String.init 60 (fun i -> Char.chr (97 + (i mod 26)))) in
+  let a = ref (C.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0) in
+  let u = ref (C.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0) in
+  let to_a = Queue.create () and to_u = Queue.create () in
+  let rng = ref (Dce_sim.Rng.of_int 1309) in
+  let rand n =
+    let x, r = Dce_sim.Rng.int !rng n in
+    rng := r;
+    x
+  in
+  let random_op doc =
+    let n = Tdoc.visible_length doc in
+    let letter = Char.chr (97 + rand 26) in
+    if n = 0 || rand 2 = 0 then Tdoc.ins_visible doc (rand (n + 1)) letter
+    else if rand 2 = 0 then Tdoc.del_visible doc (rand n)
+    else Tdoc.up_visible doc (rand n) (Char.uppercase_ascii letter)
+  in
+  let generated = ref 0 in
+  let gen c out =
+    match C.generate !c (random_op (C.document !c)) with
+    | c', C.Accepted m ->
+      c := c';
+      incr generated;
+      Queue.push m out
+    | _, C.Denied _ -> ()
+  in
+  let deliver c inbox out k =
+    for _ = 1 to k do
+      if not (Queue.is_empty inbox) then begin
+        let c', msgs = C.receive !c (Queue.pop inbox) in
+        c := c';
+        List.iter (fun m -> Queue.push m out) msgs
+      end
+    done
+  in
+  let admin op =
+    match C.admin_update !a op with
+    | Ok (a', m) ->
+      a := a';
+      Queue.push m to_u
+    | Error e -> Alcotest.fail e
+  in
+  let deny_ins = Auth.deny [ Subject.User s1 ] [ Docobj.Whole ] [ Right.Insert ] in
+  for step = 1 to 2000 do
+    if step = 400 || step = 900 then admin (Admin_op.Add_auth (0, deny_ins));
+    if step = 480 || step = 980 then admin (Admin_op.Del_auth 0);
+    match rand 10 with
+    | 0 | 1 | 2 -> gen a to_u
+    | 3 | 4 | 5 | 6 -> gen u to_a
+    | 7 | 8 -> deliver a to_a to_u (rand 6)
+    | _ -> deliver u to_u to_a (rand 6)
+  done;
+  (* the administrator validates everything it receives; none of it
+     (nor anything else it sends) reaches the user any more *)
+  for _ = 1 to 400 do
+    gen u to_a;
+    deliver a to_a to_u 1
+  done;
+  (!generated, !a, !u)
+
+let golden_tests =
+  [
+    Alcotest.test_case "session state matches the pinned digests" `Quick (fun () ->
+        let generated, a, u = golden_session () in
+        let fp c = Digest.to_hex (Digest.string (Proto.fingerprint Proto.char_codec c)) in
+        let undone_own =
+          List.exists
+            (fun (e : char Oplog.entry) ->
+              match e.Oplog.role with
+              | Oplog.Canceller id -> id.Request.site = s1
+              | Oplog.Normal -> false)
+            (Oplog.entries (Controller.oplog u))
+        in
+        Alcotest.(check bool) "at least 1500 requests" true (generated >= 1500);
+        Alcotest.(check bool) "hundreds left tentative at the user" true
+          (List.length (Controller.tentative u) >= 200);
+        Alcotest.(check bool) "the user retroactively undid its own request" true
+          undone_own;
+        Alcotest.(check string) "administrator" "2685b774b704d5d7189588f0c799aed9" (fp a);
+        Alcotest.(check string) "user" "a1f691b56ea5b389f398c8eaa4ff0b9a" (fp u));
+  ]
+
 let () =
   Alcotest.run "dce_wire"
     [
@@ -354,4 +453,5 @@ let () =
       ("fuzz", fuzz_tests);
       ("persistence", persistence_tests);
       ("channel", channel_tests);
+      ("golden", golden_tests);
     ]
