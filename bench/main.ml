@@ -387,21 +387,20 @@ let build_steady_site ~n ~h =
   done;
   !a
 
-(* a compacted-window generate is sub-microsecond: time batches on the
-   monotonic ns clock and keep the best batch (same rationale as
-   [min_ms]), recording per-op ns in the histogram *)
-let batch_ns ?(batches = 5) ?(iters = 500) ~hist f =
-  let best = ref max_int in
-  for _ = 1 to batches do
-    let t0 = Obs.Clock.now_ns () in
-    for _ = 1 to iters do
+(* One timed batch of a sub-microsecond call: at least 10 ms on the
+   monotonic ns clock, in rounds of 100 calls between clock reads, so
+   timer resolution and a stray GC slice are noise next to it.  Returns
+   the per-call ns. *)
+let batch_ns f =
+  let t0 = Obs.Clock.now_ns () in
+  let iters = ref 0 in
+  while Obs.Clock.now_ns () - t0 < 10_000_000 do
+    for _ = 1 to 100 do
       f ()
     done;
-    let per_op = max 1 ((Obs.Clock.now_ns () - t0) / iters) in
-    Obs.Metrics.observe hist per_op;
-    if per_op < !best then best := per_op
+    iters := !iters + 100
   done;
-  !best
+  max 1 ((Obs.Clock.now_ns () - t0) / !iters)
 
 let run_steady () =
   Printf.printf
@@ -409,28 +408,42 @@ let run_steady () =
     steady_compact_every;
   Printf.printf "%8s %8s %11s %11s %9s\n" "n" "|H|" "gen(ns)" "gen/s" "window";
   let points = [ (1_000, 100); (1_000, 10_000); (100_000, 100); (100_000, 10_000) ] in
-  let rates =
+  let sites = List.map (fun (n, h) -> build_steady_site ~n ~h) points in
+  let label (n, h) = Printf.sprintf "n%s_h%s" (size_label n) (size_label h) in
+  let hists =
     List.map
-      (fun (n, h) ->
-        let c = build_steady_site ~n ~h in
-        let point = Printf.sprintf "n%s_h%s" (size_label n) (size_label h) in
-        let hist =
-          Obs.Metrics.histogram bench_metrics ("core.steady_generate_ns." ^ point)
-        in
-        let t_ns =
-          batch_ns ~hist (fun () ->
+      (fun p -> Obs.Metrics.histogram bench_metrics ("core.steady_generate_ns." ^ label p))
+      points
+  in
+  (* Rounds interleave the points, one batch each, and each point keeps
+     its best batch (same rationale as [min_ms]): a slow spell on a
+     shared CPU outlasts one point's batches, and interleaving spreads it
+     over every point instead of skewing the |H| ratio gated in CI. *)
+  let best = Array.make (List.length points) max_int in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i (c, hist) ->
+        let ns =
+          batch_ns (fun () ->
               match C.generate c (Tdoc.ins_visible (C.document c) 0 'z') with
               | _, C.Accepted _ -> ()
               | _, C.Denied r -> failwith r)
         in
-        let per_s = 1_000_000_000 / t_ns in
+        Obs.Metrics.observe hist ns;
+        best.(i) <- min best.(i) ns)
+      (List.combine sites hists)
+  done;
+  let rates =
+    List.mapi
+      (fun i ((n, h), c) ->
+        let per_s = 1_000_000_000 / best.(i) in
         Obs.Metrics.add
-          (Obs.Metrics.counter bench_metrics ("core.steady_generate_per_s." ^ point))
+          (Obs.Metrics.counter bench_metrics ("core.steady_generate_per_s." ^ label (n, h)))
           per_s;
-        Printf.printf "%8s %8s %11d %11d %9d\n" (size_label n) (size_label h) t_ns
+        Printf.printf "%8s %8s %11d %11d %9d\n" (size_label n) (size_label h) best.(i)
           per_s (C.window_len c);
         ((n, h), per_s))
-      points
+      (List.combine points sites)
   in
   (* the machine-portable cliff gate: worst |H|=10k / |H|=100 ratio *)
   let pct =

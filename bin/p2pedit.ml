@@ -360,7 +360,7 @@ let net_sessions site () =
       ]
 
 (* stdin is consumed with raw reads and an explicit line buffer, so it
-   can sit in the same select as the socket without an in_channel
+   can sit in the same poll as the socket without an in_channel
    buffering the lines away between wakeups *)
 let net_session host port my_site doc sink metrics data_dir fsync admin_port seed
     chaos =
@@ -425,10 +425,7 @@ let net_session host port my_site doc sink metrics data_dir fsync admin_port see
          :: ((match Netd.Client.fd client with Some fd -> [ fd ] | None -> [])
              @ match admin_srv with Some a -> Netd.Admin.fds a | None -> [])
        in
-       let rd, _, _ =
-         try Unix.select fds [] [] 0.1
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-       in
+       let rd, _ = Netd.Evloop.wait ~timeout_ms:100 ~read:fds ~write:[] () in
        (match metrics with
         | Some m ->
           Obs.Metrics.set

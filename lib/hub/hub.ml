@@ -4,6 +4,8 @@ module Proto = Dce_wire.Proto
 module Vclock = Dce_ot.Vclock
 module Controller = Dce_core.Controller
 module Conn = Dce_netd.Conn
+module Dialer = Dce_netd.Dialer
+module Evloop = Dce_netd.Evloop
 module Tele = Dce_netd.Tele
 module Relay_proto = Dce_netd.Relay_proto
 module Faults = Dce_netd.Faults
@@ -12,8 +14,6 @@ module Persist = Dce_store.Persist
 type config = {
   heartbeat_ms : int;
   idle_timeout_ms : int;
-  max_outbox : int;
-  max_frame : int;
   hub_id : int;
   auto_create : bool;
   max_docs : int;
@@ -25,8 +25,6 @@ let default_config =
   {
     heartbeat_ms = 5_000;
     idle_timeout_ms = 30_000;
-    max_outbox = 4 * 1024 * 1024;
-    max_frame = 8 * 1024 * 1024;
     hub_id = 0;
     auto_create = false;
     max_docs = 4096;
@@ -305,6 +303,14 @@ let forward_up t ~from_upstream ~doc ~origin bytes =
   | Some u when not from_upstream -> Upstream.send u ~doc ~origin bytes
   | _ -> ()
 
+(* Input the hub cannot apply drops its sender as [Corrupt]: a member
+   connection ([Some c]), or the federation link ([None]), which then
+   degrades, reconnects and heals from the home's fresh snapshots. *)
+let reject t src why =
+  match src with
+  | Some c -> Conn.mark_closed c (Conn.Corrupt why)
+  | None -> Option.iter (fun u -> Upstream.reject u why) t.upstream
+
 (* Apply one replication frame to a session and propagate it: fan the
    original bytes verbatim to the doc's other members, forward up the federation link unless the
    frame came down it, and fan any validations the hosted controller
@@ -316,10 +322,7 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
     M.incr (M.counter t.reg "hub.loop_drops")
   else
     match Proto.decode_message_stamped t.codec bytes with
-    | Error e -> (
-      match src with
-      | Some c -> Conn.mark_closed c (Conn.Corrupt ("bad message: " ^ e))
-      | None -> Option.iter (fun u -> Upstream.close u) t.upstream)
+    | Error e -> reject t src ("bad message: " ^ e)
     | Ok (stamp, m) -> (
       (match stamp with
        | Some st -> M.observe t.tele.Tele.e2e_ns (Obs.Clock.now_ns () - st.Proto.s_ns)
@@ -351,9 +354,7 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
           | Invalid_argument m | Failure m | Dce_ot.Document.Edit_conflict m -> m
           | e -> Printexc.to_string e
         in
-        (match src with
-         | Some c -> Conn.mark_closed c (Conn.Corrupt ("rejected message: " ^ detail))
-         | None -> Option.iter (fun u -> Upstream.close u) t.upstream))
+        reject t src ("rejected message: " ^ detail))
 
 (* ------------------------------------------------------------------ *)
 (* Member dispatch                                                    *)
@@ -469,7 +470,7 @@ let handle_upstream_event t = function
     | None -> ()
     | Some s -> (
       match Proto.decode_frontier frontier with
-      | Error _ -> Option.iter Upstream.close t.upstream
+      | Error e -> reject t None ("bad frontier: " ^ e)
       | Ok entries ->
         List.iter
           (fun (b : Proto.beacon) ->
@@ -485,10 +486,10 @@ let handle_upstream_event t = function
     | None -> ()
     | Some s -> (
       match Proto.decode_state t.codec state with
-      | Error _ -> Option.iter Upstream.close t.upstream
+      | Error e -> reject t None ("bad snapshot: " ^ e)
       | Ok st -> (
         match Controller.load ~eq:t.eq st with
-        | Error _ -> Option.iter Upstream.close t.upstream
+        | Error e -> reject t None ("snapshot rejected: " ^ e)
         | Ok donor ->
           (* heal, don't replace: the donor's history replays through
              this replica's own [receive], duplicates drop out, and the
@@ -557,10 +558,7 @@ let rec accept_all t =
             ())
         t.chaos
     in
-    let conn =
-      Conn.create ~max_outbox:t.cfg.max_outbox ~max_frame:t.cfg.max_frame ?faults
-        ~tele:t.tele ~peer fd
-    in
+    let conn = Conn.create ?faults ~tele:t.tele ~peer fd in
     t.conns <- t.conns @ [ { conn; atts = [] } ];
     accept_all t
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -569,12 +567,8 @@ let heartbeats t =
   let now = Obs.Clock.now_ms () in
   List.iter
     (fun cs ->
-      let c = cs.conn in
-      if Conn.alive c then
-        if now -. Conn.last_recv_ms c > float_of_int t.cfg.idle_timeout_ms then
-          Conn.mark_closed c Conn.Idle
-        else if now -. Conn.last_send_ms c > float_of_int t.cfg.heartbeat_ms then
-          Conn.send c (Relay_proto.encode Relay_proto.Ping))
+      Dialer.keepalive ~now ~heartbeat_ms:t.cfg.heartbeat_ms
+        ~idle_timeout_ms:t.cfg.idle_timeout_ms cs.conn)
     t.conns
 
 (* ------------------------------------------------------------------ *)
@@ -609,33 +603,21 @@ let beacon_session t s =
   List.iter (fun (m : Session.member) -> Conn.send m.Session.conn frame) (Session.members s);
   Option.iter (fun u -> Upstream.send_beacon u ~doc blob) t.upstream
 
-(* Compact one session's log behind its stability frontier.  For a
-   journaled session the cut is clamped to the durability cut — and when
-   the frontier has advanced past the last durable snapshot, a fresh
-   checkpoint is taken first so the clamp does not hold compaction back.
-   A journaled session with no snapshot yet is never compacted. *)
+(* Compact one session's log behind its stability frontier; a journaled
+   session checkpoints first when it must ([Persist.compact]). *)
 let compact_session t s =
   let ctrl = Session.controller s in
   (match Session.journal s with
    | None -> Session.set_controller s (Controller.compact ctrl)
    | Some j ->
-     let limit =
-       let fresh_enough cut = Vclock.leq (Controller.stable_frontier ctrl) cut in
-       match Persist.checkpoint_clock j with
-       | Some cut when fresh_enough cut -> Some cut
-       | _ -> (
-         match Persist.checkpoint j ctrl with
-         | Ok () ->
-           trace_s t s (Controller.site ctrl) "checkpoint" "pre-compaction";
-           Persist.checkpoint_clock j
-         | Error e ->
-           t.journal_errors <- t.journal_errors + 1;
-           trace_s t s (Controller.site ctrl) "journal_error" e;
-           Persist.checkpoint_clock j)
-     in
-     match limit with
-     | Some limit -> Session.set_controller s (Controller.compact ~limit ctrl)
-     | None -> ());
+     let compacted, taken = Persist.compact j ctrl in
+     (match taken with
+      | Ok false -> ()
+      | Ok true -> trace_s t s (Controller.site ctrl) "checkpoint" "pre-compaction"
+      | Error e ->
+        t.journal_errors <- t.journal_errors + 1;
+        trace_s t s (Controller.site ctrl) "journal_error" e);
+     Session.set_controller s compacted);
   doc_window_gauges t s
 
 (* Both cadences keep the phase of the hub's first step: a tick the loop
@@ -667,13 +649,7 @@ let reap t =
     (fun cs ->
       let reason = Option.value ~default:Conn.Eof (Conn.closed_reason cs.conn) in
       M.incr t.tele.Tele.disconnects;
-      let action =
-        match reason with
-        | Conn.Corrupt _ -> "frame_error"
-        | Conn.Overflow -> "overflow"
-        | Conn.Idle -> "idle"
-        | _ -> "disconnect"
-      in
+      let action = Conn.reason_label reason in
       List.iter
         (fun (doc, site) ->
           match Registry.find t.registry doc with

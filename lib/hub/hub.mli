@@ -3,7 +3,7 @@
     Where the old single-session relay owned one controller and a flat
     connection list, a hub owns a {!Registry} of named {!Session}s and a
     set of multiplexed connections, stepped together from one
-    {!Evloop}-based loop that tolerates thousands of fds.  Every peer
+    {!Dce_netd.Evloop}-based loop that tolerates thousands of fds.  Every peer
     speaks the one {!Dce_netd.Relay_proto} dialect: it [Attach]es by
     document name, exchanges [Doc_msg]/[Doc_snapshot]/[Doc_delta]/
     [Beacon] frames, and may attach the same socket to any number of
@@ -21,13 +21,14 @@
     by the home are applied and rebroadcast to local members, and every
     forwarded frame carries the hub id of the first relay that accepted
     it — a frame arriving with our own id already went around a loop
-    and is dropped.  Requires a nonzero, topology-unique [hub_id]. *)
+    and is dropped.  Input from the home that the leaf cannot apply
+    drops the link as [Corrupt], as for a member: the link turns
+    degraded, reconnects, and the home's fresh snapshots heal the leaf.
+    Requires a nonzero, topology-unique [hub_id]. *)
 
 type config = {
   heartbeat_ms : int;
   idle_timeout_ms : int;
-  max_outbox : int;
-  max_frame : int;
   hub_id : int;  (** 0 = standalone; federation requires nonzero *)
   auto_create : bool;
       (** open unknown docs on [Attach] via the factory; off, an
@@ -43,9 +44,9 @@ type config = {
 }
 
 val default_config : config
-(** 5s heartbeat, 30s idle timeout, 4 MiB outbox, 8 MiB frames,
-    [hub_id = 0], no auto-create, 4096 docs,
-    5s beacon and compaction cadences. *)
+(** 5s heartbeat, 30s idle timeout, [hub_id = 0], no auto-create, 4096
+    docs, 5s beacon and compaction cadences.  Member connections keep
+    {!Dce_netd.Conn.create}'s 4 MiB outbox and 8 MiB frame bounds. *)
 
 type 'e t
 
@@ -115,8 +116,9 @@ val healthz : ?max_lag:int -> 'e t -> unit -> Dce_obs.Json.t
 
 val step : ?timeout_ms:int -> 'e t -> unit
 (** One event-loop turn over every session: accept, poll (via
-    {!Evloop.wait}, blocking at most [timeout_ms]), read and dispatch,
-    flush, pump the federation link, heartbeat, reap. *)
+    {!Dce_netd.Evloop.wait}, blocking at most [timeout_ms]), read and
+    dispatch, flush, pump the federation link, heartbeat
+    ({!Dce_netd.Dialer.keepalive}), reap. *)
 
 val run : ?tick_ms:int -> ?on_tick:('e t -> unit) -> 'e t -> unit
 (** {!step} until {!shutdown}; [on_tick] runs once per loop turn

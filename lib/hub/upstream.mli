@@ -5,8 +5,10 @@
     relay site as its member site at the home hub.  Local frames are
     forwarded up with {!send}; frames fanned down by the home arrive as
     {!event}s for the hub to apply and rebroadcast to local members.
-    Reconnection is jittered exponential {!Dce_netd.Backoff}, and every
-    reconnect re-attaches all docs — each [Doc_snapshot] reply then
+
+    The link itself — connect, jittered backoff, keepalive, [Bye] — is a
+    {!Dce_netd.Dialer}, as under {!Dce_netd.Client}.  Every reconnect
+    re-attaches all docs — each [Doc_snapshot] reply then
     heals the leaf's replica ({!Dce_core.Controller.catch_up}), exactly
     like a late-joining client.
 
@@ -27,8 +29,6 @@ type event =
 type config = {
   heartbeat_ms : int;
   idle_timeout_ms : int;
-  max_outbox : int;
-  max_frame : int;
   backoff_base_ms : int;
   backoff_max_ms : int;
   max_buffer : int;
@@ -80,6 +80,11 @@ val step : ?timeout_ms:int -> t -> event list
 (** Advance the link: progress the non-blocking connect, read,
     dispatch, flush, heartbeat, or wait out the backoff. *)
 
+val reject : t -> string -> unit
+(** Drop the live link as [Corrupt why]: the home sent input the leaf
+    cannot apply.  The next {!step} reaps it like any failure: the link
+    degrades, backs off and re-attaches, and fresh snapshots heal. *)
+
 val connected : t -> bool
 val stopped : t -> bool
 
@@ -95,7 +100,8 @@ val buffer_dropped : t -> int
     (cumulative). *)
 
 val fd : t -> Unix.file_descr option
-(** For embedding in the hub's {!Evloop} set ([None] during backoff). *)
+(** For embedding in the hub's {!Dce_netd.Evloop} set ([None] during
+    backoff). *)
 
 val wants_write : t -> bool
 

@@ -14,8 +14,6 @@ type event =
 type config = {
   heartbeat_ms : int;
   idle_timeout_ms : int;
-  max_outbox : int;
-  max_frame : int;
   backoff_base_ms : int;
   backoff_max_ms : int;
   max_attempts : int option;
@@ -25,56 +23,41 @@ let default_config =
   {
     heartbeat_ms = 5_000;
     idle_timeout_ms = 30_000;
-    max_outbox = 4 * 1024 * 1024;
-    max_frame = 8 * 1024 * 1024;
     backoff_base_ms = 200;
     backoff_max_ms = 30_000;
     max_attempts = None;
   }
 
-type phase =
-  | Waiting of float (* reconnect at this wall-clock ms *)
-  | Connecting of Unix.file_descr
-  | Greeting of Conn.t (* attach sent, waiting for the state transfer *)
-  | Live of Conn.t
-  | Stopped
-
 type t = {
   cfg : config;
   tele : Tele.t;
   trace : Obs.Trace.sink;
-  host : string;
-  port : int;
   site : int;
   doc : string;
   mutable resume : unit -> (Dce_ot.Vclock.t * int) option;
-  faults : Faults.t option;
-  backoff : Backoff.t;
-  mutable phase : phase;
+  dialer : Dialer.t;
+  mutable live : bool; (* the state transfer arrived on the open link *)
   mutable failed_attempts : int; (* consecutive connect failures; see fail *)
   mutable was_live : bool; (* a future success is a reconnect, not a connect *)
   mutable stamp : unit -> Dce_ot.Vclock.t * int;
   mutable last_beacon_ms : float;
 }
 
-let now_ms = Dce_obs.Clock.now_ms
-
 let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null) ?seed
     ?(doc = "main") ?(resume = fun () -> None) ?faults ~host ~port ~site () =
+  let tele = Tele.make ?metrics () in
   {
     cfg = config;
-    tele = Tele.make ?metrics ();
+    tele;
     trace;
-    host;
-    port;
     site;
     doc;
     resume;
-    faults;
-    backoff =
-      Backoff.create ~base_ms:config.backoff_base_ms ~max_ms:config.backoff_max_ms ?seed
-        ();
-    phase = Waiting 0.;
+    dialer =
+      Dialer.create ~seed ~faults ~tele ~heartbeat_ms:config.heartbeat_ms
+        ~idle_timeout_ms:config.idle_timeout_ms ~backoff_base_ms:config.backoff_base_ms
+        ~backoff_max_ms:config.backoff_max_ms ~peer:"server" ~host ~port;
+    live = false;
     failed_attempts = 0;
     was_live = false;
     stamp = (fun () -> (Dce_ot.Vclock.empty, 0));
@@ -96,20 +79,13 @@ let trace t action detail =
       (Obs.Trace.Net { peer = t.site; action; detail })
   end
 
-let connected t = match t.phase with Live _ -> true | _ -> false
+let connected t = t.live
 
-let stopped t = match t.phase with Stopped -> true | _ -> false
+let stopped t = Dialer.stopped t.dialer
 
-let fd t =
-  match t.phase with
-  | Connecting fd -> Some fd
-  | Greeting c | Live c -> Some (Conn.fd c)
-  | Waiting _ | Stopped -> None
+let fd t = Dialer.fd t.dialer
 
-let conn t = match t.phase with Greeting c | Live c -> Some c | _ -> None
-
-let outbox_bytes t =
-  match conn t with Some c -> Conn.outbox_bytes c | None -> 0
+let outbox_bytes t = Dialer.outbox_bytes t.dialer
 
 (* Sever the current connection as if the network cut it: the normal
    reap-and-reconnect path runs on the next [step], and the rejoin
@@ -117,225 +93,113 @@ let outbox_bytes t =
    one-sided partition swallowed.  Chaos harnesses call this at the
    heal point; a no-op when not connected. *)
 let drop_link ?(reason = "link dropped by harness") t =
-  match conn t with
-  | Some c -> Conn.mark_closed c (Conn.Local reason)
-  | None -> ()
+  Dialer.drop t.dialer (Conn.Local reason)
 
 let send t bytes =
-  match t.phase with
-  | Live c ->
-    Conn.send c
+  if t.live then
+    Dialer.send t.dialer
       (Relay_proto.encode (Relay_proto.Doc_msg { doc = t.doc; origin = 0; msg = bytes }))
-  | _ -> ()
 
-let resolve t =
-  try Unix.inet_addr_of_string t.host
-  with Failure _ -> (
-    match Unix.getaddrinfo t.host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-    | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-    | _ -> raise Not_found)
-
-(* Transition to the backoff state after any failure.  Only a failed
-   connection attempt (resolve/connect error, or a drop before the
-   snapshot arrived) counts towards [max_attempts]; losing an
-   established session schedules a reconnect with the counter freshly
-   reset (it was zeroed when the snapshot made the session live). *)
-let fail t reason =
-  let was_established = match t.phase with Live _ -> true | _ -> false in
-  (match t.phase with
-   | Greeting c | Live c -> Conn.shutdown c
-   | Connecting fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-   | _ -> ());
+(* The link went down.  Only a failed connection attempt (resolve/connect
+   error, or a drop before the snapshot arrived) counts towards
+   [max_attempts]; losing an established session schedules a reconnect
+   with the counter freshly reset (it was zeroed when the snapshot made
+   the session live). *)
+let fail t reason ~attempt ~delay_ms =
+  let was_established = t.live in
+  t.live <- false;
   if not was_established then t.failed_attempts <- t.failed_attempts + 1;
   match t.cfg.max_attempts with
   | Some m when (not was_established) && t.failed_attempts >= m ->
-    t.phase <- Stopped;
+    Dialer.close t.dialer reason;
     trace t "give_up" reason;
     [ Disconnected reason; Gave_up reason ]
   | _ ->
-    let delay = Backoff.next t.backoff in
-    t.phase <- Waiting (now_ms () +. float_of_int delay);
     trace t "disconnect" reason;
-    [ Disconnected reason;
-      Reconnecting { attempt = Backoff.attempt t.backoff; delay_ms = delay };
-    ]
+    [ Disconnected reason; Reconnecting { attempt; delay_ms } ]
 
-let greet t fd =
-  let conn =
-    Conn.create ~max_outbox:t.cfg.max_outbox ~max_frame:t.cfg.max_frame
-      ?faults:t.faults ~tele:t.tele
-      ~peer:(Printf.sprintf "%s:%d" t.host t.port)
-      fd
-  in
+(* this site's own frontier entry, as a [Proto.encode_frontier] blob *)
+let own_frontier t (clock, version) =
+  Dce_wire.Proto.encode_frontier
+    [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
+
+let greet t =
   let attach =
     (* a client with local state presents its resume point: the hub
        answers with a delta when its log still covers it, and a full
        snapshot otherwise *)
     match t.resume () with
-    | Some (clock, version) ->
-      let resume =
-        Dce_wire.Proto.encode_frontier
-          [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
-      in
-      Relay_proto.Attach_at { doc = t.doc; site = t.site; resume }
+    | Some point ->
+      Relay_proto.Attach_at { doc = t.doc; site = t.site; resume = own_frontier t point }
     | None -> Relay_proto.Attach { doc = t.doc; site = t.site }
   in
-  Conn.send conn (Relay_proto.encode attach);
-  Conn.handle_writable conn;
-  t.phase <- Greeting conn;
+  Dialer.send t.dialer (Relay_proto.encode attach);
   [ Connected ]
 
-let start_connect t =
-  match resolve t with
-  | exception _ -> fail t (Printf.sprintf "cannot resolve %s" t.host)
-  | addr -> (
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.set_nonblock fd;
-    match Unix.connect fd (Unix.ADDR_INET (addr, t.port)) with
-    | () -> greet t fd
-    | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
-      t.phase <- Connecting fd;
-      []
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      fail t ("connect: " ^ Unix.error_message e))
-
-let dispatch t payload =
-  match Relay_proto.decode payload with
-  | Error e ->
-    (match conn t with
-     | Some c -> Conn.mark_closed c (Conn.Corrupt ("bad envelope: " ^ e))
-     | None -> ());
+let dispatch t msg =
+  (* joining (or a server-initiated resync): the session is live.
+     [what] is "snapshot" or "delta"; the matching event is returned. *)
+  let go_live what event s =
+    t.live <- true;
+    if t.was_live then M.incr t.tele.Tele.reconnects else M.incr t.tele.Tele.connects;
+    trace t (if t.was_live then "reconnect" else "connect") "";
+    trace t what (string_of_int (String.length s) ^ " bytes");
+    t.was_live <- true;
+    Dialer.reset t.dialer;
+    t.failed_attempts <- 0;
+    [ event ]
+  in
+  let corrupt why =
+    Dialer.drop t.dialer (Conn.Corrupt why);
     []
-  | Ok msg -> (
-    (* joining (or a server-initiated resync): the session is live.
-       [what] is "snapshot" or "delta"; the matching event is returned. *)
-    let go_live what event c s =
-      t.phase <- Live c;
-      if t.was_live then M.incr t.tele.Tele.reconnects else M.incr t.tele.Tele.connects;
-      trace t (if t.was_live then "reconnect" else "connect") "";
-      trace t what (string_of_int (String.length s) ^ " bytes");
-      t.was_live <- true;
-      Backoff.reset t.backoff;
-      t.failed_attempts <- 0;
-      [ event ]
-    in
-    let corrupt why =
-      (match conn t with
-       | Some c -> Conn.mark_closed c (Conn.Corrupt why)
-       | None -> ());
-      []
-    in
-    match (msg, t.phase) with
-    | Relay_proto.Doc_snapshot { doc; state }, (Greeting c | Live c) when doc = t.doc ->
-      go_live "snapshot" (Snapshot state) c state
-    | Relay_proto.Doc_snapshot _, (Greeting _ | Live _) ->
-      corrupt "snapshot for a document this client never attached"
-    | Relay_proto.Doc_snapshot _, _ -> []
-    | Relay_proto.Doc_delta { doc; delta }, (Greeting c | Live c) when doc = t.doc ->
-      go_live "delta" (Delta delta) c delta
-    | Relay_proto.Doc_delta _, (Greeting _ | Live _) ->
-      corrupt "delta for a document this client never attached"
-    | Relay_proto.Doc_delta _, _ -> []
-    | Relay_proto.Beacon { doc; frontier }, Live _ when doc = t.doc -> [ Beacon frontier ]
-    | Relay_proto.Beacon _, _ -> []
-    | Relay_proto.Doc_msg { doc; msg; _ }, Live _ when doc = t.doc -> [ Message msg ]
-    | Relay_proto.Doc_msg _, Live _ ->
-      corrupt "message for a document this client never attached"
-    | Relay_proto.Doc_msg _, _ -> corrupt "message before snapshot"
-    | Relay_proto.Attached _, _ -> []
-    | Relay_proto.Ping, _ ->
-      (match conn t with
-       | Some c -> Conn.send c (Relay_proto.encode Relay_proto.Pong)
-       | None -> ());
-      []
-    | Relay_proto.Pong, _ -> []
-    | Relay_proto.Bye reason, _ ->
-      (match conn t with
-       | Some c -> Conn.mark_closed c (Conn.Local ("server: " ^ reason))
-       | None -> ());
-      []
-    | (Relay_proto.Attach _ | Relay_proto.Attach_at _ | Relay_proto.Detach _), _ ->
-      corrupt "client-only envelope from server")
+  in
+  match msg with
+  | Relay_proto.Doc_snapshot { doc; state } when doc = t.doc ->
+    go_live "snapshot" (Snapshot state) state
+  | Relay_proto.Doc_snapshot _ ->
+    corrupt "snapshot for a document this client never attached"
+  | Relay_proto.Doc_delta { doc; delta } when doc = t.doc ->
+    go_live "delta" (Delta delta) delta
+  | Relay_proto.Doc_delta _ -> corrupt "delta for a document this client never attached"
+  | Relay_proto.Beacon { doc; frontier } when t.live && doc = t.doc -> [ Beacon frontier ]
+  | Relay_proto.Beacon _ -> []
+  | Relay_proto.Doc_msg { doc; msg; _ } when t.live && doc = t.doc -> [ Message msg ]
+  | Relay_proto.Doc_msg _ when t.live ->
+    corrupt "message for a document this client never attached"
+  | Relay_proto.Doc_msg _ -> corrupt "message before snapshot"
+  | Relay_proto.Attached _ -> []
+  | Relay_proto.Attach _ | Relay_proto.Attach_at _ | Relay_proto.Detach _ ->
+    corrupt "client-only envelope from server"
+  | Relay_proto.Ping | Relay_proto.Pong | Relay_proto.Bye _ -> [] (* the dialer's *)
 
-let pump_conn t c timeout_ms =
-  let fd = Conn.fd c in
-  let wrs = if Conn.wants_write c then [ fd ] else [] in
-  let rd, wr, _ =
-    try Unix.select [ fd ] wrs [] (float_of_int timeout_ms /. 1000.)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-  in
-  let events =
-    if rd <> [] then List.concat_map (dispatch t) (Conn.handle_readable c) else []
-  in
-  if wr <> [] then Conn.handle_writable c;
-  (* heartbeat / idle policy *)
-  let now = now_ms () in
-  if Conn.alive c then begin
-    if now -. Conn.last_recv_ms c > float_of_int t.cfg.idle_timeout_ms then
-      Conn.mark_closed c Conn.Idle
-    else if now -. Conn.last_send_ms c > float_of_int t.cfg.heartbeat_ms then
-      Conn.send c (Relay_proto.encode Relay_proto.Ping);
-    (* stability beacon: the client's own delivery clock, on the
-       heartbeat cadence.  Sent even — especially — when idle: this is
-       what lets the rest of the group compact past a silent editor.
-       Unlike the Ping above it is not suppressed by regular traffic, so
-       the cadence holds under load too, and it keeps a fixed phase: a
-       loop that reaches it late does not push later beacons back. *)
-    match t.phase with
-    | Live _ -> (
-      match
-        Obs.Clock.tick ~period_ms:(float_of_int t.cfg.heartbeat_ms) ~last:t.last_beacon_ms
-          now
-      with
-      | Some due ->
-        let clock, version = t.stamp () in
-        let frontier =
-          Dce_wire.Proto.encode_frontier
-            [ { Dce_wire.Proto.b_site = t.site; b_clock = clock; b_version = version } ]
-        in
-        Conn.send c (Relay_proto.encode (Relay_proto.Beacon { doc = t.doc; frontier }));
-        t.last_beacon_ms <- due
-      | None -> ())
-    | _ -> ()
-  end;
-  match Conn.closed_reason c with
-  | None -> events
-  | Some reason ->
-    M.incr t.tele.Tele.disconnects;
-    events @ fail t (Conn.reason_string reason)
+let on_link t = function
+  | Dialer.Opened -> greet t
+  | Dialer.Received msg -> dispatch t msg
+  | Dialer.Closed { reason; attempt; delay_ms; _ } -> fail t reason ~attempt ~delay_ms
+
+(* The stability beacon: the client's own delivery clock, on the
+   heartbeat cadence.  Sent even — especially — when idle: this is what
+   lets the rest of the group compact past a silent editor.  Unlike the
+   dialer's Ping it is not suppressed by regular traffic, so the cadence
+   holds under load too, and it keeps a fixed phase: a loop that reaches
+   it late does not push later beacons back. *)
+let beacon t =
+  match
+    Obs.Clock.tick ~period_ms:(float_of_int t.cfg.heartbeat_ms) ~last:t.last_beacon_ms
+      (Obs.Clock.now_ms ())
+  with
+  | Some due ->
+    let frontier = own_frontier t (t.stamp ()) in
+    Dialer.send t.dialer
+      (Relay_proto.encode (Relay_proto.Beacon { doc = t.doc; frontier }));
+    t.last_beacon_ms <- due
+  | None -> ()
 
 let step ?(timeout_ms = 0) t =
-  match t.phase with
-  | Stopped -> []
-  | Waiting until ->
-    let now = now_ms () in
-    if now >= until then start_connect t
-    else begin
-      let wait = min (float_of_int timeout_ms) (until -. now) in
-      if wait > 0. then ignore (Unix.select [] [] [] (wait /. 1000.));
-      []
-    end
-  | Connecting fd -> (
-    let _, wr, _ =
-      try Unix.select [] [ fd ] [] (float_of_int timeout_ms /. 1000.)
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if wr = [] then []
-    else
-      match Unix.getsockopt_error fd with
-      | None -> greet t fd
-      | Some e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        fail t ("connect: " ^ Unix.error_message e))
-  | Greeting c | Live c -> pump_conn t c timeout_ms
+  let events = Dialer.step ~timeout_ms t.dialer (on_link t) in
+  if t.live then beacon t;
+  events
 
 let close t =
-  (match t.phase with
-   | Greeting c | Live c ->
-     Conn.send c (Relay_proto.encode (Relay_proto.Bye "client closing"));
-     Conn.handle_writable c;
-     Conn.shutdown c
-   | Connecting fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-   | _ -> ());
-  t.phase <- Stopped
+  t.live <- false;
+  Dialer.close t.dialer "client closing"

@@ -2,7 +2,8 @@
 
     The client owns the transport only; the session logic — what to do
     with each event — is {!Site}'s, which holds the controller.  The
-    lifecycle surfaces as {!event}s returned from {!step}:
+    link itself — connect, backoff, keepalive, [Bye] — is a {!Dialer}.
+    The lifecycle surfaces as {!event}s returned from {!step}:
 
     - [Connected]: TCP is up and the [Attach] went out;
     - [Snapshot blob]: the relay's full state transfer — decode it with
@@ -17,8 +18,9 @@
     - [Gave_up]: [max_attempts] exhausted; the client is inert.
 
     Single-threaded and non-blocking, like the hub: call {!step} from
-    your own loop (it blocks at most [timeout_ms] in [select]), or
-    [select] yourself on {!fd} and call {!step} when it fires. *)
+    your own loop (it blocks at most [timeout_ms] in poll(2)), or wait
+    yourself on {!fd} with {!Evloop.wait} and call {!step} when it
+    fires. *)
 
 type event =
   | Connected
@@ -42,8 +44,6 @@ type event =
 type config = {
   heartbeat_ms : int;
   idle_timeout_ms : int;
-  max_outbox : int;
-  max_frame : int;
   backoff_base_ms : int;
   backoff_max_ms : int;
   max_attempts : int option;
@@ -111,8 +111,8 @@ val outbox_bytes : t -> int
     gauge by the editor daemons. *)
 
 val fd : t -> Unix.file_descr option
-(** The socket, for embedding in an external [select] (e.g. together
-    with stdin). [None] while waiting out a backoff. *)
+(** The socket, for embedding in an external {!Evloop.wait} (e.g.
+    together with stdin). [None] while waiting out a backoff. *)
 
 val set_stamp : t -> (unit -> Dce_ot.Vclock.t * int) -> unit
 (** How to stamp this client's [Net] trace events with a vector clock

@@ -19,6 +19,12 @@ let reason_string = function
   | Socket_error e -> "socket error: " ^ e
   | Local r -> r
 
+let reason_label = function
+  | Corrupt _ -> "frame_error"
+  | Overflow -> "overflow"
+  | Idle -> "idle"
+  | Eof | Superseded | Socket_error _ | Local _ -> "disconnect"
+
 type t = {
   fd : Unix.file_descr;
   peer : string;

@@ -25,6 +25,9 @@ type close_reason =
 
 val reason_string : close_reason -> string
 
+val reason_label : close_reason -> string
+(** The trace action: ["frame_error"], ["overflow"], ["idle"] or ["disconnect"]. *)
+
 type t
 
 val create :

@@ -1,13 +1,13 @@
-(** Readiness polling without the [Unix.select] cliff.
+(** Readiness polling without the select(2) cliff.
 
-    [Unix.select] is limited to [FD_SETSIZE] (1024) file descriptors;
-    passing an fd whose {e number} is ≥ 1024 corrupts the fd_set.  A hub
-    hosting thousands of member connections from one event loop needs
-    [poll(2)], which takes an explicit array and scales to the process
-    fd limit — this module is the thin binding, used by {!Hub},
-    {!Upstream} and the daemons' loops.
+    select(2) is limited to [FD_SETSIZE] (1024) file descriptors; OCaml's
+    binding refuses any fd whose {e number} is ≥ 1024.  A hub hosting
+    thousands of connections, or an editor in a process holding that many
+    files, needs [poll(2)], which takes an explicit array and scales to
+    the process fd limit — this module is the thin binding, under every
+    socket wait: the hub's loop, {!Dialer}, and the daemons' loops.
 
-    The interface mirrors the [select] idiom the rest of the repo uses:
+    The interface mirrors the [select] idiom:
     pass the fds you want readable/writable, get back the ready
     subsets.  [EINTR] (and a timeout expiring) returns two empty lists —
     callers always re-poll on the next tick.  Error conditions on a

@@ -1,9 +1,10 @@
 /* poll(2) binding for Evloop.
 
-   Unix.select tops out at FD_SETSIZE (1024) descriptors — one fd past
+   select(2) tops out at FD_SETSIZE (1024) descriptors — one fd past
    that and fd_set construction is undefined behaviour.  A hub hosting
-   thousands of member connections needs poll, which takes an explicit
-   array and has no such cliff.
+   thousands of member connections, or an editor dialing out from a
+   process that already holds that many files, needs poll, which takes
+   an explicit array and has no such cliff.
 
    The pollfd array is built in C-heap memory (not the OCaml heap)
    because the runtime lock is released around the poll call and a

@@ -86,23 +86,16 @@ let record t r =
     journal_result t (Persist.maybe_checkpoint j c)
   | _ -> ()
 
-(* Checkpoint-then-clamp: a journaled site never lets the compaction cut
-   outrun its durable snapshot.  It checkpoints first when the stable
-   frontier moved past the last cut, then clamps to whatever cut is
-   durable; with no snapshot at all it does not compact. *)
+(* A journaled site never lets the compaction cut outrun its durable
+   snapshot ([Persist.compact]); a failed checkpoint is counted. *)
 let compact t =
-  match t.ctrl with
-  | None -> ()
-  | Some c -> (
-    match t.journal with
-    | None -> t.ctrl <- Some (Controller.compact c)
-    | Some j -> (
-      (match Persist.checkpoint_clock j with
-       | Some cut when Vclock.leq (Controller.stable_frontier c) cut -> ()
-       | _ -> checkpoint t);
-      match Persist.checkpoint_clock j with
-      | Some limit -> t.ctrl <- Some (Controller.compact ~limit c)
-      | None -> ()))
+  match (t.ctrl, t.journal) with
+  | None, _ -> ()
+  | Some c, None -> t.ctrl <- Some (Controller.compact c)
+  | Some c, Some j ->
+    let c, taken = Persist.compact j c in
+    journal_result t taken;
+    t.ctrl <- Some c
 
 (* A state transfer completed.  Its inputs came from the relay, not the
    journal, so a checkpoint records the merged state before anything

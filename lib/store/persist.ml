@@ -158,6 +158,18 @@ let maybe_checkpoint t c =
     match checkpoint t c with Ok () -> Ok true | Error e -> Error e
   else Ok false
 
+(* Durability leads, GC follows: a crash between the checkpoint and the
+   compaction only ever leaves extra log, never a hole. *)
+let compact t c =
+  let taken =
+    match t.checkpoint_clock with
+    | Some cut when Dce_ot.Vclock.leq (Controller.stable_frontier c) cut -> Ok false
+    | _ -> Result.map (fun () -> true) (checkpoint t c)
+  in
+  match t.checkpoint_clock with
+  | Some limit -> (Controller.compact ~limit c, taken)
+  | None -> (c, taken)
+
 let fingerprint t c = Proto.fingerprint t.ec c
 
 let generation t = Store.generation t.store

@@ -85,6 +85,14 @@ val checkpoint_clock : 'e t -> Dce_ot.Vclock.t option
     snapshot, and every entry above this clock must still exist
     somewhere the WAL's [receive] records can find it. *)
 
+val compact :
+  'e t -> 'e Controller.t -> 'e Controller.t * (bool, string) result
+(** Checkpoint-then-clamp: when the stable frontier has passed
+    {!checkpoint_clock} (or there is no snapshot), {!checkpoint} first;
+    then [Controller.compact ~limit] under the durable clock — [c] comes
+    back unchanged while there is no snapshot.  The result says whether
+    a checkpoint was cut; on [Error] the cut stayed at the old clock. *)
+
 val fingerprint : 'e t -> 'e Controller.t -> string
 (** [Dce_wire.Proto.fingerprint] under this journal's codec. *)
 

@@ -14,7 +14,7 @@ module Persist = Dce_store.Persist
 module Io = Dce_store.Io
 module Hub = Dce_hub.Hub
 module Upstream = Dce_hub.Upstream
-module Evloop = Dce_hub.Evloop
+module Evloop = Dce_netd.Evloop
 module Doc_name = Dce_hub.Doc_name
 module Vclock = Dce_ot.Vclock
 module Codec = Dce_wire.Codec
@@ -712,6 +712,74 @@ let degraded_heal_test () =
       (Format.asprintf "%a" Dce_sim.Convergence.pp report);
   List.iter close eps
 
+(* ----- upstream: a frame the leaf cannot apply ----- *)
+
+(* A bare-socket stand-in for the home hub answers the leaf's attach
+   with a snapshot that does not decode.  The leaf must drop the link as
+   corrupt, report itself degraded, back off and attach again — and a
+   good snapshot on the second session heals it. *)
+let bad_upstream_frame_test () =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.set_nonblock lfd;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 4;
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  Fun.protect ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let leaf = mk_hub ~hub_id:2 ~upstream:("127.0.0.1", port) () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown leaf) @@ fun () ->
+  let accept_session () =
+    let rec go n =
+      if n > 5_000 then Alcotest.fail "the leaf never connected";
+      Hub.step ~timeout_ms:1 leaf;
+      match Unix.accept ~cloexec:true lfd with
+      | fd, _ -> fd
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        -> go (n + 1)
+    in
+    go 0
+  in
+  let attached fd =
+    let is_attach = function
+      | Netd.Relay_proto.Attach { doc = "main"; _ } -> true
+      | _ -> false
+    in
+    List.exists is_attach (fst (drain_frames leaf fd ~rounds:2000 (List.exists is_attach)))
+  in
+  let snapshot fd state =
+    send_payload fd
+      (Netd.Relay_proto.encode (Netd.Relay_proto.Doc_snapshot { doc = "main"; state }))
+  in
+  let fd1 = accept_session () in
+  Fun.protect ~finally:(fun () -> Unix.close fd1) @@ fun () ->
+  Alcotest.(check bool) "the leaf attaches" true (attached fd1);
+  snapshot fd1 "not a snapshot";
+  let _, eof = drain_frames leaf fd1 ~rounds:2000 (fun _ -> false) in
+  Alcotest.(check bool) "the leaf drops the corrupt link" true eof;
+  Alcotest.(check bool) "and reports it degraded" true
+    (match Hub.upstream_health leaf with
+     | Some (Upstream.Degraded _) -> not (Hub.upstream_connected leaf)
+     | _ -> false);
+  Alcotest.(check string) "healthz degraded between the sessions" "degraded"
+    (json_status (Hub.healthz leaf ()));
+  let fd2 = accept_session () in
+  Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
+  Alcotest.(check bool) "the leaf attaches again" true (attached fd2);
+  (* the home's replica holds an edit the leaf never saw *)
+  let home = mk_controller ~site:2 "abc" in
+  let home =
+    match Controller.generate home (Tdoc.ins_visible (Controller.document home) 0 'h') with
+    | c, Controller.Accepted _ -> c
+    | _, Controller.Denied r -> Alcotest.failf "home edit denied: %s" r
+  in
+  snapshot fd2 (Proto.encode_state Proto.char_codec (Controller.dump home));
+  require "the good snapshot heals the leaf"
+    (pump_until [ leaf ] [] (fun () -> hub_doc leaf = "habc"));
+  Alcotest.(check string) "healthz ok once healed" "ok" (json_status (Hub.healthz leaf ()))
+
 (* ----- delta catch-up: resume inside the hosted window ----- *)
 
 let delta_resume_test () =
@@ -954,6 +1022,9 @@ let () =
           Alcotest.test_case
             "partition degrades the leaf; heal reconverges via snapshots" `Quick
             degraded_heal_test;
+          Alcotest.test_case
+            "a bad frame from the home degrades the link and reconnects" `Quick
+            bad_upstream_frame_test;
         ] );
       ( "stability",
         [

@@ -575,8 +575,8 @@ let hostile_peer_test () =
       if i > 2000 then false
       else begin
         Hub.step ~timeout_ms:1 hub;
-        match Unix.select [ fd ] [] [] 0.001 with
-        | [ _ ], _, _ ->
+        match Evloop.wait ~timeout_ms:1 ~read:[ fd ] ~write:[] () with
+        | [ _ ], _ ->
           let n = Unix.read fd (Bytes.create 256) 0 256 in
           if n = 0 then true else go (i + 1)
         | _ -> go (i + 1)
@@ -604,8 +604,8 @@ let hostile_peer_test () =
     Hub.step ~timeout_ms:1 hub
   done;
   let still_open =
-    match Unix.select [ fd ] [] [] 0.01 with
-    | [ _ ], _, _ -> Unix.read fd (Bytes.create 16) 0 16 > 0 (* ping, perhaps *)
+    match Evloop.wait ~timeout_ms:10 ~read:[ fd ] ~write:[] () with
+    | [ _ ], _ -> Unix.read fd (Bytes.create 16) 0 16 > 0 (* ping, perhaps *)
     | _ -> true (* nothing to read: still connected *)
   in
   Alcotest.(check bool) "truncated frame waits, not drops" true still_open;
@@ -804,8 +804,8 @@ let beacon_keeps_phase () =
       ignore (Client.step ~timeout_ms:1 client);
       match !server with
       | None -> (
-        match Unix.select [ lsock ] [] [] 0.001 with
-        | [ _ ], _, _ ->
+        match Evloop.wait ~timeout_ms:1 ~read:[ lsock ] ~write:[] () with
+        | [ _ ], _ ->
           let fd, _ = Unix.accept ~cloexec:true lsock in
           server := Some (Conn.create ~tele:(Tele.make ()) ~peer:"client" fd)
         | _ -> ())
@@ -836,12 +836,51 @@ let beacon_keeps_phase () =
   beacons_at 59. 4 "still on the grid after the stall";
   beacons_at 61. 5 "and the next on it"
 
+(* OCaml's select(2) binding refuses any descriptor numbered 1024 or more, so
+   an editor that waited with it died on its first step once its process
+   held that many files.  Hold about 1100 open, then join and edit. *)
+let high_fd_test () =
+  let pipes = ref [] in
+  let failed = ref None in
+  (try
+     for _ = 1 to 550 do
+       pipes := Unix.pipe ~cloexec:true () :: !pipes
+     done
+   with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> failed := Some "fd ulimit");
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun (r, w) ->
+          (try Unix.close r with Unix.Unix_error _ -> ());
+          try Unix.close w with Unix.Unix_error _ -> ())
+        !pipes)
+  @@ fun () ->
+  match !failed with
+  | Some why -> Printf.printf "SKIP: cannot allocate >1024 fds here (%s)\n%!" why
+  | None ->
+    let hub = mk_hub () in
+    Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+    let port = Hub.port hub in
+    let ep0 = mk_endpoint ~port ~site:0 in
+    let ep1 = mk_endpoint ~port ~site:1 in
+    let eps = [ ep0; ep1 ] in
+    require "both joined"
+      (pump_until hub eps (fun () -> List.for_all (fun e -> ctrl e <> None) eps));
+    let fd = Option.get (Client.fd (Site.client ep1.s)) in
+    Alcotest.(check bool) "the editor's socket is past FD_SETSIZE" true
+      ((Obj.magic fd : int) >= 1024);
+    edit ep1 0 'x';
+    require "the edit is integrated"
+      (pump_until hub eps (fun () -> doc ep0 = "xabc" && List.for_all settled eps));
+    List.iter (fun ep -> Site.close ep.s) eps
+
 let client_tests =
   [
     Alcotest.test_case "max_attempts failed connects, then Gave_up" `Quick
       gives_up_after_max_attempts;
     Alcotest.test_case "a beacon reached late keeps the cadence's phase" `Quick
       beacon_keeps_phase;
+    Alcotest.test_case "an editor whose socket is fd 1024 or higher joins and edits"
+      `Quick high_fd_test;
   ]
 
 let () =

@@ -847,6 +847,79 @@ let recovery_tests =
            Persist.close j));
   ]
 
+(* ----- Persist.compact: checkpoint-then-clamp ----- *)
+
+module Vclock = Dce_ot.Vclock
+module Io = Dce_store.Io
+
+(* Two users: the administrator (site 0) edits and site 1 acknowledges
+   with a beacon, so everything generated so far is stable at site 0 —
+   an administrator's requests are born valid, so that prefix is
+   droppable. *)
+let edit_acked (c0, c1) ch =
+  let c0, m = gen_accept c0 (Tdoc.ins_visible (Controller.document c0) 0 ch) in
+  let c1, _ = Controller.receive c1 m in
+  let clock, version = Controller.beacon c1 in
+  (Controller.receive_beacon c0 ~peer:1 ~clock ~version, c1)
+
+let pair () = (mk_ctrl ~users:[ 0; 1 ] ~site:0 "ab", mk_ctrl ~users:[ 0; 1 ] ~site:1 "ab")
+
+let mem_journal world =
+  fst
+    (ok_exn "open"
+       (Persist.opendir ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec "j"))
+
+let compacted c = Vclock.sum (Controller.compacted_upto c)
+
+let compact_tests =
+  [
+    Alcotest.test_case "a cut fresh enough compacts without a checkpoint" `Quick (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let c, _ = edit_acked (edit_acked (pair ()) 'x') 'y' in
+        ok_exn "checkpoint" (Persist.checkpoint j c);
+        let gen = Persist.generation j in
+        let c', taken = Persist.compact j c in
+        Alcotest.(check bool) "no checkpoint needed" true (taken = Ok false);
+        Alcotest.(check int) "no new generation" gen (Persist.generation j);
+        Alcotest.(check int) "both edits compacted" 2 (compacted c'));
+    Alcotest.test_case "a frontier past the cut checkpoints first" `Quick (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let c, c1 = pair () in
+        ok_exn "checkpoint" (Persist.checkpoint j c);
+        let c, _ = edit_acked (edit_acked (c, c1) 'x') 'y' in
+        let gen = Persist.generation j in
+        let c', taken = Persist.compact j c in
+        Alcotest.(check bool) "a checkpoint was cut" true (taken = Ok true);
+        Alcotest.(check int) "one new generation" (gen + 1) (Persist.generation j);
+        Alcotest.(check bool) "the cut is the compacted state's clock" true
+          (Persist.checkpoint_clock j = Some (Controller.clock c));
+        Alcotest.(check int) "both edits compacted" 2 (compacted c'));
+    Alcotest.test_case "a failed checkpoint clamps to the old cut" `Quick (fun () ->
+        let world = Io.Mem.create () in
+        let j = mem_journal world in
+        let c, c1 = edit_acked (pair ()) 'x' in
+        ok_exn "checkpoint" (Persist.checkpoint j c);
+        let cut = Controller.clock c in
+        let c, _ = edit_acked (c, c1) 'y' in
+        (Io.Mem.faults world).Io.Mem.fail_atomic_write_after <- 1;
+        let c', taken = Persist.compact j c in
+        Alcotest.(check bool) "the error is reported" true (Result.is_error taken);
+        Alcotest.(check bool) "the durable cut is unchanged" true
+          (Persist.checkpoint_clock j = Some cut);
+        Alcotest.(check bool) "compaction stayed within it" true
+          (Vclock.leq (Controller.compacted_upto c') cut);
+        Alcotest.(check int) "up to it, not past" 1 (compacted c'));
+    Alcotest.test_case "no snapshot, no compaction" `Quick (fun () ->
+        let world = Io.Mem.create () in
+        let j = mem_journal world in
+        let c, _ = edit_acked (pair ()) 'x' in
+        (Io.Mem.faults world).Io.Mem.fail_atomic_write_after <- 1;
+        let c', taken = Persist.compact j c in
+        Alcotest.(check bool) "the error is reported" true (Result.is_error taken);
+        Alcotest.(check bool) "still no durable cut" true (Persist.checkpoint_clock j = None);
+        Alcotest.(check bool) "the controller is returned untouched" true (c' == c));
+  ]
+
 let () =
   Alcotest.run "dce_store"
     [
@@ -856,4 +929,5 @@ let () =
       ("store", store_tests);
       ("persist", persist_tests);
       ("recovery", recovery_tests);
+      ("compact", compact_tests);
     ]

@@ -4,11 +4,12 @@
 #
 # Rules:
 #
-#   unix-select   Unix.select anywhere outside lib/hub/evloop*.
-#                 select(2) silently corrupts beyond FD_SETSIZE (1024)
-#                 descriptors; lib/hub/evloop is the poll-backed wrapper
-#                 that exists so nothing else has to care.  Single-fd
-#                 waits in leaf code are tolerable and allowlisted.
+#   unix-select   Unix.select anywhere outside lib/netd/evloop*.
+#                 select(2) cannot take a descriptor numbered 1024
+#                 (FD_SETSIZE) or more, and a process that holds that
+#                 many files hands even its first socket such a number;
+#                 lib/netd/evloop is the poll-backed wrapper that exists
+#                 so nothing else has to care.
 #
 #   lib-print     Printf.printf / print_endline / print_string /
 #                 print_newline / Printf.eprintf / prerr_endline inside
@@ -61,7 +62,7 @@ IFS='
 '
 
 set -- $(grep -rn 'Unix\.select' lib bin test bench examples 2>/dev/null \
-  | grep -v '^lib/hub/evloop') || true
+  | grep -v '^lib/netd/evloop') || true
 report unix-select "$@"
 
 set -- $(grep -rnE '(^|[^.[:alnum:]_])(Printf\.(printf|eprintf)|print_endline|print_string|print_newline|prerr_endline)' lib 2>/dev/null) || true
