@@ -1,15 +1,15 @@
 (* crashtest: the recovery torture harness.
 
-   Runs an in-process replica of the deployed topology — N client sites
-   plus a passive relay, every one of them journaling its inputs through
-   [Dce_store.Persist] — and tortures it.  Each cycle:
+   Runs an in-process copy of the deployed topology — N client sites
+   plus a passive relay, each one a [Dce_store.Replica], the journaled
+   replica the daemons run — and tortures it.  Each cycle:
 
      1. the sites trade random edits and administrative actions through
         the relay (deliveries deliberately lag, so there is always
         traffic in flight when the axe falls);
      2. one process — a client or the relay itself — is kill-9'd: its
-        controller and journal handle are dropped on the floor, no
-        final checkpoint, nothing graceful;
+        replica and journal handle are dropped on the floor, no final
+        checkpoint, nothing graceful;
      3. with some probability the victim's write-ahead-log tail is
         mangled the way a torn write would mangle it — truncated by a
         random count of bytes, or a byte near the end flipped;
@@ -24,7 +24,8 @@
 
    The oracle, per cycle:
 
-     - recovery NEVER fails, whatever was done to the tail;
+     - recovery NEVER fails, whatever was done to the tail, nor does
+       any journal write;
      - with an intact log, the recovered state fingerprints identical
        to the pre-kill state — exact replay, not approximate;
      - after catch-up and the flush, the convergence oracles hold
@@ -44,6 +45,7 @@
 open Dce_core
 module Tdoc = Dce_ot.Tdoc
 module Persist = Dce_store.Persist
+module Replica = Dce_store.Replica
 module Store = Dce_store.Store
 module Wal = Dce_store.Wal
 module Proto = Dce_wire.Proto
@@ -87,8 +89,7 @@ type node = {
   id : int;
   name : string;
   dir : string;
-  mutable ctrl : char Controller.t;
-  mutable journal : char Persist.t;
+  mutable replica : char Replica.t;
   mailbox : char Controller.message Queue.t;
       (** undelivered fan-out; keeps filling while the node is down, as
           the relay's per-connection send queue would *)
@@ -120,10 +121,16 @@ let open_journal ~cycle ~id dir =
   Persist.opendir ~config:(config_for ~cycle ~id) ~eq:Char.equal
     ~codec:Proto.char_codec dir
 
-let checkpoint_maybe n =
-  match Persist.maybe_checkpoint n.journal n.ctrl with
-  | Ok _ -> ()
-  | Error e -> failf "%s: checkpoint failed: %s" n.name e
+let ctrl n = Replica.controller n.replica
+let journal n = Option.get (Replica.journal n.replica)
+
+let check_journal n =
+  if Replica.journal_errors n.replica > 0 then failf "%s: a journal write failed" n.name
+
+let receive n m =
+  match Replica.receive n.replica m with
+  | Ok emitted -> emitted
+  | Error e -> failf "%s rejected a message: %s" n.name e
 
 (* Broadcast mirrors dced: the relay integrates and journals the message
    BEFORE any client can see it — which is what makes the relay a sound
@@ -132,10 +139,7 @@ let rec broadcast sess ~from msgs =
   List.iter
     (fun m ->
        if from <> relay_site then begin
-         let ctrl, emitted = Controller.receive sess.relay.ctrl m in
-         sess.relay.ctrl <- ctrl;
-         Persist.record sess.relay.journal (Persist.Received m);
-         checkpoint_maybe sess.relay;
+         let emitted = receive sess.relay m in
          if emitted <> [] then broadcast sess ~from:relay_site emitted
        end;
        Array.iter
@@ -156,14 +160,7 @@ let rec broadcast sess ~from msgs =
          sess.clients)
     msgs
 
-(* Deliver one queued message: integrate, then journal — a message that
-   makes [receive] raise must never poison the log (see Persist). *)
-let deliver sess c m =
-  let ctrl, emitted = Controller.receive c.ctrl m in
-  c.ctrl <- ctrl;
-  Persist.record c.journal (Persist.Received m);
-  checkpoint_maybe c;
-  broadcast sess ~from:c.id emitted
+let deliver sess c m = broadcast sess ~from:c.id (receive c m)
 
 let pump_some sess ~down rng budget =
   let delivered = ref 0 in
@@ -214,23 +211,16 @@ let random_op rng doc =
         (Char.uppercase_ascii (letter rng))
 
 let do_edit sess c rng =
-  let op = random_op rng (Controller.document c.ctrl) in
-  match Controller.generate c.ctrl op with
-  | ctrl, Controller.Accepted m ->
-    c.ctrl <- ctrl;
-    (* journal before broadcast: the group must never hold a request
-       its origin site could forget in a crash *)
-    Persist.record c.journal (Persist.Generated op);
-    checkpoint_maybe c;
-    broadcast sess ~from:c.id [ m ]
-  | ctrl, Controller.Denied _ -> c.ctrl <- ctrl
+  match Replica.generate c.replica (random_op rng (Controller.document (ctrl c))) with
+  | Ok m -> broadcast sess ~from:c.id [ m ]
+  | Error _ -> ()
 
 (* The torture administrator toggles per-user denials, same shape as the
    simulator's workload: restrictive actions are what make validation,
    retroactive undo and the interval check earn their keep. *)
 let do_admin sess c rng users =
   let negatives =
-    Controller.policy c.ctrl |> Policy.auths
+    Controller.policy (ctrl c) |> Policy.auths
     |> List.mapi (fun i a -> (i, a))
     |> List.filter (fun (_, a) -> Auth.is_restrictive a)
   in
@@ -243,12 +233,8 @@ let do_admin sess c rng users =
       let i, _ = rand_pick rng negatives in
       Admin_op.Del_auth i
   in
-  match Controller.admin_update c.ctrl op with
-  | Ok (ctrl, m) ->
-    c.ctrl <- ctrl;
-    Persist.record c.journal (Persist.Admin_cmd op);
-    checkpoint_maybe c;
-    broadcast sess ~from:c.id [ m ]
+  match Replica.admin c.replica op with
+  | Ok m -> broadcast sess ~from:c.id [ m ]
   | Error _ -> ()
 
 (* {2 Tail mangling} *)
@@ -288,9 +274,11 @@ let mangle_tail rng path =
 (* kill -9: no checkpoint, no sync beyond what the policy already did;
    returns what recovery must reproduce when the tail survives. *)
 let kill n =
-  let gen = Persist.generation n.journal in
-  let pre_fp = Persist.fingerprint n.journal n.ctrl in
-  Persist.close n.journal;
+  check_journal n;
+  let j = journal n in
+  let gen = Persist.generation j in
+  let pre_fp = Persist.fingerprint j (ctrl n) in
+  Persist.close j;
   (gen, pre_fp)
 
 let restart ~cycle ~mangled ~pre_fp n =
@@ -310,22 +298,14 @@ let restart ~cycle ~mangled ~pre_fp n =
             fingerprint-match its pre-kill state"
            cycle n.name
      | Some _ -> ());
-    n.journal <- j;
-    n.ctrl <- ctrl;
+    n.replica <- Replica.create ~journal:j ctrl;
     r
 
 (* The reconnect handshake, as p2pedit runs it against a dced snapshot:
-   catch up from the relay's session copy, checkpoint (the catch-up
-   inputs came from the donor, not the journal, so the log can no
-   longer reproduce this state), re-broadcast what the relay cannot
-   prove acknowledged. *)
+   catch up from the relay's session copy (the replica checkpoints it),
+   re-broadcast what the relay cannot prove acknowledged. *)
 let reconnect sess c =
-  let caught, out = Controller.catch_up c.ctrl sess.relay.ctrl in
-  c.ctrl <- caught;
-  (match Persist.checkpoint c.journal caught with
-   | Ok () -> ()
-   | Error e -> failf "%s: post-catch-up checkpoint failed: %s" c.name e);
-  broadcast sess ~from:c.id out
+  broadcast sess ~from:c.id (Replica.catch_up c.replica (ctrl sess.relay))
 
 (* {2 Setup, oracle, teardown} *)
 
@@ -337,15 +317,12 @@ let make_node ~root ~policy ~text ~name id =
     (match r.Persist.controller with
      | Some _ -> failf "%s: data dir %s is not empty" name dir
      | None -> ());
-    let ctrl =
-      Controller.create ~eq:Char.equal ~site:id ~admin:0 ~policy
-        (Tdoc.of_string text)
+    let replica =
+      Replica.create ~journal:j
+        (Controller.create ~eq:Char.equal ~site:id ~admin:0 ~policy
+           (Tdoc.of_string text))
     in
-    (match Persist.checkpoint j ctrl with
-     | Ok () -> ()
-     | Error e -> failf "%s: bootstrap checkpoint failed: %s" name e);
-    { id; name; dir; ctrl; journal = j; mailbox = Queue.create ();
-      delayed = Queue.create () }
+    { id; name; dir; replica; mailbox = Queue.create (); delayed = Queue.create () }
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -365,14 +342,15 @@ let pp_cell ppf (c : char Tdoc.cell) =
           c.Tdoc.writes))
 
 let dump_node n =
+  let c = ctrl n in
   Format.eprintf "%s (v%d, F=%d Q=%d tentative=%d): %a@." n.name
-    (Controller.version n.ctrl)
-    (Controller.pending_coop n.ctrl)
-    (Controller.pending_admin n.ctrl)
-    (List.length (Controller.tentative n.ctrl))
+    (Controller.version c)
+    (Controller.pending_coop c)
+    (Controller.pending_admin c)
+    (List.length (Controller.tentative c))
     (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp_cell)
-    (Tdoc.model_list (Controller.document n.ctrl));
-  let st = Controller.dump n.ctrl in
+    (Tdoc.model_list (Controller.document c));
+  let st = Controller.dump c in
   List.iter
     (fun (r : Admin_op.request) ->
        Format.eprintf "  admin_queue: v%d by %d %a@." r.Admin_op.version
@@ -387,7 +365,8 @@ let dump_node n =
     st.Controller.st_coop_queue
 
 let check_convergence ~cycle sess =
-  let ctrls = List.map (fun n -> n.ctrl) (all_nodes sess) in
+  List.iter check_journal (all_nodes sess);
+  let ctrls = List.map ctrl (all_nodes sess) in
   match Convergence.explain ctrls with
   | None -> ()
   | Some why ->
@@ -451,7 +430,7 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
     say "cycle %3d/%d: killed %s (fsync %s), %a -> gen %d, %d replayed%s@."
       cycle cycles victim.name
       (Store.fsync_policy_to_string (config_for ~cycle ~id:victim.id).Store.fsync)
-      pp_mangle mangled (Persist.generation victim.journal) r.Persist.replayed
+      pp_mangle mangled (Persist.generation (journal victim)) r.Persist.replayed
       (if r.Persist.truncated_bytes > 0 then
          Printf.sprintf " (%d torn byte(s) dropped)" r.Persist.truncated_bytes
        else "");
@@ -459,26 +438,21 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
     flush sess rng;
     check_convergence ~cycle sess
   done;
-  (* final oracle: every journal still round-trips exactly *)
+  (* final oracle, as cycle [cycles + 1]: kill every node with its log
+     intact; each must recover fingerprint-exact *)
   List.iter
     (fun n ->
-       let pre = Persist.fingerprint n.journal n.ctrl in
-       Persist.close n.journal;
-       match open_journal ~cycle:0 ~id:n.id n.dir with
-       | Error e -> failf "final reopen of %s failed: %s" n.name e
-       | Ok (j, r) -> (
-         match r.Persist.controller with
-         | Some c when Persist.fingerprint j c = pre -> Persist.close j
-         | Some _ -> failf "final reopen of %s does not fingerprint-match" n.name
-         | None -> failf "final reopen of %s came back empty" n.name))
+       let _, pre_fp = kill n in
+       ignore (restart ~cycle:(cycles + 1) ~mangled:None ~pre_fp n);
+       Persist.close (journal n))
     (all_nodes sess);
   Format.printf
     "crashtest: %d kill/restart cycle(s), %d with a mangled tail, %d record(s) \
      replayed; every recovery clean, every cycle convergent@."
     cycles !mangled_cycles !replayed_total;
   Format.printf "final doc %S (policy v%d)@."
-    (Tdoc.visible_string (Controller.document sess.relay.ctrl))
-    (Controller.version sess.relay.ctrl)
+    (Tdoc.visible_string (Controller.document (ctrl sess.relay)))
+    (Controller.version (ctrl sess.relay))
 
 (* A failing run keeps its directories for post-mortem; the next green
    run on the same machine reclaims every one of them (anything under

@@ -115,7 +115,6 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
       let doc_dir root doc =
         if doc = default_doc then root else Filename.concat (Filename.concat root "docs") doc
       in
-      let journals = ref [] in
       let factory doc =
         match data_dir with
         | None -> Ok (fresh (), None)
@@ -128,7 +127,6 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
           with
           | Error e -> Error e
           | Ok (j, rec_) -> (
-            journals := (doc, j) :: !journals;
             match rec_.Dce_store.Persist.controller with
             | Some c ->
               Printf.printf
@@ -145,11 +143,7 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
                 match metrics with Some m -> Controller.with_metrics m c | None -> c
               in
               Ok (c, Some j)
-            | None -> (
-              let c = fresh () in
-              match Dce_store.Persist.checkpoint j c with
-              | Ok () -> Ok (c, Some j)
-              | Error e -> Error e)))
+            | None -> Ok (fresh (), Some j)))
       in
       let addr = Unix.inet_addr_of_string bind in
       let config =
@@ -169,6 +163,11 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
           prerr_endline ("dced: " ^ e);
           exit 1
       in
+      (* each session's replica cut a fresh journal's base snapshot *)
+      if Hub.journal_errors hub > 0 then begin
+        Printf.eprintf "dced: %s cannot take its first checkpoint\n" (Option.get data_dir);
+        exit 1
+      end;
       let doc_json doc =
         let c = Hub.controller ~doc hub in
         Obs.Json.Obj
@@ -254,24 +253,17 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
              Option.iter (fun s -> Obs.Export.series_tick s m) series
            | None -> ());
           Option.iter Netd.Admin.step admin;
-          if !stop then Hub.shutdown h)
+          if !stop then begin
+            (* shutdown checkpoints every session, so a clean restart
+               replays nothing *)
+            let before = Hub.journal_errors h in
+            Hub.shutdown h;
+            if Hub.journal_errors h > before then
+              prerr_endline "dced: a final checkpoint failed; the next start replays the log"
+          end)
         hub;
       Option.iter Netd.Admin.close admin;
       Option.iter Obs.Export.series_close series;
-      (* a clean shutdown leaves fresh snapshots so the next start
-         replays nothing *)
-      List.iter
-        (fun (doc, j) ->
-          (match Hub.controller ~doc hub with
-           | c -> (
-             match Dce_store.Persist.checkpoint j c with
-             | Ok () -> ()
-             | Error e ->
-               prerr_endline
-                 (Printf.sprintf "dced: final checkpoint of %S failed: %s" doc e))
-           | exception Invalid_argument _ -> ());
-          Dce_store.Persist.close j)
-        !journals;
       List.iter
         (fun doc ->
           let c = Hub.controller ~doc hub in

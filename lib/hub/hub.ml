@@ -9,7 +9,7 @@ module Evloop = Dce_netd.Evloop
 module Tele = Dce_netd.Tele
 module Relay_proto = Dce_netd.Relay_proto
 module Faults = Dce_netd.Faults
-module Persist = Dce_store.Persist
+module Replica = Dce_store.Replica
 
 type config = {
   heartbeat_ms : int;
@@ -44,7 +44,6 @@ type 'e t = {
   cfg : config;
   tele : Tele.t;
   reg : M.t; (* per-doc labeled series; disabled registry when unmetered *)
-  trace : Obs.Trace.sink;
   codec : 'e Proto.elt_codec;
   eq : 'e -> 'e -> bool;
   listen_fd : Unix.file_descr;
@@ -60,16 +59,7 @@ type 'e t = {
   mutable stopped : bool;
   mutable last_beacon_ms : float;
   mutable last_compact_ms : float;
-  mutable journal_errors : int;
 }
-
-let trace_s t s peer action detail =
-  if Obs.Trace.enabled t.trace then begin
-    let c = Session.controller s in
-    Obs.Trace.emit t.trace ~site:(Controller.site c) ~clock:(Controller.clock c)
-      ~version:(Controller.version c)
-      (Obs.Trace.Net { peer; action; detail })
-  end
 
 let member_gauge t doc = M.gauge t.reg (M.with_label "hub.members" ~key:"doc" ~value:doc)
 
@@ -86,7 +76,7 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null)
    | Some _ when config.hub_id = 0 ->
      invalid_arg "Hub.create: federation requires a nonzero hub_id"
    | _ -> ());
-  let registry = Registry.create ~max_docs:config.max_docs ~factory () in
+  let registry = Registry.create ~max_docs:config.max_docs ~trace ~factory () in
   List.iter
     (fun d ->
       match Registry.open_doc registry d with
@@ -128,7 +118,6 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null)
       cfg = config;
       tele = Tele.make ?metrics ();
       reg = (match metrics with Some m -> m | None -> M.create ~enabled:false ());
-      trace;
       codec;
       eq;
       listen_fd = fd;
@@ -142,7 +131,6 @@ let create ?(config = default_config) ?metrics ?(trace = Obs.Trace.null)
       stopped = false;
       last_beacon_ms = neg_infinity;
       last_compact_ms = neg_infinity;
-      journal_errors = 0;
     }
   in
   List.iter (update_doc_gauges t) (Registry.docs registry);
@@ -156,7 +144,10 @@ let upstream_connected t =
   match t.upstream with Some u -> Upstream.connected u | None -> false
 
 let upstream_health t = Option.map Upstream.health t.upstream
-let journal_errors t = t.journal_errors
+let journal_errors t =
+  List.fold_left
+    (fun acc s -> acc + Replica.journal_errors (Session.replica s))
+    0 (Registry.docs t.registry)
 
 let max_stable_lag t =
   List.fold_left
@@ -170,6 +161,7 @@ let max_stable_lag t =
    compaction cannot reclaim) across hosted docs. *)
 let healthz ?(max_lag = 100_000) t () =
   let lag = max_stable_lag t in
+  let journal_errors = journal_errors t in
   let problems = ref [] in
   let note p = problems := p :: !problems in
   (match upstream_health t with
@@ -179,8 +171,7 @@ let healthz ?(max_lag = 100_000) t () =
           (Obs.Clock.now_ms () -. since_ms)
           reason)
    | Some Upstream.Healthy | None -> ());
-  if t.journal_errors > 0 then
-    note (Printf.sprintf "%d journal error(s)" t.journal_errors);
+  if journal_errors > 0 then note (Printf.sprintf "%d journal error(s)" journal_errors);
   if lag > max_lag then note (Printf.sprintf "stable lag %d over limit %d" lag max_lag);
   let reasons =
     match !problems with
@@ -193,7 +184,7 @@ let healthz ?(max_lag = 100_000) t () =
        ("role", Obs.Json.String "hub");
        ("docs", Obs.Json.Int (List.length (Registry.names t.registry)));
        ("stable_lag", Obs.Json.Int lag);
-       ("journal_errors", Obs.Json.Int t.journal_errors);
+       ("journal_errors", Obs.Json.Int journal_errors);
      ]
      @ reasons)
 
@@ -250,7 +241,7 @@ let send_transfer t cs s ~site ~resume =
   in
   Conn.send cs.conn (Relay_proto.encode attached);
   Conn.send cs.conn (Relay_proto.encode transfer);
-  trace_s t s site what ""
+  Replica.note ~peer:site (Session.replica s) what ""
 
 let attach ?resume t cs ~session:s ~site =
   let doc = Session.name s in
@@ -270,23 +261,11 @@ let attach ?resume t cs ~session:s ~site =
   let again = Session.add_member s { Session.conn = cs.conn; site } in
   M.incr t.tele.Tele.connects;
   if again then M.incr t.tele.Tele.reconnects;
-  trace_s t s site (if again then "reconnect" else "connect") (Conn.peer cs.conn);
+  Replica.note ~peer:site (Session.replica s)
+    (if again then "reconnect" else "connect")
+    (Conn.peer cs.conn);
   send_transfer t cs s ~site ~resume;
   update_doc_gauges t s
-
-(* Journal an integrated message and checkpoint on cadence.  Journal
-   errors degrade durability, not availability: the live session keeps
-   running and the failure is surfaced through the trace. *)
-let journal_received t s m =
-  match Session.journal s with
-  | None -> ()
-  | Some j -> (
-    Persist.record j (Persist.Received m);
-    match Persist.maybe_checkpoint j (Session.controller s) with
-    | Ok did -> if did then trace_s t s (Controller.site (Session.controller s)) "checkpoint" ""
-    | Error e ->
-      t.journal_errors <- t.journal_errors + 1;
-      trace_s t s (Controller.site (Session.controller s)) "journal_error" e)
 
 let fan_frame s ~except ~origin bytes =
   let frame =
@@ -331,10 +310,9 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
          message is what checks its semantics.  A well-framed op with an
          out-of-range position or a fabricated serial/context must drop
          the peer, not the daemon — and must not be relayed. *)
-      match Controller.receive (Session.controller s) m with
-      | ctrl, emitted ->
-        Session.set_controller s ctrl;
-        journal_received t s m;
+      match Replica.receive (Session.replica s) m with
+      | Error why -> reject t src ("rejected message: " ^ why)
+      | Ok emitted ->
         M.incr t.tele.Tele.relayed;
         M.incr (doc_frames t doc);
         let origin = if origin <> 0 then origin else t.cfg.hub_id in
@@ -347,14 +325,7 @@ let route t ~session:s ~src ~origin ~from_upstream bytes =
             (* emitted frames are local productions: they go up even
                when the triggering frame came down *)
             forward_up t ~from_upstream:false ~doc ~origin:t.cfg.hub_id eb)
-          emitted
-      | exception e ->
-        let detail =
-          match e with
-          | Invalid_argument m | Failure m | Dce_ot.Document.Edit_conflict m -> m
-          | e -> Printexc.to_string e
-        in
-        reject t src ("rejected message: " ^ detail))
+          emitted)
 
 (* ------------------------------------------------------------------ *)
 (* Member dispatch                                                    *)
@@ -399,11 +370,7 @@ let dispatch t cs payload =
           | Ok s ->
             (* the presented clock is also a stability advertisement:
                absorb it before choosing the transfer *)
-            List.iter
-              (fun (b : Proto.beacon) ->
-                Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
-                  ~version:b.Proto.b_version)
-              entries;
+            Session.absorb s entries;
             let resume =
               match entries with
               | [ b ] when b.Proto.b_site = site ->
@@ -418,13 +385,7 @@ let dispatch t cs payload =
       | true -> (
         match Proto.decode_frontier frontier with
         | Error e -> corrupt cs.conn ("bad frontier: " ^ e)
-        | Ok entries ->
-          let s = session t doc in
-          List.iter
-            (fun (b : Proto.beacon) ->
-              Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
-                ~version:b.Proto.b_version)
-            entries))
+        | Ok entries -> Session.absorb (session t doc) entries))
     | Relay_proto.Detach { doc } -> (
       match List.mem_assoc doc cs.atts with
       | false -> corrupt cs.conn ("detach without attach: " ^ doc)
@@ -471,12 +432,7 @@ let handle_upstream_event t = function
     | Some s -> (
       match Proto.decode_frontier frontier with
       | Error e -> reject t None ("bad frontier: " ^ e)
-      | Ok entries ->
-        List.iter
-          (fun (b : Proto.beacon) ->
-            Session.note_frontier s ~site:b.Proto.b_site ~clock:b.Proto.b_clock
-              ~version:b.Proto.b_version)
-          entries))
+      | Ok entries -> Session.absorb s entries))
   | Upstream.Up_msg { doc; origin; msg } -> (
     match Registry.find t.registry doc with
     | None -> () (* a doc we never attached: ignore *)
@@ -497,7 +453,8 @@ let handle_upstream_event t = function
              — push those up so the healing is symmetric *)
           let donor_clock = Controller.clock donor in
           let donor_version = Controller.version donor in
-          let merged, out = Controller.catch_up (Session.controller s) donor in
+          let out = Replica.catch_up (Session.replica s) donor in
+          let merged = Session.controller s in
           (* [catch_up]'s re-feed covers only requests this replica
              generated, and a relay replica generates none — after a
              home restart the snapshot it sends is *behind* us and
@@ -519,21 +476,15 @@ let handle_upstream_event t = function
                 List.map (fun r -> Controller.Admin r) d.Controller.dl_admin
                 @ List.map (fun q -> Controller.Coop q) d.Controller.dl_coop
               | None ->
-                trace_s t s (Controller.site merged) "heal_impossible"
+                Replica.note (Session.replica s) "heal_impossible"
                   "upstream behind our compaction cut";
                 []
           in
-          Session.set_controller s merged;
           List.iter
             (fun m ->
               forward_up t ~from_upstream:false ~doc ~origin:t.cfg.hub_id
                 (Proto.encode_message t.codec m))
             (heal @ out);
-          (* the merge bypassed the per-message journal path; cut a
-             checkpoint so recovery keeps the merged history *)
-          (match Session.journal s with
-           | Some j -> ignore (Persist.checkpoint j merged)
-           | None -> ());
           (* members may lack whatever the merge brought in *)
           resync_members t s)))
 
@@ -584,40 +535,21 @@ let doc_window_gauges t s =
 
 (* Fan the per-doc aggregate frontier — every member's latest
    advertisement plus the hub's own — to members and up the
-   federation link.  Gossip converges because [note_frontier] merges
+   federation link.  Gossip converges because [Session.absorb] merges
    monotonically at every hop; echoes (the home fanning our own report
    back) are idempotent no-ops. *)
 let beacon_session t s =
   let ctrl = Session.controller s in
-  let clock, version = Controller.beacon ctrl in
-  Session.note_frontier s ~site:(Controller.site ctrl) ~clock ~version;
-  let entries =
-    List.map
-      (fun (site, (clock, version)) ->
-        { Proto.b_site = site; b_clock = clock; b_version = version })
-      (Session.frontier s)
-  in
+  let b_clock, b_version = Controller.beacon ctrl in
+  Session.absorb s [ { Proto.b_site = Controller.site ctrl; b_clock; b_version } ];
   let doc = Session.name s in
-  let blob = Proto.encode_frontier entries in
+  let blob = Proto.encode_frontier (Session.frontier s) in
   let frame = Relay_proto.encode (Relay_proto.Beacon { doc; frontier = blob }) in
   List.iter (fun (m : Session.member) -> Conn.send m.Session.conn frame) (Session.members s);
   Option.iter (fun u -> Upstream.send_beacon u ~doc blob) t.upstream
 
-(* Compact one session's log behind its stability frontier; a journaled
-   session checkpoints first when it must ([Persist.compact]). *)
 let compact_session t s =
-  let ctrl = Session.controller s in
-  (match Session.journal s with
-   | None -> Session.set_controller s (Controller.compact ctrl)
-   | Some j ->
-     let compacted, taken = Persist.compact j ctrl in
-     (match taken with
-      | Ok false -> ()
-      | Ok true -> trace_s t s (Controller.site ctrl) "checkpoint" "pre-compaction"
-      | Error e ->
-        t.journal_errors <- t.journal_errors + 1;
-        trace_s t s (Controller.site ctrl) "journal_error" e);
-     Session.set_controller s compacted);
+  Replica.compact (Session.replica s);
   doc_window_gauges t s
 
 (* Both cadences keep the phase of the hub's first step: a tick the loop
@@ -655,7 +587,7 @@ let reap t =
           match Registry.find t.registry doc with
           | Some s ->
             ignore (Session.remove_conn s cs.conn);
-            trace_s t s site action (Conn.reason_string reason);
+            Replica.note ~peer:site (Session.replica s) action (Conn.reason_string reason);
             update_doc_gauges t s
           | None -> ())
         cs.atts;
@@ -735,7 +667,8 @@ let shutdown t =
         Conn.shutdown cs.conn)
       t.conns;
     t.conns <- [];
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    List.iter (fun s -> Replica.close (Session.replica s)) (Registry.docs t.registry)
   end
 
 let run ?(tick_ms = 200) ?on_tick t =

@@ -10,10 +10,10 @@
     documents.
 
     Replication per document is the relay discipline unchanged: apply
-    to the hosted controller first (semantically invalid input drops
-    the peer as [Corrupt], and is never relayed), journal before any
-    external effect, then fan the original bytes verbatim to the
-    document's other members.
+    to the hosted replica first (semantically invalid input drops the
+    peer as [Corrupt], and is never relayed) — the session's
+    {!Dce_store.Replica} journals it before any external effect — then
+    fan the original bytes verbatim to the document's other members.
 
     Federation: given [~upstream:(host, port)], the hub is a {e leaf}
     that attaches to its home hub through one {!Upstream} link, per
@@ -131,6 +131,6 @@ val kick : ?doc:string -> 'e t -> site:int -> bool
 val stopped : 'e t -> bool
 
 val shutdown : 'e t -> unit
-(** Send [Bye] everywhere, close every socket and the listener, close
-    the federation link.  Sessions (and their journals) are the
-    caller's to checkpoint/close — the hub never owned them. *)
+(** Send [Bye] everywhere, close every socket, the listener and the
+    federation link, then checkpoint and close every session's journal
+    (a failed checkpoint counts in {!journal_errors}). *)

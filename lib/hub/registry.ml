@@ -5,9 +5,11 @@ type 'e t = {
   tbl : (string, 'e Session.t) Hashtbl.t;
   factory : 'e factory;
   max_docs : int;
+  trace : Dce_obs.Trace.sink;
 }
 
-let create ?(max_docs = 4096) ~factory () = { tbl = Hashtbl.create 16; factory; max_docs }
+let create ?(max_docs = 4096) ?(trace = Dce_obs.Trace.null) ~factory () =
+  { tbl = Hashtbl.create 16; factory; max_docs; trace }
 
 let find t name = Hashtbl.find_opt t.tbl name
 
@@ -26,7 +28,8 @@ let open_doc t name =
         match t.factory name with
         | Error e -> Error (Printf.sprintf "cannot open %S: %s" name e)
         | Ok (controller, journal) ->
-          let s = Session.create ~name ~controller ~journal in
+          let replica = Dce_store.Replica.create ~trace:t.trace ?journal controller in
+          let s = Session.create ~name ~replica in
           Hashtbl.add t.tbl name s;
           Ok s))
 

@@ -2,7 +2,8 @@
 
     Sessions are created lazily through the [factory] — the hub's
     policy hook for building (or recovering from disk) the controller
-    and optional journal of a document it has not hosted before.  The
+    and optional journal of a document it has not hosted before, which
+    the session's {!Dce_store.Replica} then keeps.  The
     factory runs at most once per name; [max_docs] bounds how many
     sessions one hub will host, so a hostile peer attaching to random
     names (when the hub allows auto-creation at all) cannot grow the
@@ -13,8 +14,9 @@ type 'e factory =
 
 type 'e t
 
-val create : ?max_docs:int -> factory:'e factory -> unit -> 'e t
-(** [max_docs] defaults to 4096. *)
+val create :
+  ?max_docs:int -> ?trace:Dce_obs.Trace.sink -> factory:'e factory -> unit -> 'e t
+(** [max_docs] defaults to 4096; [trace] gets the replicas' journal events. *)
 
 val open_doc : 'e t -> string -> ('e Session.t, string) result
 (** The session for [name], running the factory if the name is new.

@@ -1,7 +1,7 @@
-module Controller = Dce_core.Controller
 module Vclock = Dce_ot.Vclock
 module Conn = Dce_netd.Conn
-module Persist = Dce_store.Persist
+module Proto = Dce_wire.Proto
+module Replica = Dce_store.Replica
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
@@ -9,31 +9,22 @@ type member = { conn : Conn.t; site : int }
 
 type 'e t = {
   name : string;
-  journal : 'e Persist.t option;
-  mutable ctrl : 'e Controller.t;
+  replica : 'e Replica.t;
   mutable members : member list;
   mutable seen : IntSet.t; (* sites that joined at least once *)
-  (* per-site stability gossip: the latest (clock, version) each site
-     advertised, merged monotonically.  This is what the hub fans back
-     out as the aggregate frontier and reports upstream — knowledge
-     relayed on behalf of sites that are not directly connected here. *)
-  mutable frontier : (Vclock.t * int) IntMap.t;
+  (* per-site stability gossip: the latest beacon each site advertised,
+     merged monotonically.  This is what the hub fans back out as the
+     aggregate frontier and reports upstream — knowledge relayed on
+     behalf of sites that are not directly connected here. *)
+  mutable frontier : Proto.beacon IntMap.t;
 }
 
-let create ~name ~controller ~journal =
-  {
-    name;
-    journal;
-    ctrl = controller;
-    members = [];
-    seen = IntSet.empty;
-    frontier = IntMap.empty;
-  }
+let create ~name ~replica =
+  { name; replica; members = []; seen = IntSet.empty; frontier = IntMap.empty }
 
 let name t = t.name
-let controller t = t.ctrl
-let set_controller t c = t.ctrl <- c
-let journal t = t.journal
+let replica t = t.replica
+let controller t = Replica.controller t.replica
 let members t = t.members
 
 let live_members t = List.filter (fun m -> Conn.alive m.conn) t.members
@@ -46,9 +37,6 @@ let connected_sites t =
 let find_site t ~site =
   List.find_opt (fun m -> m.site = site && Conn.alive m.conn) t.members
 
-let member_of_conn t conn =
-  List.find_opt (fun m -> m.conn == conn) t.members
-
 let add_member t member =
   t.members <- t.members @ [ member ];
   let again = IntSet.mem member.site t.seen in
@@ -60,17 +48,24 @@ let remove_conn t conn =
   t.members <- kept;
   gone <> []
 
-(* Absorb one site's advertisement (monotone: clocks merge, versions
-   max, so stale or duplicated gossip is a no-op) and feed it to the
-   hub's own controller so its frontier advances too. *)
-let note_frontier t ~site ~clock ~version =
-  let clock, version =
-    match IntMap.find_opt site t.frontier with
-    | Some (old_clock, old_version) ->
-      (Vclock.merge old_clock clock, max old_version version)
-    | None -> (clock, version)
+(* Monotone: clocks merge, versions max, so stale or duplicated gossip
+   is a no-op.  The hub's own controller absorbs the merged entry so
+   its frontier advances too. *)
+let absorb t entries =
+  let merge (b : Proto.beacon) =
+    let b =
+      match IntMap.find_opt b.Proto.b_site t.frontier with
+      | Some old ->
+        {
+          b with
+          Proto.b_clock = Vclock.merge old.Proto.b_clock b.Proto.b_clock;
+          b_version = max old.Proto.b_version b.Proto.b_version;
+        }
+      | None -> b
+    in
+    t.frontier <- IntMap.add b.Proto.b_site b t.frontier;
+    b
   in
-  t.frontier <- IntMap.add site (clock, version) t.frontier;
-  t.ctrl <- Controller.receive_beacon t.ctrl ~peer:site ~clock ~version
+  Replica.absorb t.replica (List.map merge entries)
 
-let frontier t = IntMap.bindings t.frontier
+let frontier t = List.map snd (IntMap.bindings t.frontier)

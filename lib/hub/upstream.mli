@@ -9,7 +9,7 @@
     The link itself — connect, jittered backoff, keepalive, [Bye] — is a
     {!Dce_netd.Dialer}, as under {!Dce_netd.Client}.  Every reconnect
     re-attaches all docs — each [Doc_snapshot] reply then
-    heals the leaf's replica ({!Dce_core.Controller.catch_up}), exactly
+    heals the leaf's replica ({!Dce_store.Replica.catch_up}), exactly
     like a late-joining client.
 
     Like {!Dce_netd.Client} this owns the transport only; the hub holds

@@ -89,7 +89,7 @@ let outbox_bytes t = Dialer.outbox_bytes t.dialer
 
 (* Sever the current connection as if the network cut it: the normal
    reap-and-reconnect path runs on the next [step], and the rejoin
-   snapshot plus [Controller.catch_up] re-broadcast heal whatever a
+   snapshot plus the replica's catch-up re-broadcast heal whatever a
    one-sided partition swallowed.  Chaos harnesses call this at the
    heal point; a no-op when not connected. *)
 let drop_link ?(reason = "link dropped by harness") t =

@@ -7,8 +7,8 @@
 
     - [Connected]: TCP is up and the [Attach] went out;
     - [Snapshot blob]: the relay's full state transfer — decode it with
-      [Proto.decode_state], load it, and {!Dce_core.Controller.rejoin}
-      as your own site (or {!Dce_core.Controller.catch_up} local state).
+      [Proto.decode_state], load it, and {!Dce_store.Replica.rejoin} as
+      your own site (or {!Dce_store.Replica.catch_up} local state).
       Emitted on a (re)join without a usable resume point: the relay has
       no way to know which fan-outs a dead socket actually delivered;
     - [Message blob]: a [Proto.encode_message] blob from another site;
@@ -29,14 +29,14 @@ type event =
       (** a [Proto.encode_delta] blob: the hub's answer to a resuming
           attach ({!create}'s [resume]) when its log still covers the
           presented point — decode with [Proto.decode_delta] and apply
-          with {!Dce_core.Controller.apply_delta} instead of reloading a
+          with {!Dce_store.Replica.apply_delta} instead of reloading a
           full snapshot.  Falls back to [Snapshot] otherwise. *)
   | Message of string
   | Beacon of string
       (** a [Proto.encode_frontier] blob: the hub's aggregate stability
-          gossip for this document — feed each entry to
-          {!Dce_core.Controller.receive_beacon} so the local frontier
-          advances past silent peers and the log can compact. *)
+          gossip for this document — feed the entries to
+          {!Dce_store.Replica.absorb} so the local frontier advances
+          past silent peers and the log can compact. *)
   | Disconnected of string
   | Reconnecting of { attempt : int; delay_ms : int }
   | Gave_up of string

@@ -3,6 +3,7 @@ module M = Obs.Metrics
 module Proto = Dce_wire.Proto
 module Controller = Dce_core.Controller
 module Persist = Dce_store.Persist
+module Replica = Dce_store.Replica
 module Vclock = Dce_ot.Vclock
 
 type 'e notice =
@@ -21,15 +22,18 @@ type 'e t = {
   eq : 'e -> 'e -> bool;
   metrics : M.t option;
   trace : Obs.Trace.sink;
+  (* the journal of a site with no state yet, adopted by the first
+     join's replica *)
   journal : 'e Persist.t option;
   e2e_ns : M.histogram; (* origin stamp to integration *)
-  mutable ctrl : 'e Controller.t option;
+  mutable replica : 'e Replica.t option;
   (* recovered re-emissions, held until the first join: Client.send
      drops anything sent before the session is live *)
   mutable owed : 'e Controller.message list;
   mutable last_compact_ms : float;
-  mutable journal_errors : int;
 }
+
+let controller t = Option.map Replica.controller t.replica
 
 let create ?metrics ?(trace = Obs.Trace.null) ?journal ?state ?(owed = []) ~codec ~eq
     client =
@@ -43,28 +47,28 @@ let create ?metrics ?(trace = Obs.Trace.null) ?journal ?state ?(owed = []) ~code
       trace;
       journal;
       e2e_ns = M.histogram reg "e2e.propagation_ns";
-      ctrl =
-        (match (state, metrics) with
-         | Some c, Some m -> Some (Controller.with_metrics m c)
-         | _ -> state);
+      replica =
+        Option.map
+          (fun c ->
+            let c = match metrics with Some m -> Controller.with_metrics m c | None -> c in
+            Replica.create ~trace ?journal c)
+          state;
       owed;
       last_compact_ms = Obs.Clock.now_ms ();
-      journal_errors = 0;
     }
   in
   (* both read the live controller, so every (re)connect presents the
      current resume point and traces stay causally stamped *)
   Client.set_resume client (fun () ->
-      Option.map (fun c -> (Controller.clock c, Controller.version c)) t.ctrl);
+      Option.map (fun c -> (Controller.clock c, Controller.version c)) (controller t));
   Client.set_stamp client (fun () ->
-      match t.ctrl with
+      match controller t with
       | Some c -> (Controller.clock c, Controller.version c)
       | None -> (Vclock.empty, 0));
   t
 
 let client t = t.client
-let controller t = t.ctrl
-let journal_errors t = t.journal_errors
+let journal_errors t = match t.replica with Some r -> Replica.journal_errors r | None -> 0
 
 (* every outgoing message carries an origin stamp: receivers measure
    end-to-end propagation from it, and it costs ~15 bytes *)
@@ -72,45 +76,15 @@ let send t m =
   Client.send t.client
     (Proto.encode_message ~stamp:(Proto.stamp_now ~site:(Client.site t.client) ()) t.codec m)
 
-let journal_result t = function Ok _ -> () | Error _ -> t.journal_errors <- t.journal_errors + 1
+let compact t = Option.iter Replica.compact t.replica
 
-let checkpoint t =
-  match (t.journal, t.ctrl) with
-  | Some j, Some c -> journal_result t (Persist.checkpoint j c)
-  | _ -> ()
-
-let record t r =
-  match (t.journal, t.ctrl) with
-  | Some j, Some c ->
-    Persist.record j r;
-    journal_result t (Persist.maybe_checkpoint j c)
-  | _ -> ()
-
-(* A journaled site never lets the compaction cut outrun its durable
-   snapshot ([Persist.compact]); a failed checkpoint is counted. *)
-let compact t =
-  match (t.ctrl, t.journal) with
-  | None, _ -> ()
-  | Some c, None -> t.ctrl <- Some (Controller.compact c)
-  | Some c, Some j ->
-    let c, taken = Persist.compact j c in
-    journal_result t taken;
-    t.ctrl <- Some c
-
-(* A state transfer completed.  Its inputs came from the relay, not the
-   journal, so a checkpoint records the merged state before anything
-   goes out; then the transfer's re-emissions and the recovered ones. *)
-let joined t ~delta mine out =
-  t.ctrl <- Some mine;
-  checkpoint t;
+(* A state transfer completed and the replica checkpointed it: send its
+   re-emissions, then the recovered ones. *)
+let joined t ~delta out =
   let resend = out @ t.owed in
   t.owed <- [];
   List.iter (send t) resend;
   [ Joined { delta; resent = List.length resend } ]
-
-let exn_detail = function
-  | Invalid_argument m | Failure m | Dce_ot.Document.Edit_conflict m -> m
-  | e -> Printexc.to_string e
 
 let on_event t = function
   | Client.Snapshot blob -> (
@@ -122,49 +96,44 @@ let on_event t = function
       | Ok donor -> (
         (* local state (a recovered journal, a previous connection) is
            kept and the relay's history replayed through it: the durable
-           alternative to the lossy [rejoin] *)
-        match t.ctrl with
-        | Some mine ->
-          let mine, out = Controller.catch_up mine donor in
-          joined t ~delta:false mine out
-        | None -> joined t ~delta:false (Controller.rejoin ~site:(Client.site t.client) donor) [])))
+           alternative to a lossy rejoin *)
+        match t.replica with
+        | Some r -> joined t ~delta:false (Replica.catch_up r donor)
+        | None ->
+          t.replica <-
+            Some
+              (Replica.rejoin ~trace:t.trace ?journal:t.journal
+                 ~site:(Client.site t.client) donor);
+          joined t ~delta:false [])))
   | Client.Delta blob -> (
-    match (Proto.decode_delta t.codec blob, t.ctrl) with
+    match (Proto.decode_delta t.codec blob, t.replica) with
     | Error e, _ -> [ Dropped ("bad delta: " ^ e) ]
     | Ok _, None -> [ Dropped "delta without local state" ]
-    | Ok d, Some mine -> (
-      match Controller.apply_delta mine d with
+    | Ok d, Some r -> (
+      match Replica.apply_delta r d with
       | Error e -> [ Dropped ("delta rejected: " ^ e) ]
-      | Ok (mine, out) -> joined t ~delta:true mine out))
+      | Ok out -> joined t ~delta:true out))
   | Client.Message blob -> (
-    match (Proto.decode_message_stamped t.codec blob, t.ctrl) with
+    match (Proto.decode_message_stamped t.codec blob, t.replica) with
     | Error e, _ -> [ Dropped ("bad message: " ^ e) ]
     | Ok _, None -> [ Dropped "message before the state transfer" ]
-    | Ok (stamp, m), Some c -> (
+    | Ok (stamp, m), Some r -> (
       (* the blob decoded, but applying it is what validates its
          semantics: a buggy or hostile peer must not abort this site *)
-      match Controller.receive c m with
-      | exception e -> [ Dropped ("rejected message: " ^ exn_detail e) ]
-      | c, emitted ->
-        t.ctrl <- Some c;
+      match Replica.receive r m with
+      | Error e -> [ Dropped ("rejected message: " ^ e) ]
+      | Ok emitted ->
         Option.iter
           (fun (s : Proto.stamp) -> M.observe t.e2e_ns (Obs.Clock.now_ns () - s.Proto.s_ns))
           stamp;
-        record t (Persist.Received m);
         List.iter (send t) emitted;
         [ Integrated m ]))
   | Client.Beacon blob -> (
-    match (Proto.decode_frontier blob, t.ctrl) with
+    match (Proto.decode_frontier blob, t.replica) with
     | Error e, _ -> [ Dropped ("bad frontier: " ^ e) ]
     | Ok _, None -> []
-    | Ok entries, Some c ->
-      t.ctrl <-
-        Some
-          (List.fold_left
-             (fun c (b : Proto.beacon) ->
-               Controller.receive_beacon c ~peer:b.Proto.b_site ~clock:b.Proto.b_clock
-                 ~version:b.Proto.b_version)
-             c entries);
+    | Ok entries, Some r ->
+      Replica.absorb r entries;
       [])
   | (Client.Connected | Client.Disconnected _ | Client.Reconnecting _ | Client.Gave_up _) as ev
     ->
@@ -181,33 +150,19 @@ let step ?timeout_ms t =
    | None -> ());
   notices
 
-(* Journal before broadcast: the group must never hold a request its
-   origin site could forget in a crash. *)
-let generate t op =
-  match t.ctrl with
+let issue t f =
+  match t.replica with
   | None -> Error "not joined yet"
-  | Some c -> (
-    match Controller.generate c op with
-    | _, Controller.Denied reason -> Error reason
-    | c, Controller.Accepted m ->
-      t.ctrl <- Some c;
-      record t (Persist.Generated op);
-      send t m;
-      Ok m)
+  | Some r ->
+    let issued = f r in
+    Result.iter (send t) issued;
+    issued
 
-let admin t op =
-  match t.ctrl with
-  | None -> Error "not joined yet"
-  | Some c -> (
-    match Controller.admin_update c op with
-    | Error e -> Error e
-    | Ok (c, m) ->
-      t.ctrl <- Some c;
-      record t (Persist.Admin_cmd op);
-      send t m;
-      Ok m)
+let generate t op = issue t (fun r -> Replica.generate r op)
+let admin t op = issue t (fun r -> Replica.admin r op)
 
 let close t =
   Client.close t.client;
-  checkpoint t;
-  Option.iter Persist.close t.journal
+  match t.replica with
+  | Some r -> Replica.close r
+  | None -> Option.iter Persist.close t.journal

@@ -1,38 +1,23 @@
 (** One networked editor site: the paper's Generate / Receive / Validate
     algorithms driven over a relay connection.
 
-    A site owns one {!Client}, its controller (absent until the first
-    state transfer, unless local state was recovered or parked), the
-    optional {!Dce_store.Persist} journal with the messages its recovery
-    re-emitted, and a fixed 5 s compaction cadence — the hub's
-    [compact_ms] default.  Every editor (p2pedit [--connect], loadgen,
-    the tests and benches) is a thin caller of this module: it calls
-    {!step} from its own loop, reacts to the returned {!notice}s with its
-    own printing and counting, and issues edits through {!generate} and
-    {!admin}.
+    A site is one {!Client}, one {!Dce_store.Replica} (absent until the
+    first state transfer, unless local state was recovered or parked),
+    the messages a journal recovery re-emitted, and a fixed 5 s
+    compaction cadence — the hub's [compact_ms] default.  Every editor
+    (p2pedit [--connect], loadgen, the tests and benches) is a thin
+    caller of this module: it calls {!step} from its own loop, reacts to
+    the returned {!notice}s with its own printing and counting, and
+    issues edits through {!generate} and {!admin}.
 
-    What {!step} does with each {!Client.event}:
-    - a snapshot is loaded and, when the site holds local state,
-      replayed through it ({!Dce_core.Controller.catch_up}); otherwise
-      the site {!Dce_core.Controller.rejoin}s from it;
-    - a delta is applied ({!Dce_core.Controller.apply_delta});
-    - either transfer is checkpointed to the journal, then the messages
-      it returned — plus, on the first join, the recovered re-emissions
-      — are sent;
-    - a message is received, journaled, and whatever the receive
-      emitted (the administrator's validations) is sent;
-    - a beacon is folded into the stability frontier.
-
-    Invariants, whatever the caller:
-    - {b journal before broadcast}: a generated request or admin command
-      is recorded before it is sent;
-    - {b checkpoint-then-clamp}: compaction never cuts past
-      {!Dce_store.Persist.checkpoint_clock}; when the stable frontier
-      has moved past the durable cut, a checkpoint is taken first;
-    - {b always resume}: every (re)connect presents the live
-      controller's clock and policy version, so the hub can answer with
-      a delta instead of a snapshot, and the trace stamp reads the same
-      controller. *)
+    {!step} hands each {!Client.event} to the replica — a snapshot to
+    [catch_up] (or [rejoin] when the site holds no state), a delta to
+    [apply_delta], a message to [receive], a beacon to [absorb] — and
+    sends what it returns; the first join also sends the recovered
+    re-emissions.  The journal rules are the replica's.  The site adds
+    one: every (re)connect presents the live controller's clock and
+    policy version, so the hub can answer with a delta instead of a
+    snapshot, and the trace stamp reads the same controller. *)
 
 type 'e notice =
   | Joined of { delta : bool; resent : int }
@@ -63,7 +48,8 @@ val create :
     [owed] the recovery's re-emissions, sent right after the first
     join.  [journal] must belong to [state] (or be empty).  [metrics]
     re-attaches meters to loaded controllers and holds the
-    [e2e.propagation_ns] histogram; [trace] goes to loaded controllers. *)
+    [e2e.propagation_ns] histogram; [trace] goes to loaded controllers
+    and the replica. *)
 
 val step : ?timeout_ms:int -> 'e t -> 'e notice list
 (** One {!Client.step} (blocking at most [timeout_ms], default 0), its
@@ -80,15 +66,15 @@ val admin :
 (** Algorithm 4, generation side; journaled and sent like {!generate}. *)
 
 val compact : 'e t -> unit
-(** Compact now, under checkpoint-then-clamp ({!step} does this every
+(** Compact now, never past the durable cut ({!step} does this every
     5 s). *)
 
 val controller : 'e t -> 'e Dce_core.Controller.t option
 val client : 'e t -> Client.t
 
 val journal_errors : 'e t -> int
-(** Failed checkpoints so far: durability degraded, the session kept
-    running. *)
+(** Failed journal appends and checkpoints so far: durability
+    degraded, the session kept running. *)
 
 val close : 'e t -> unit
 (** Close the client, then checkpoint and close the journal. *)

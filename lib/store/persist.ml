@@ -40,11 +40,10 @@ let decode_record ec s = Codec.of_string (get_record ec) s
 type 'e t = {
   ec : 'e Proto.elt_codec;
   store : Store.t;
-  mutable has_snapshot : bool;
-  (* clock of the newest durable snapshot — the durability cut.  Log
+  (* clock of the newest durable snapshot — the durability cut; [None]
+     while there is no snapshot for the log to replay onto.  Log
      compaction must never outrun it: crash replay starts from the
-     snapshot and re-drives the WAL through [receive], so any log entry
-     above this clock must still be resendable by the snapshot state. *)
+     snapshot and re-drives the WAL through [receive]. *)
   mutable checkpoint_clock : Dce_ot.Vclock.t option;
 }
 
@@ -81,7 +80,6 @@ let opendir ?config ?io ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ~codec dir =
       {
         ec = codec;
         store;
-        has_snapshot = recovered.Store.snapshot <> None;
         checkpoint_clock = None;
       }
     in
@@ -139,14 +137,13 @@ let opendir ?config ?io ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ~codec dir =
               } ))))
 
 let record t r =
-  if not t.has_snapshot then
+  if Option.is_none t.checkpoint_clock then
     invalid_arg "Persist.record: checkpoint an initial state first";
   Store.append t.store (encode_record t.ec r)
 
 let checkpoint t c =
   match Store.checkpoint t.store (Proto.encode_state t.ec (Controller.dump c)) with
   | Ok () ->
-    t.has_snapshot <- true;
     t.checkpoint_clock <- Some (Controller.clock c);
     Ok ()
   | Error _ as e -> e
@@ -174,7 +171,6 @@ let fingerprint t c = Proto.fingerprint t.ec c
 
 let generation t = Store.generation t.store
 let records_since_checkpoint t = Store.records_since_checkpoint t.store
-let wal_size_bytes t = Store.wal_size_bytes t.store
 let dir t = Store.dir t.store
 let sync t = Store.sync t.store
 let close t = Store.close t.store

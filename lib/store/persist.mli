@@ -13,16 +13,8 @@
     equality, not just convergence — and the messages the replay emits
     are returned for (idempotent) re-broadcast.
 
-    Journal the inputs in arrival order.  Record a {!Received} message
-    {e after} [Controller.receive] accepts it — a hostile message that
-    makes [receive] raise must never enter the log, or recovery itself
-    would crash replaying it.  The narrow window this leaves (integrated
-    but not yet logged when the process dies) is covered by the sender's
-    idempotent re-broadcast: peers deduplicate, so receiving it twice is
-    harmless and receiving it zero-then-once is just delivery.  Locally
-    generated traffic may be recorded after acceptance but must be
-    recorded {e before} it is broadcast — otherwise a crash leaves the
-    group holding a request its own origin site no longer remembers. *)
+    When to record and when to checkpoint is {!Replica}'s to decide:
+    every process that journals drives its journal through one. *)
 
 open Dce_core
 
@@ -33,9 +25,6 @@ type 'e record =
   | Received of 'e Controller.message  (** input to [Controller.receive] *)
 
 val encode_record : 'e Dce_wire.Proto.elt_codec -> 'e record -> string
-
-val decode_record :
-  'e Dce_wire.Proto.elt_codec -> string -> ('e record, string) result
 
 type 'e t
 
@@ -79,11 +68,9 @@ val maybe_checkpoint : 'e t -> 'e Controller.t -> (bool, string) result
 
 val checkpoint_clock : 'e t -> Dce_ot.Vclock.t option
 (** The clock of the newest durable snapshot (set by {!checkpoint} and
-    by {!opendir} recovery; [None] on a fresh store) — the durability
-    cut.  Pass it as [Controller.compact ~limit] so log compaction never
-    outruns what a crash replay can rebuild: replay starts from the
-    snapshot, and every entry above this clock must still exist
-    somewhere the WAL's [receive] records can find it. *)
+    by {!opendir} recovery; [None] until the store has one) — the
+    durability cut, which {!compact} never compacts past: replay starts
+    from the snapshot and needs every later entry in the log. *)
 
 val compact :
   'e t -> 'e Controller.t -> 'e Controller.t * (bool, string) result
@@ -98,8 +85,6 @@ val fingerprint : 'e t -> 'e Controller.t -> string
 
 val generation : 'e t -> int
 val records_since_checkpoint : 'e t -> int
-val wal_size_bytes : 'e t -> int
 val dir : 'e t -> string
-
 val sync : 'e t -> unit
 val close : 'e t -> unit

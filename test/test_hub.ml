@@ -3,8 +3,9 @@
    exists to avoid), multi-doc isolation over real TCP, raw-socket
    multiplexing with attach/detach, hostile attach frames and the
    retired single-document greeting, two-hub federation with a late
-   joiner snapshotting from the leaf, delta resumes, and the editor
-   runtime's journal discipline. *)
+   joiner snapshotting from the leaf, delta resumes, the editor
+   runtime's journal discipline, and journal faults that degrade a hub
+   or an editor without stopping it. *)
 
 open Dce_ot
 open Dce_core
@@ -130,7 +131,7 @@ let mk_controller ~site text =
     (Tdoc.of_string text)
 
 let mk_hub ?metrics ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream ?(auto_create = false)
-    ?beacon_ms ?compact_ms ?(port = 0) () =
+    ?beacon_ms ?compact_ms ?journal ?(port = 0) () =
   let config = { Hub.default_config with Hub.hub_id; auto_create } in
   let config =
     match beacon_ms with None -> config | Some b -> { config with Hub.beacon_ms = b }
@@ -139,7 +140,7 @@ let mk_hub ?metrics ?(docs = [ "main" ]) ?(hub_id = 0) ?upstream ?(auto_create =
     match compact_ms with None -> config | Some c -> { config with Hub.compact_ms = c }
   in
   Hub.create ~config ?metrics ?upstream ~codec:Proto.char_codec
-    ~factory:(fun _doc -> Ok (mk_controller ~site:(relay_site + hub_id) "abc", None))
+    ~factory:(fun _doc -> Ok (mk_controller ~site:(relay_site + hub_id) "abc", journal))
     ~docs ~port ()
 
 (* every endpoint is a [Netd.Site], the one editor runtime; the test
@@ -875,9 +876,10 @@ let snapshot_fallback_test () =
 
 (* ----- Site: journaled editors ----- *)
 
-let mem_journal world =
+let mem_journal ?config world =
   match
-    Persist.opendir ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec "site"
+    Persist.opendir ?config ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec
+      "site"
   with
   | Ok jr -> jr
   | Error e -> Alcotest.failf "journal: %s" e
@@ -967,6 +969,110 @@ let journaled_compaction_test () =
     (Vclock.leq (Controller.compacted_upto (c1 ())) cut);
   List.iter close eps
 
+(* ----- journal faults: durability degrades, availability does not ----- *)
+
+(* A one-document hub journaling to [world] with fsync [always], from a
+   base snapshot of the controller its factory builds. *)
+let journaled_hub ?hub_id ?upstream world =
+  let config =
+    { Dce_store.Store.default_config with Dce_store.Store.fsync = Dce_store.Wal.Always }
+  in
+  let j, _ = mem_journal ~config world in
+  let site = relay_site + Option.value ~default:0 hub_id in
+  (match Persist.checkpoint j (mk_controller ~site "abc") with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "base snapshot: %s" e);
+  mk_hub ?hub_id ?upstream ~journal:j ()
+
+let hub_append_failure_test () =
+  let world = Io.Mem.create () in
+  let hub = journaled_hub world in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~port ~site:1 () in
+  let eps = [ ep0; ep1 ] in
+  require "both joined"
+    (pump_until [ hub ] eps (fun () -> ctrl ep0 <> None && ctrl ep1 <> None));
+  (Io.Mem.faults world).Io.Mem.fail_fsync_after <- 1;
+  edit ep1 0 'x';
+  require "the edit still reaches the peer"
+    (pump_until [ hub ] eps (fun () -> doc_of ep0 = "xabc" && List.for_all settled eps));
+  Alcotest.(check int) "one journal error" 1 (Hub.journal_errors hub);
+  Alcotest.(check string) "healthz degraded" "degraded" (json_status (Hub.healthz hub ()));
+  List.iter close eps
+
+(* A short append leaves a torn frame at the log's tail: the replica
+   checkpoints at once, so a later edit lands in a fresh generation's
+   log and survives a crash. *)
+let site_append_failure_test () =
+  let hub = mk_hub () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let world = Io.Mem.create () in
+  let j, _ = mem_journal world in
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~journal:j ~port ~site:1 () in
+  let eps = [ ep0; ep1 ] in
+  require "both joined"
+    (pump_until [ hub ] eps (fun () -> ctrl ep0 <> None && ctrl ep1 <> None));
+  (Io.Mem.faults world).Io.Mem.short_append_after <- 1;
+  edit ep1 0 'x';
+  require "the edit still reaches the peer"
+    (pump_until [ hub ] eps (fun () -> doc_of ep0 = "xabc" && List.for_all settled eps));
+  Alcotest.(check int) "one journal error" 1 (Site.journal_errors ep1.s);
+  edit ep1 0 'y';
+  require "a later edit too"
+    (pump_until [ hub ] eps (fun () -> doc_of ep0 = "yxabc" && List.for_all settled eps));
+  (* kill -9: only the journal survives *)
+  Io.Mem.crash world;
+  let _, recovered = mem_journal world in
+  Alcotest.(check string) "reopening recovers the later edit" "yxabc"
+    (Tdoc.visible_string (Controller.document (Option.get recovered.Persist.controller)));
+  List.iter close eps
+
+(* The join's checkpoint is a fresh journal's first: when it fails, the
+   next record lays down the base snapshot instead. *)
+let site_base_snapshot_test () =
+  let hub = mk_hub () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown hub) @@ fun () ->
+  let port = Hub.port hub in
+  let world = Io.Mem.create () in
+  let j, _ = mem_journal world in
+  (Io.Mem.faults world).Io.Mem.fail_atomic_write_after <- 1;
+  let ep0 = mk_endpoint ~port ~site:0 () in
+  let ep1 = mk_endpoint ~journal:j ~port ~site:1 () in
+  let eps = [ ep0; ep1 ] in
+  require "both joined"
+    (pump_until [ hub ] eps (fun () -> ctrl ep0 <> None && ctrl ep1 <> None));
+  Alcotest.(check int) "the join's checkpoint failed" 1 (Site.journal_errors ep1.s);
+  Alcotest.(check bool) "no base snapshot yet" true (Persist.checkpoint_clock j = None);
+  edit ep1 0 'x';
+  Alcotest.(check bool) "the edit's record laid down the base snapshot" true
+    (Persist.checkpoint_clock j <> None);
+  require "the edit reaches the peer"
+    (pump_until [ hub ] eps (fun () -> doc_of ep0 = "xabc" && List.for_all settled eps));
+  Io.Mem.crash world;
+  let _, recovered = mem_journal world in
+  Alcotest.(check string) "and survives a crash" "xabc"
+    (Tdoc.visible_string (Controller.document (Option.get recovered.Persist.controller)));
+  List.iter close eps
+
+(* The leaf merges the home's greeting snapshot into its replica; a
+   failed checkpoint of that merge must show in the leaf's health. *)
+let leaf_merge_checkpoint_test () =
+  let home = mk_hub ~hub_id:1 () in
+  Fun.protect ~finally:(fun () -> Hub.shutdown home) @@ fun () ->
+  let world = Io.Mem.create () in
+  let leaf = journaled_hub ~hub_id:2 ~upstream:("127.0.0.1", Hub.port home) world in
+  Fun.protect ~finally:(fun () -> Hub.shutdown leaf) @@ fun () ->
+  (Io.Mem.faults world).Io.Mem.fail_atomic_write_after <- 1;
+  require "the leaf linked up and merged the home's snapshot"
+    (pump_until [ home; leaf ] [] (fun () ->
+         Hub.upstream_connected leaf && Hub.journal_errors leaf > 0));
+  Alcotest.(check int) "one journal error" 1 (Hub.journal_errors leaf);
+  Alcotest.(check string) "healthz degraded" "degraded" (json_status (Hub.healthz leaf ()))
+
 (* ----- the retired single-document greeting ----- *)
 
 let retired_hello_test () =
@@ -1040,5 +1146,16 @@ let () =
             `Quick journaled_reopen_test;
           Alcotest.test_case "a journaled site never compacts past its durable cut"
             `Quick journaled_compaction_test;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "a failed append degrades the hub, the edit still relays"
+            `Quick hub_append_failure_test;
+          Alcotest.test_case "a torn append degrades the site; a later edit survives"
+            `Quick site_append_failure_test;
+          Alcotest.test_case "a site whose first checkpoint failed keeps editing" `Quick
+            site_base_snapshot_test;
+          Alcotest.test_case "a leaf's failed merge checkpoint degrades its health" `Quick
+            leaf_merge_checkpoint_test;
         ] );
     ]

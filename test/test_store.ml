@@ -920,6 +920,114 @@ let compact_tests =
         Alcotest.(check bool) "the controller is returned untouched" true (c' == c));
   ]
 
+(* ----- the journaled replica ----- *)
+
+module Replica = Dce_store.Replica
+
+let reopen world =
+  ok_exn "reopen"
+    (Persist.opendir ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec "j")
+
+let issue what = function
+  | Ok m -> m
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let replica_tests =
+  [
+    Alcotest.test_case "a replica on a fresh store cuts the base snapshot" `Quick (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let c = mk_ctrl ~site:0 "ab" in
+        let r = Replica.create ~journal:j c in
+        Alcotest.(check bool) "the durable cut is the controller's clock" true
+          (Persist.checkpoint_clock j = Some (Controller.clock c));
+        Alcotest.(check int) "no journal error" 0 (Replica.journal_errors r));
+    Alcotest.test_case "generate and admin are on the log before they return" `Quick
+      (fun () ->
+        let world = Io.Mem.create () in
+        let j =
+          fst
+            (ok_exn "open"
+               (Persist.opendir ~config:(cfg ~fsync:Wal.Always ()) ~io:(Io.Mem.io world)
+                  ~eq:Char.equal ~codec:Proto.char_codec "j"))
+        in
+        let r = Replica.create ~journal:j (mk_ctrl ~site:0 "ab") in
+        let doc = Controller.document (Replica.controller r) in
+        ignore (issue "generate" (Replica.generate r (Tdoc.ins_visible doc 0 'x')));
+        ignore
+          (issue "admin"
+             (Replica.admin r
+                (Admin_op.Add_auth
+                   (0, Auth.deny [ Subject.User 1 ] [ Docobj.Whole ] [ Right.Insert ]))));
+        let pre = fp (Replica.controller r) in
+        (* power loss right after: only what was fsynced survives *)
+        Io.Mem.crash ~power_loss:true world;
+        let j, recovered = reopen world in
+        Alcotest.(check int) "both inputs replayed" 2 recovered.Persist.replayed;
+        Alcotest.(check int) "and re-emitted" 2 (List.length recovered.Persist.emitted);
+        Alcotest.(check string) "fingerprint-exact" pre
+          (fp (Option.get recovered.Persist.controller));
+        Persist.close j);
+    Alcotest.test_case "a receive that raises changes neither controller nor journal" `Quick
+      (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let r = Replica.create ~journal:j (mk_ctrl ~site:0 "ab") in
+        (* well framed, but an insert far beyond the receiver's document *)
+        let donor = mk_ctrl ~site:1 "abcdefghij" in
+        let _, bad = gen_accept donor (Tdoc.ins_visible (Controller.document donor) 9 'Z') in
+        let before = Replica.controller r in
+        let records = Persist.records_since_checkpoint j in
+        (match Replica.receive r bad with
+         | Ok _ -> Alcotest.fail "applied an out-of-range insert"
+         | Error _ -> ());
+        Alcotest.(check bool) "the controller is untouched" true
+          (Replica.controller r == before);
+        Alcotest.(check int) "nothing was recorded" records
+          (Persist.records_since_checkpoint j));
+    Alcotest.test_case "catch_up and apply_delta checkpoint the merged state" `Quick
+      (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let r = Replica.create ~journal:j (mk_ctrl ~site:1 "ab") in
+        let donor = ref (mk_ctrl ~site:0 "ab") in
+        let edit ch =
+          donor := fst (gen_accept !donor (Tdoc.ins_visible (Controller.document !donor) 0 ch))
+        in
+        let at_merged_clock what =
+          let c = Replica.controller r in
+          Alcotest.(check bool) (what ^ ": the donor's edits arrived") true
+            (Dce_ot.Vclock.leq (Controller.clock !donor) (Controller.clock c));
+          Alcotest.(check bool) (what ^ ": the durable cut is the merged clock") true
+            (Persist.checkpoint_clock j = Some (Controller.clock c))
+        in
+        edit 'x';
+        ignore (Replica.catch_up r !donor);
+        at_merged_clock "catch_up";
+        let c = Replica.controller r in
+        edit 'y';
+        let d =
+          Option.get
+            (Controller.delta_since !donor ~clock:(Controller.clock c)
+               ~version:(Controller.version c))
+        in
+        ignore (issue "apply_delta" (Replica.apply_delta r d));
+        at_merged_clock "apply_delta";
+        Alcotest.(check string) "both edits are in" "yxab"
+          (Tdoc.visible_string (Controller.document (Replica.controller r))));
+    Alcotest.test_case "close checkpoints" `Quick (fun () ->
+        let world = Io.Mem.create () in
+        let j = mem_journal world in
+        let r = Replica.create ~journal:j (mk_ctrl ~site:0 "ab") in
+        let doc = Controller.document (Replica.controller r) in
+        ignore (issue "generate" (Replica.generate r (Tdoc.ins_visible doc 0 'x')));
+        let gen = Persist.generation j in
+        Replica.close r;
+        Alcotest.(check int) "a new generation" (gen + 1) (Persist.generation j);
+        let j, recovered = reopen world in
+        Alcotest.(check int) "nothing left to replay" 0 recovered.Persist.replayed;
+        Alcotest.(check string) "the snapshot holds the edit" (fp (Replica.controller r))
+          (fp (Option.get recovered.Persist.controller));
+        Persist.close j);
+  ]
+
 let () =
   Alcotest.run "dce_store"
     [
@@ -930,4 +1038,5 @@ let () =
       ("persist", persist_tests);
       ("recovery", recovery_tests);
       ("compact", compact_tests);
+      ("replica", replica_tests);
     ]

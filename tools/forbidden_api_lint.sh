@@ -22,6 +22,17 @@
 #                 decide the process's fate; a library error is a result
 #                 or an exception.
 #
+#   journal-bypass  Persist.{record,maybe_checkpoint,checkpoint,compact}
+#                 or Controller.{catch_up,apply_delta,rejoin} in lib/ or
+#                 bin/, outside lib/core, lib/store and lib/check.  The
+#                 journal rules (journal before broadcast, record after
+#                 receive accepts, checkpoint after a state transfer,
+#                 never compact past the durable cut) are written once,
+#                 in Dce_store.Replica; a daemon or editor that calls
+#                 these itself is a second copy of them.  Comments count:
+#                 point them at Replica.  Tests and bench/ are exempt —
+#                 they drive the layers directly.
+#
 # Allowlist: tools/forbidden_api_allowlist.txt, one "<rule> <path>" per
 # line ('#' comments).  An entry exempts the whole file for that rule —
 # keep entries rare and justified inline.
@@ -70,6 +81,10 @@ report lib-print "$@"
 
 set -- $(grep -rnE '(^|[^.[:alnum:]_])(Stdlib\.)?exit [0-9]' lib 2>/dev/null) || true
 report lib-exit "$@"
+
+set -- $(grep -rnE '(Persist\.(record|maybe_checkpoint|checkpoint|compact)|Controller\.(catch_up|apply_delta|rejoin))([^[:alnum:]_]|$)' lib bin 2>/dev/null \
+  | grep -vE '^lib/(core|store|check)/') || true
+report journal-bypass "$@"
 
 IFS=$old_ifs
 
