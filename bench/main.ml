@@ -580,6 +580,109 @@ let run_core_admin () =
         t_recv moved per_moved)
     [ 1_000; 10_000 ]
 
+(* ----- session length: the administrative log |L| -----
+
+   Every remote request the administrator accepts adds a Validate to L.
+   These sessions run [build_steady_site]'s loop with the user
+   generating, so every request is validated; beacons and compaction run
+   every [steady_compact_every] requests, so the window stays near zero
+   and compaction cuts L at the stable version.  Each point times the
+   administrator's receive of one more user request (the interval
+   recheck over L, then integration) and counts [encode_state] bytes,
+   whole and without the document: the tombstone document grows with
+   every edit whatever compaction does, the rest is what compaction
+   bounds.
+
+   In the pinned session the user never applies a validation (its
+   administrative stream stalls): it keeps editing at version 0, so the
+   stable version stays 0 and nothing is cut, while its clock — and so
+   the administrator's cooperative window — stays current.  Every
+   recheck then spans all of L, and only L's version index keeps it
+   flat.  (A registered member that never speaks would pin the window
+   too, and the administrator's receive would then pay integration
+   against the whole log, which says nothing about L.)  CI gates on the
+   ratios against the 1k point, which are machine-portable. *)
+
+let build_session ~validated ~pinned =
+  let text = String.init 1_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let mk site =
+    C.create ~eq:Char.equal ~site ~admin:adm ~policy:steady_policy (Tdoc.of_string text)
+  in
+  let a = ref (mk adm) in
+  let u = ref (mk user) in
+  for i = 1 to validated do
+    (match C.generate !u (random_op ~ins_pct:50 (C.document !u)) with
+     | u', C.Accepted m ->
+       let a', validations = C.receive !a m in
+       a := a';
+       u :=
+         if pinned then u'
+         else List.fold_left (fun u v -> fst (C.receive u v)) u' validations
+     | _, C.Denied r -> failwith ("session bench build: denied: " ^ r));
+    if i mod steady_compact_every = 0 then begin
+      let clock, version = C.beacon !u in
+      a := C.compact (C.receive_beacon !a ~peer:user ~clock ~version);
+      let clock, version = C.beacon !a in
+      u := C.compact (C.receive_beacon !u ~peer:adm ~clock ~version)
+    end
+  done;
+  (!a, !u)
+
+let run_session_length ~quick () =
+  Printf.printf
+    "== core: session length (administrative log, compact every %d) ==\n"
+    steady_compact_every;
+  Printf.printf "%12s %10s %7s %7s %7s %10s %10s %10s\n" "point" "validated" "|L|" "cut"
+    "window" "recv/s" "state(B)" "logs(B)";
+  let points =
+    [ ("l1k", 1_000, false); ("l20k", 20_000, false); ("l20k_pinned", 20_000, true) ]
+    @ if quick then [] else [ ("l100k", 100_000, false) ]
+  in
+  let sessions =
+    List.map
+      (fun (_, validated, pinned) ->
+        let a, u = build_session ~validated ~pinned in
+        (* one more user request, received (never kept) by every call *)
+        match C.generate u (Tdoc.ins_visible (C.document u) 0 'z') with
+        | _, C.Accepted m -> (a, m)
+        | _, C.Denied r -> failwith r)
+      points
+  in
+  (* interleaved best-of-5 batches, as in [run_steady] *)
+  let best = Array.make (List.length points) max_int in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i (a, m) ->
+        best.(i) <- min best.(i) (batch_ns (fun () -> ignore (C.receive a m))))
+      sessions
+  done;
+  let put k v = Obs.Metrics.add (Obs.Metrics.counter bench_metrics k) v in
+  let encoded st = String.length (Dce_wire.Proto.Char_proto.encode_state st) in
+  let rows =
+    List.mapi
+      (fun i ((name, validated, _), (a, _)) ->
+        let per_s = 1_000_000_000 / best.(i) in
+        let st = C.dump a in
+        let state = encoded st and logs = encoded { st with C.st_doc = [] } in
+        let log = C.admin_log a in
+        put ("core.receive_per_s." ^ name) per_s;
+        put ("core.state_bytes." ^ name) state;
+        put ("core.log_bytes." ^ name) logs;
+        Printf.printf "%12s %10d %7d %7d %7d %10d %10d %10d\n" name validated
+          (Admin_log.live log) (Admin_log.cut log) (C.window_len a) per_s state logs;
+        (name, (per_s, logs)))
+      (List.combine points sessions)
+  in
+  let pct f num den = 100 * f (List.assoc num rows) / max 1 (f (List.assoc den rows)) in
+  let recv = pct fst and logs = pct snd in
+  put "core.receive_l20k_vs_l1k_pct" (recv "l20k" "l1k");
+  put "core.receive_l20k_pinned_vs_l1k_pct" (recv "l20k_pinned" "l1k");
+  put "core.log_bytes_l20k_vs_l1k_pct" (logs "l20k" "l1k");
+  Printf.printf
+    "receive at l20k holds %d%% of the l1k rate, %d%% pinned (gates: >= 50); state \
+     without the document is %d%% of l1k's at l20k (gate: <= 150)\n"
+    (recv "l20k" "l1k") (recv "l20k_pinned" "l1k") (logs "l20k" "l1k")
+
 let run_core ~quick () =
   Printf.printf "== core: engine scaling baseline%s ==\n"
     (if quick then " (quick)" else "");
@@ -608,6 +711,8 @@ let run_core ~quick () =
   run_delta_sync ();
   print_newline ();
   run_core_admin ();
+  print_newline ();
+  run_session_length ~quick ();
   print_newline ()
 
 (* ----- E6: Fig. 7 ----- *)

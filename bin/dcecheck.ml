@@ -15,6 +15,8 @@
                                                        # kill -9 + recovery at every point
      dune exec bin/dcecheck.exe -- --crash --stability 1 --sites 2 --mutant no-clamp
                                                        # seeded bug: must exit 1
+     dune exec bin/dcecheck.exe -- --stability 2 --coop 2 --sites 2 --mutant cut-unstable
+                                                       # seeded bug: must exit 1
 
    With --crash K every non-admin site is killed (kill -9 over its
    journal, run through the real store stack in memory) after its K-th
@@ -23,6 +25,9 @@
    exactness, fallback-generation recovery, and the durability clamp
    are checked as additional oracles.  --mutant no-clamp deliberately
    skips the clamp, as a sanity check that the checker catches it.
+   --mutant cut-unstable cuts the administrative log at each site's own
+   version instead of its stable version; the per-state cut oracle (no
+   cut above any member's version) must catch it.
 
    Exit status: 0 all green, 1 a violation was found, 2 state cap hit. *)
 
@@ -180,10 +185,11 @@ let main sites coop admin_ops mixed initial stability crash mutant no_retro no_i
     match mutant with
     | None -> Ok None
     | Some "no-clamp" -> Ok (Some Explore.No_clamp)
+    | Some "cut-unstable" -> Ok (Some Explore.Cut_unstable)
     | Some m -> Error m
   with
   | Error m ->
-    Format.eprintf "unknown --mutant %S (known: no-clamp)@." m;
+    Format.eprintf "unknown --mutant %S (known: no-clamp, cut-unstable)@." m;
     2
   | Ok mutant ->
     if smoke then run_smoke max_states
@@ -244,8 +250,9 @@ let mutant =
   Arg.(value & opt (some string) None
        & info [ "mutant" ] ~docv:"NAME"
            ~doc:"Run with a deliberately seeded bug (known: no-clamp, which compacts \
-                 past the durable cut) — the checker must find a violation, proving \
-                 the crash oracles have teeth.")
+                 past the durable cut; cut-unstable, which cuts the administrative \
+                 log above the stable version) — the checker must find a violation, \
+                 proving the crash and cut oracles have teeth.")
 
 let no_retro =
   Arg.(value & flag & info [ "no-retro"; "no-undo" ] ~doc:"Disable retroactive undo (Fig. 2 hole).")

@@ -85,15 +85,13 @@ let policies a b =
   List.rev !changes
 
 let trajectory log =
-  let rec go v acc =
-    if v > L.version log then List.rev acc
-    else
+  List.map
+    (fun (r : Dce_core.Admin_op.request) ->
+      let v = r.Dce_core.Admin_op.version in
       let a = Option.get (L.policy_at log (v - 1)) in
       let b = Option.get (L.policy_at log v) in
-      let r = Option.get (L.request_at log v) in
-      go (v + 1) ((r, policies a b) :: acc)
-  in
-  go 1 []
+      (r, policies a b))
+    (L.requests log)
 
 let affects changes ~user ~right ~pos =
   List.exists

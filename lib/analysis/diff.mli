@@ -24,8 +24,10 @@ val policies : Dce_core.Policy.t -> Dce_core.Policy.t -> change list
 
 val trajectory :
   Dce_core.Admin_log.t -> (Dce_core.Admin_op.request * change list) list
-(** Blast radius of every administrative step: the decision changes
-    between consecutive versions of the log, oldest first. *)
+(** Blast radius of every administrative step the log keeps: the
+    decision changes between each request's version and the one before,
+    oldest first.  (A cut log has dropped [Validate]s, which change
+    nothing.) *)
 
 val affects : change list -> user:Dce_core.Subject.user -> right:Dce_core.Right.t ->
   pos:int option -> bool

@@ -28,7 +28,7 @@ type violation = {
 
 type outcome = Exhausted | Found of violation | Capped
 
-type mutant = No_clamp
+type mutant = No_clamp | Cut_unstable
 
 (* ----- the transition system ----- *)
 
@@ -79,6 +79,9 @@ type node = {
      [persist], in which case every input is journaled through the real
      store stack and Crash/Recover become executable *)
   journals : (Subject.user * jsite) list;
+  (* every administrative request as first issued: the security oracles'
+     ground truth, which no site's cut may shorten *)
+  ghost : Admin_log.t;
 }
 
 let mid_of_message = function
@@ -143,6 +146,8 @@ let schedule_of_string s =
 let initial scenario =
   let ctrls = Scenario.controllers scenario in
   {
+    ghost =
+      Admin_log.create ~admin:(List.hd scenario.Scenario.sites) scenario.Scenario.policy;
     ctrls;
     msgs = [];
     scripts = List.filter (fun (_, s) -> s <> []) scenario.Scenario.scripts;
@@ -206,15 +211,50 @@ let put_in_flight node src payloads =
       (fun m -> { mid = mid_of_message m; payload = Pmsg m; pending = dests })
       payloads
   in
-  { node with msgs = node.msgs @ fresh }
+  let issue ghost = function
+    | Controller.Admin r when r.Admin_op.version > Admin_log.version ghost -> (
+      match Admin_log.append ghost r with
+      | Ok ghost -> ghost
+      | Error e -> failwith ("administrative request issued out of order: " ^ e))
+    | _ -> ghost
+  in
+  {
+    node with
+    msgs = node.msgs @ fresh;
+    ghost = List.fold_left issue node.ghost payloads;
+  }
+
+(* The [Cut_unstable] mutant: the shipped cut of L, bounded by the
+   site's own version instead of its stable version. *)
+let cut_unstable c =
+  let st = Controller.dump c in
+  match
+    Admin_log.of_requests ~admin:st.Controller.st_initial_admin
+      st.Controller.st_initial_policy st.Controller.st_admin_requests
+  with
+  | Error e -> failwith e
+  | Ok log -> (
+    let log = Admin_log.compact log ~upto:(Controller.version c) in
+    match
+      Controller.load ~eq:Char.equal
+        { st with Controller.st_admin_requests = Admin_log.requests log }
+    with
+    | Ok c -> c
+    | Error e -> failwith e)
 
 (* Execute one event.  Every step is a deterministic function of the
    node, so a schedule identifies a unique run.  Returns the successor
    and a human-readable line describing what happened.  [mutant]
    deliberately miscompiles one discipline (for checker-sanity runs):
    [No_clamp] compacts straight to the stability frontier, skipping the
-   durability clamp and the pre-compaction checkpoint. *)
-let exec ?mutant node = function
+   durability clamp and the pre-compaction checkpoint; [Cut_unstable]
+   cuts L at the site's own version. *)
+let exec ?mutant node =
+  let compact ?limit c =
+    let c = Controller.compact ?limit c in
+    match mutant with Some Cut_unstable -> cut_unstable c | _ -> c
+  in
+  function
   | Act u ->
     let action, rest =
       match List.assoc u node.scripts with
@@ -272,7 +312,7 @@ let exec ?mutant node = function
      | Scenario.Compact ->
        (match List.assoc_opt u node.journals with
         | None ->
-          let c = Controller.compact c in
+          let c = compact c in
           ( set_ctrl u c node,
             Printf.sprintf "site %d: compact (window %d)" u (Controller.window_len c) )
         | Some j ->
@@ -284,7 +324,7 @@ let exec ?mutant node = function
              ( set_ctrl u c (set_jsite u { j with jclean = false } node),
                Printf.sprintf "site %d: compact UNCLAMPED (window %d)" u
                  (Controller.window_len c) )
-           | None ->
+           | None | Some Cut_unstable ->
              (* the hub/p2pedit discipline: clamp the cut to the durable
                 checkpoint, taking a fresh checkpoint first when the
                 frontier has moved past it (durability leads, GC
@@ -302,7 +342,7 @@ let exec ?mutant node = function
                 ( set_jsite u j node,
                   Printf.sprintf "site %d: compact skipped (no durable cut)" u )
               | Some limit ->
-                let c = Controller.compact ~limit c in
+                let c = compact ~limit c in
                 ( set_ctrl u c (set_jsite u { j with jclean = false } node),
                   Printf.sprintf "site %d: compact (window %d, clamped)" u
                     (Controller.window_len c) ))))
@@ -500,7 +540,8 @@ let fp_controller ?(stab = true) ppf c =
      canonical state (the bound tables come sorted from
      [User_map.bindings]) *)
   if stab then begin
-    Format.fprintf ppf "|G:%a|Pi:" fp_clock st.Controller.st_compacted;
+    Format.fprintf ppf "|G:%a|Lc:%d|Pi:" fp_clock st.Controller.st_compacted
+      (Admin_log.cut (Controller.admin_log c));
     List.iter (fp_bound ppf) st.Controller.st_peer_integrated;
     Format.fprintf ppf "|Ph:";
     List.iter (fp_bound ppf) st.Controller.st_peer_admin_hint;
@@ -538,6 +579,12 @@ let fingerprint node =
   List.iter
     (fun (u, s) -> Format.fprintf ppf "S%d:%d" u (List.length s))
     node.scripts;
+  (* without stability nothing is cut, so the ghost is the longest log
+     some site holds plus what is in flight: already printed *)
+  if node.stab then begin
+    Format.fprintf ppf "W:";
+    List.iter (fp_admin_request ppf) (Admin_log.requests node.ghost)
+  end;
   List.iter
     (fun (u, k) -> Format.fprintf ppf "B%d:%d" u k)
     (List.sort compare node.bseq);
@@ -570,7 +617,8 @@ let fingerprint node =
    the administrator validated it (validation totally orders the
    request before any later revocation — the Fig. 4 mechanism), and the
    current version otherwise.  Requests issued by the administrator of
-   their generation version are legal by authority. *)
+   their generation version are legal by authority.  Every answer comes
+   from the node's ghost log, never from a site's (cuttable) L. *)
 
 let denial_between log ~lo ~hi ~user ~right ~pos =
   let rec go v =
@@ -605,11 +653,10 @@ let legal log (q : char Request.t) =
       let pos = Op.pos q.Request.gen_op in
       denial_between log ~lo:q.Request.policy_version ~hi ~user ~right ~pos = None
 
-let security_violation ctrls =
+let security_violation log ctrls =
   match ctrls with
   | [] -> None
   | (_, c0) :: _ ->
-    let log = Controller.admin_log c0 in
     List.find_map
       (fun (q : char Request.t) ->
         match (q.Request.flag, legal log q) with
@@ -630,26 +677,44 @@ let security_violation ctrls =
         | _ -> None)
       (Oplog.requests (Controller.oplog c0))
 
-let admin_log_violation ctrls =
-  match ctrls with
-  | [] | [ _ ] -> None
-  | (u0, c0) :: rest ->
-    let dump c =
-      List.map
-        (fun r -> Format.asprintf "%a" fp_admin_request r)
-        (Admin_log.requests (Controller.admin_log c))
-    in
-    let d0 = dump c0 in
-    List.find_map
-      (fun (u, c) ->
-        if dump c = d0 then None
-        else
+(* Every site's L against the ghost: the same version, the same policy
+   and administrator at every version (so no cut dropped an entry that
+   changes either), and the same requests above the site's own cut. *)
+let admin_log_violation ghost ctrls =
+  let policy_key p = (Policy.users p, Policy.groups p, Policy.objects p, Policy.auths p) in
+  let fp_requests = List.map (Format.asprintf "%a" fp_admin_request) in
+  List.find_map
+    (fun (u, c) ->
+      let log = Controller.admin_log c in
+      let v = Admin_log.version log in
+      let differs_at w =
+        Option.map policy_key (Admin_log.policy_at log w)
+        <> Option.map policy_key (Admin_log.policy_at ghost w)
+        || Admin_log.admin_at log w <> Admin_log.admin_at ghost w
+      in
+      let cut = Admin_log.cut log in
+      if v <> Admin_log.version ghost then
+        Some
+          (Printf.sprintf "site %d is at version %d, but %d administrative requests \
+                           were issued" u v (Admin_log.version ghost))
+      else
+        match List.find_opt differs_at (List.init (v + 1) Fun.id) with
+        | Some w ->
           Some
             (Printf.sprintf
-               "administrative logs of sites %d and %d disagree (%d vs %d requests)" u0 u
-               (List.length d0)
-               (List.length (dump c))))
-      rest
+               "site %d: policy or administrator at version %d differs from the \
+                administrative history as issued" u w)
+        | None ->
+          if
+            Option.map fp_requests (Admin_log.suffix log cut)
+            <> Option.map fp_requests (Admin_log.suffix ghost cut)
+          then
+            Some
+              (Printf.sprintf
+                 "site %d: administrative requests above its cut v%d differ from \
+                  those issued" u cut)
+          else None)
+    ctrls
 
 (* The PR 9 cross-layer invariant, checked at *every* explored state
    (not only frontiers): a journaled site must never garbage-collect
@@ -676,7 +741,34 @@ let durability_violation node =
                u Vclock.pp gc Vclock.pp cut))
     node.journals
 
-let frontier_violation ctrls =
+(* Checked at every explored state: a site may cut L only at versions
+   every group member has applied, or a member could never be sent what
+   it lacks (catch-up and delta would have to ship a gapped suffix).
+   Members are the cutting site's registered users. *)
+let admin_cut_violation node =
+  List.find_map
+    (fun (u, c) ->
+      let cut = Admin_log.cut (Controller.admin_log c) in
+      let members = Policy.users (Controller.policy c) in
+      List.find_map
+        (fun (w, cw) ->
+          if w <> u && List.mem w members && Controller.version cw < cut then
+            Some
+              (Printf.sprintf
+                 "site %d cut its administrative log at v%d, but member %d is at v%d \
+                  and can no longer be sent what it lacks"
+                 u cut w (Controller.version cw))
+          else None)
+        node.ctrls)
+    node.ctrls
+
+let state_violation node =
+  match durability_violation node with
+  | Some _ as v -> v
+  | None -> admin_cut_violation node
+
+let frontier_violation node =
+  let ctrls = node.ctrls in
   let cs = List.map snd ctrls in
   let report = Convergence.check cs in
   if not (Convergence.ok report) then
@@ -687,10 +779,10 @@ let frontier_violation ctrls =
     in
     Some (report, detail)
   else
-    match admin_log_violation ctrls with
+    match admin_log_violation node.ghost ctrls with
     | Some d -> Some (report, d)
     | None -> (
-      match security_violation ctrls with
+      match security_violation node.ghost ctrls with
       | Some d -> Some (report, d)
       | None -> None)
 
@@ -737,7 +829,7 @@ let run ?metrics ?(max_states = 1_000_000) ?mutant scenario =
     let inflight = in_flight node in
     if inflight > !peak_inflight then peak_inflight := inflight;
     let proceed sleep =
-      (match durability_violation node with
+      (match state_violation node with
        | Some detail ->
          let report = Convergence.check (List.map snd node.ctrls) in
          raise (Stop (Found { schedule = List.rev path; report; detail }))
@@ -745,7 +837,7 @@ let run ?metrics ?(max_states = 1_000_000) ?mutant scenario =
       if node.msgs = [] && all_alive node then begin
         incr frontiers;
         m_frontiers ();
-        match frontier_violation node.ctrls with
+        match frontier_violation node with
         | Some (report, detail) ->
           raise (Stop (Found { schedule = List.rev path; report; detail }))
         | None -> ()
@@ -874,7 +966,7 @@ let replay ?(drain = true) ?mutant scenario schedule =
       (* latch the invariant like the explorer does: a later checkpoint
          could advance the cut and mask the violation *)
       if !crashed = None then
-        crashed := durability_violation n
+        crashed := state_violation n
     | exception Document.Edit_conflict msg ->
       crashed :=
         Some
@@ -906,7 +998,7 @@ let replay ?(drain = true) ?mutant scenario schedule =
     | Some _ as c -> c
     | None ->
       if !node.msgs <> [] || not (all_alive !node) then None
-      else Option.map snd (frontier_violation !node.ctrls)
+      else Option.map snd (frontier_violation !node)
   in
   {
     controllers = !node.ctrls;

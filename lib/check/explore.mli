@@ -16,8 +16,12 @@
     frontier} — a state with no message in flight — the paper's oracles
     must hold: convergence of document/policy/version
     ({!Dce_sim.Convergence}), no accepted-illegal or rejected-legal
-    request (the Figs. 2–4 holes, checked against the administrative
-    log's ground truth), and administrative-log agreement.
+    request (the Figs. 2–4 holes, checked against a ghost log of every
+    administrative request as first issued, which is never cut), and
+    administrative-log agreement with that ghost: the same policy and
+    administrator at every version, and the same requests above each
+    site's cut.  At {e every} state, no site may have cut its
+    administrative log above the version of any group member.
 
     Tractability comes from two mechanisms.  {e Canonical state hashing}:
     semantically equal states reached by different event orders are
@@ -62,11 +66,17 @@ type outcome =
   | Found of violation
   | Capped  (** gave up at [max_states] *)
 
-type mutant = No_clamp
+type mutant =
+  | No_clamp
       (** checker-sanity seeded bug: [Compact] garbage-collects straight
           to the stability frontier, skipping the durability clamp and
           the pre-compaction checkpoint (the discipline the hub and
           p2pedit implement).  A crash-mode run must catch it. *)
+  | Cut_unstable
+      (** checker-sanity seeded bug: [Compact] cuts the administrative
+          log at the site's own version instead of its stable version
+          (the shipped {!Dce_core.Admin_log.compact} with the wrong
+          bound).  Any stability run must catch it. *)
 
 val run :
   ?metrics:Dce_obs.Metrics.t ->

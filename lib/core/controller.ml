@@ -40,6 +40,8 @@ type meters = {
   g_version : M.gauge;
   g_window : M.gauge;
   g_compacted : M.gauge;
+  g_admin_live : M.gauge;
+  g_admin_cut : M.gauge;
   g_stable_lag : M.gauge;
 }
 
@@ -66,6 +68,8 @@ let meters_of metrics =
     g_version = M.gauge reg "controller.policy_version";
     g_window = M.gauge reg "controller.window_len";
     g_compacted = M.gauge reg "controller.compacted_upto";
+    g_admin_live = M.gauge reg "controller.admin_log_live";
+    g_admin_cut = M.gauge reg "controller.admin_cut";
     g_stable_lag = M.gauge reg "controller.stable_lag";
   }
 
@@ -160,7 +164,9 @@ let note_levels t =
   M.set t.m.g_version (version t);
   if M.enabled t.m.reg then begin
     M.set t.m.g_window (Oplog.live_length t.oplog);
-    M.set t.m.g_compacted (Vclock.sum (Oplog.compacted_upto t.oplog))
+    M.set t.m.g_compacted (Vclock.sum (Oplog.compacted_upto t.oplog));
+    M.set t.m.g_admin_live (Admin_log.live t.admin_log);
+    M.set t.m.g_admin_cut (Admin_log.cut t.admin_log)
   end;
   t
 
@@ -196,9 +202,24 @@ let note_integrated t (q : 'e Request.t) =
   let bound = (Request.clock_after q, q.Request.policy_version) in
   { t with peer_integrated = User_map.add peer bound t.peer_integrated }
 
+(* Advertised bounds merge monotonically (clocks merge, versions max), so
+   a stale, duplicated or reordered advertisement is a no-op: a
+   duplicate of an old administrative request must not move the
+   frontier back. *)
+let merge_bound peer (clock, version) table =
+  User_map.update peer
+    (function
+      | Some (old_clock, old_version) ->
+        Some (Vclock.merge old_clock clock, max old_version version)
+      | None -> Some (clock, version))
+    table
+
 let note_admin_hint t (r : Admin_op.request) =
-  let bound = (r.Admin_op.ctx, r.Admin_op.version) in
-  { t with peer_admin_hint = User_map.add r.Admin_op.admin bound t.peer_admin_hint }
+  {
+    t with
+    peer_admin_hint =
+      merge_bound r.Admin_op.admin (r.Admin_op.ctx, r.Admin_op.version) t.peer_admin_hint;
+  }
 
 (* A wire beacon from [w] advertises [w]'s own delivery clock, so like an
    admin hint it bounds [w]'s future requests only once every [w]-edit it
@@ -234,14 +255,7 @@ let stable_version t =
 
 let receive_beacon t ~peer ~clock ~version =
   if peer = t.site then t
-  else
-    let clock, version =
-      match User_map.find_opt peer t.peer_beacon with
-      | Some (old_clock, old_version) ->
-        (Vclock.merge old_clock clock, max old_version version)
-      | None -> (clock, version)
-    in
-    { t with peer_beacon = User_map.add peer (clock, version) t.peer_beacon }
+  else { t with peer_beacon = merge_bound peer (clock, version) t.peer_beacon }
 
 (* What this site advertises to peers: its own delivery clock and policy
    version.  Everything counted here has been integrated locally. *)
@@ -257,15 +271,22 @@ let stable_lag t =
    outruns the durable snapshot: replay after a crash starts from the
    snapshot and must find every entry it needs either in the snapshot or
    the WAL — an entry dropped below the snapshot cut satisfies that, one
-   dropped above it would not). *)
+   dropped above it would not).  The cut of L needs no clamp: replay
+   only appends to L and never reads a dropped Validate, and the
+   snapshot's own L is complete above that snapshot's cut. *)
 let compact ?limit t =
   let stable = stable_frontier t in
   let stable =
     match limit with None -> stable | Some l -> Vclock.meet stable l
   in
+  let stable_version = stable_version t in
   M.set t.m.g_stable_lag (Vclock.sum t.clock - Vclock.sum stable);
   note_levels
-    { t with oplog = Oplog.compact ~stable ~stable_version:(stable_version t) t.oplog }
+    {
+      t with
+      oplog = Oplog.compact ~stable ~stable_version t.oplog;
+      admin_log = Admin_log.compact t.admin_log ~upto:stable_version;
+    }
 
 (* ----- Algorithm 2: local generation ----- *)
 
@@ -592,18 +613,11 @@ let dump t =
   }
 
 let load ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ?metrics s =
-  let rec replay l = function
-    | [] -> Ok l
-    | r :: rest -> (
-        match Admin_log.append l r with
-        | Ok l -> replay l rest
-        | Error e -> Error ("corrupt administrative history: " ^ e))
-  in
   match
-    replay (Admin_log.create ~admin:s.st_initial_admin s.st_initial_policy)
+    Admin_log.of_requests ~admin:s.st_initial_admin s.st_initial_policy
       s.st_admin_requests
   with
-  | Error _ as e -> e
+  | Error e -> Error ("corrupt administrative history: " ^ e)
   | Ok admin_log ->
     Ok
       {
@@ -712,13 +726,29 @@ let replay_history t history =
 
 (* Requests of ours a donor at [donor_clock]/[donor_version] never saw:
    put them back on the wire (receivers deduplicate, so over-sending is
-   harmless). *)
+   harmless).  A donor below our cut of L lacks versions nobody can
+   resend: it needs a full snapshot, and a gapped administrative suffix
+   would only park in its queue for good, so none is sent. *)
 let unacked_by t ~donor_clock ~donor_version =
   let unacked_admin =
-    Admin_log.requests t.admin_log
-    |> List.filter (fun (r : Admin_op.request) ->
-           r.Admin_op.admin = t.site && r.Admin_op.version > donor_version)
-    |> List.map (fun r -> Admin r)
+    match Admin_log.suffix t.admin_log donor_version with
+    | Some rs ->
+      List.filter_map
+        (fun (r : Admin_op.request) ->
+          if r.Admin_op.admin = t.site then Some (Admin r) else None)
+        rs
+    | None ->
+      if Dce_obs.Trace.enabled t.trace then
+        ev t
+          (Dce_obs.Trace.Net
+             {
+               peer = t.site;
+               action = "heal_impossible";
+               detail =
+                 Printf.sprintf "donor at v%d, behind our administrative cut v%d"
+                   donor_version (Admin_log.cut t.admin_log);
+             });
+      []
   in
   let donor_floor = Vclock.get donor_clock t.site in
   let unacked_coop =
@@ -743,15 +773,23 @@ let validate_backlog t =
       (t, []) (tentative t)
   else (t, [])
 
+(* The one state-transfer guard: [donor]'s logs still hold everything a
+   site at [clock]/[version] lacks — neither the oplog's cut nor L's is
+   above it.  Below either cut the dropped entries cannot be resent, and
+   the joiner needs the donor's whole state. *)
+let resumable donor ~clock ~version =
+  Vclock.leq (Oplog.compacted_upto donor.oplog) clock
+  && Admin_log.cut donor.admin_log <= version
+
 let catch_up t donor =
-  if Vclock.leq (Oplog.compacted_upto donor.oplog) t.clock then begin
+  if resumable donor ~clock:t.clock ~version:(version t) then begin
     (* Reconstruct the donor's whole (remaining) history as ordinary
        messages and push it through [receive].  Administrative requests
        go first so the version sequence — and with it the administrator
        identity at every point — is settled before cooperative traffic
-       integrates.  Sound even though the donor's log is compacted: every
-       dropped entry is below the donor's cut, which our own clock
-       dominates, so we already hold it. *)
+       integrates.  Sound even though the donor's logs are compacted:
+       every dropped entry is below a cut that our own clock and version
+       dominate, so we already hold it. *)
     let history =
       List.map (fun r -> Admin r) (Admin_log.requests donor.admin_log)
       @ List.map
@@ -772,10 +810,10 @@ let catch_up t donor =
     (note_levels t, replayed @ unacked @ validations)
   end
   else begin
-    (* The donor compacted past this site's clock: entries we lack were
-       dropped from the donor's log for good, so a replay would be
-       silently incomplete.  Adopt the donor's state wholesale instead
-       (rejoin semantics), then re-feed and re-broadcast our own
+    (* The donor compacted past this site's clock or version: entries
+       we lack were dropped from the donor's logs for good, so a replay
+       would be silently incomplete.  Adopt the donor's state wholesale
+       instead (rejoin semantics), then re-feed and re-broadcast our own
        unacknowledged requests — the only part of our divergent state
        the group may not already hold.  Messages parked in our queues are
        other sites' traffic; their origins (or any donor) redeliver them. *)
@@ -812,18 +850,11 @@ type 'e delta = {
 }
 
 let delta_since donor ~clock ~version =
-  (* Only offered when the joiner's clock dominates the donor's cut:
-     below the cut the donor has dropped entries it cannot resend, and a
-     joiner that lacks any of them needs the full snapshot.  At or above
-     it, the joiner's clock counts exactly what it has integrated, so
-     the entries it does not count are exactly what it lacks. *)
-  if not (Vclock.leq (Oplog.compacted_upto donor.oplog) clock) then None
-  else
-    let dl_admin =
-      List.filter
-        (fun (r : Admin_op.request) -> r.Admin_op.version > version)
-        (Admin_log.requests donor.admin_log)
-    in
+  (* Only offered when [resumable]: at or above both cuts, the joiner's
+     clock counts exactly what it has integrated, so the entries it does
+     not count are exactly what it lacks. *)
+  match Admin_log.suffix donor.admin_log version with
+  | Some dl_admin when resumable donor ~clock ~version ->
     let dl_coop =
       normal_requests donor.oplog
       |> List.filter (fun (q : 'e Request.t) ->
@@ -842,10 +873,16 @@ let delta_since donor ~clock ~version =
         dl_coop_queue = List.rev donor.coop_queue;
         dl_admin_queue = List.rev donor.admin_queue;
       }
+  | _ -> None
 
 let apply_delta t (d : 'e delta) =
   if not (Vclock.leq d.dl_compacted t.clock) then
     Error "delta starts past this site's clock: full snapshot required"
+  else if
+    match d.dl_admin with
+    | r :: _ -> r.Admin_op.version > version t + 1
+    | [] -> false
+  then Error "delta starts past this site's version: full snapshot required"
   else begin
     let history =
       List.map (fun r -> Admin r) d.dl_admin

@@ -102,7 +102,9 @@ val create :
     [denied_local] / [admin_applied] / [undone] / [dups] at the
     corresponding decision points, and level gauges
     [controller.pending_coop] / [pending_admin] / [oplog_live] /
-    [doc_visible] / [policy_version] refreshed after each transition.
+    [doc_visible] / [policy_version] refreshed after each transition
+    (plus [window_len] / [compacted_upto] / [admin_log_live] /
+    [admin_cut] when the registry is enabled).
     Omitted, every update is a dead branch, like the null sink. *)
 
 val with_metrics : Dce_obs.Metrics.t -> 'e t -> 'e t
@@ -236,13 +238,14 @@ val catch_up : 'e t -> 'e t -> 'e t * 'e message list
     down.  Symmetric: if the {e donor} is the stale side, the replay
     no-ops and the returned messages heal the donor instead.
 
-    If the donor's log is compacted {e past} this site's clock, a replay
-    would be silently incomplete (the donor dropped entries we lack for
-    good), so [catch_up] detects it and falls back to adopting the
-    donor's state wholesale ({!rejoin} semantics) — except that, unlike
-    a bare [rejoin], this site's own unacknowledged requests are
-    re-fed and re-broadcast, so nothing of ours the group might miss is
-    lost.  Messages parked in the local receive queues are other sites'
+    If the donor's log is compacted {e past} this site's clock, or its
+    administrative log past this site's version, a replay would be
+    silently incomplete (the donor dropped entries we lack for good), so
+    [catch_up] detects it (the guard {!delta_since} applies too) and
+    falls back to adopting the donor's state wholesale ({!rejoin}
+    semantics) — except that, unlike a bare [rejoin], this site's own
+    unacknowledged requests are re-fed and re-broadcast, so nothing of
+    ours the group might miss is lost.  Messages parked in the local receive queues are other sites'
     traffic and are redelivered by their origins. *)
 
 (* {2 Log garbage collection (paper §7's future work)}
@@ -301,12 +304,16 @@ val stable_lag : 'e t -> int
     [controller.stable_lag], refreshed on {!compact}. *)
 
 val compact : ?limit:Dce_ot.Vclock.t -> 'e t -> 'e t
-(** Drop the stable prefix of the cooperative log.  Safe to call at any
-    time; typically after {!receive}.  The document (including
-    tombstones) is untouched.  [limit] clamps the cut (pointwise meet):
-    journaled sessions pass their last durable snapshot's clock so the
-    compaction cut never outruns the durability cut — crash replay must
-    find every entry it needs either in the snapshot or the WAL. *)
+(** Drop the stable prefix of the cooperative log, and the [Validate]
+    entries of the administrative log at or below {!stable_version}
+    ({!Admin_log.compact}).  Safe to call at any time; typically after
+    {!receive}.  The document (including tombstones) is untouched.
+    [limit] clamps the cooperative cut (pointwise meet): journaled
+    sessions pass their last durable snapshot's clock so the compaction
+    cut never outruns the durability cut — crash replay must find every
+    entry it needs either in the snapshot or the WAL.  The
+    administrative cut needs no clamp: replay never reads a dropped
+    [Validate]. *)
 
 (* {2 Delta catch-up}
 
@@ -331,14 +338,15 @@ val delta_since :
   'e t -> clock:Dce_ot.Vclock.t -> version:int -> 'e delta option
 (** [delta_since donor ~clock ~version]: the suffix a joiner that has
     integrated exactly [clock] / [version] still lacks.  [None] when the
-    donor's log is compacted past [clock] — the dropped entries cannot be
-    resent, so the joiner needs a full snapshot ({!catch_up} on an
-    encoded state). *)
+    donor's log is compacted past [clock], or its administrative log past
+    [version] — the dropped entries cannot be resent, so the joiner needs
+    a full snapshot ({!catch_up} on an encoded state). *)
 
 val apply_delta : 'e t -> 'e delta -> ('e t * 'e message list, string) result
 (** Replay a donor's {!delta_since} result through this site's own
     {!receive} (same re-derivation discipline as {!catch_up}) and return
     the messages to broadcast (unacknowledged local requests, admin
     backlog validations).  [Error] if the delta's cut is above this
-    site's clock — the receiver-side guard against a donor that compacted
+    site's clock, or its administrative suffix starts above [version t +
+    1] — the receiver-side guards against a donor that compacted
     concurrently with the handshake; fall back to a full snapshot. *)

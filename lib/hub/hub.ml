@@ -530,6 +530,7 @@ let doc_window_gauges t s =
   let ctrl = Session.controller s in
   let g name v = M.set (M.gauge t.reg (M.with_label name ~key:"doc" ~value:doc)) v in
   g "hub.window_len" (Controller.window_len ctrl);
+  g "hub.admin_log_len" (Dce_core.Admin_log.live (Controller.admin_log ctrl));
   g "hub.compacted_upto" (Vclock.sum (Controller.compacted_upto ctrl));
   g "hub.stable_lag" (Controller.stable_lag ctrl)
 

@@ -265,6 +265,26 @@ let crash_tests =
         Alcotest.(check bool)
           "the production discipline passes the same schedule" false
           (Shrink.fails s minimal));
+    Alcotest.test_case "cut-unstable mutant is caught and shrinks" `Quick (fun () ->
+        let s =
+          Scenario.make ~features:secure ~stability:2 ~sites:2 ~coop:2 ~admin_ops:1 ()
+        in
+        let v =
+          expect_found "cut-unstable" (Explore.run ~mutant:Explore.Cut_unstable s)
+        in
+        Alcotest.(check bool)
+          "cut oracle named" true
+          (contains v.Explore.detail "cut its administrative log");
+        let minimal = Shrink.minimize ~mutant:Explore.Cut_unstable s v.Explore.schedule in
+        Alcotest.(check bool)
+          "shrunk" true
+          (List.length minimal < List.length v.Explore.schedule);
+        Alcotest.(check bool)
+          "minimal schedule still fails under the mutant" true
+          (Shrink.fails ~mutant:Explore.Cut_unstable s minimal);
+        Alcotest.(check bool)
+          "the production cut passes the same schedule" false
+          (Shrink.fails s minimal));
     Alcotest.test_case "crash scenario weaves the pair into non-admin scripts" `Quick
       (fun () ->
         let s = Scenario.make ~crash:1 ~sites:3 ~coop:2 ~admin_ops:1 () in

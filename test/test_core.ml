@@ -292,10 +292,68 @@ let admin_log_tests =
             l
             (mk_reqs [ Admin_op.Add_user 9; Admin_op.Del_user 9; Admin_op.Add_user 10 ])
         in
-        Alcotest.(check int) "one restrictive after v0" 1
-          (List.length (Admin_log.restrictive_since l 0));
-        Alcotest.(check int) "none after v2" 0
-          (List.length (Admin_log.restrictive_since l 2)));
+        Alcotest.(check (list int)) "one restrictive after v0: the Del_user" [ 2 ]
+          (Admin_log.restrictive_since l 0);
+        Alcotest.(check (list int)) "still there after v1" [ 2 ]
+          (Admin_log.restrictive_since l 1);
+        Alcotest.(check (list int)) "none after v2" [] (Admin_log.restrictive_since l 2));
+    Alcotest.test_case "the cut drops settled Validates only" `Quick (fun () ->
+        let p0 = all_rights_policy [ adm; s1 ] in
+        let validate k = Admin_op.Validate { Request.site = s1; serial = k } in
+        let deny = Auth.deny [ Subject.User s1 ] [ Docobj.Whole ] [ Right.Delete ] in
+        let l =
+          List.fold_left
+            (fun l r -> Result.get_ok (Admin_log.append l r))
+            (Admin_log.create ~admin:adm p0)
+            (mk_reqs
+               [
+                 Admin_op.Add_auth (0, deny);
+                 validate 1;
+                 validate 2;
+                 Admin_op.Del_auth 0;
+                 validate 3;
+                 validate 4;
+               ])
+        in
+        let c = Admin_log.compact l ~upto:5 in
+        let versions l = List.map (fun r -> r.Admin_op.version) (Admin_log.requests l) in
+        Alcotest.(check (list int)) "kept" [ 1; 4; 6 ] (versions c);
+        Alcotest.(check int) "cut" 5 (Admin_log.cut c);
+        Alcotest.(check int) "live" 3 (Admin_log.live c);
+        Alcotest.(check int) "version" 6 (Admin_log.version c);
+        Alcotest.(check (list int)) "restrictive" [ 1; 4 ] (Admin_log.restrictive_since c 0);
+        for v = 0 to 6 do
+          let granted l =
+            Policy.check (Option.get (Admin_log.policy_at l v)) ~user:s1
+              ~right:Right.Delete ~pos:(Some 0)
+          in
+          Alcotest.(check bool) (Printf.sprintf "policy at v%d" v) (granted l) (granted c);
+          Alcotest.(check (option int))
+            (Printf.sprintf "admin at v%d" v) (Admin_log.admin_at l v)
+            (Admin_log.admin_at c v);
+          Alcotest.(check (option int))
+            (Printf.sprintf "first denial from v%d" v)
+            (Admin_log.first_denial l ~from_version:v ~user:s1 ~right:Right.Delete
+               ~pos:(Some 0))
+            (Admin_log.first_denial c ~from_version:v ~user:s1 ~right:Right.Delete
+               ~pos:(Some 0))
+        done;
+        Alcotest.(check bool) "no suffix below the cut" true (Admin_log.suffix c 4 = None);
+        Alcotest.(check (option (list int))) "suffix at the cut" (Some [ 6 ])
+          (Option.map (List.map (fun r -> r.Admin_op.version)) (Admin_log.suffix c 5));
+        Alcotest.(check (list int)) "the newest request always stays" [ 1; 4; 6 ]
+          (versions (Admin_log.compact c ~upto:99));
+        (* a dump with gaps reloads with the same cut; one that does not
+           ascend is corrupt *)
+        let back = Result.get_ok (Admin_log.of_requests ~admin:adm p0 (Admin_log.requests c)) in
+        Alcotest.(check int) "reloaded cut" 5 (Admin_log.cut back);
+        Alcotest.(check int) "reloaded version" 6 (Admin_log.version back);
+        Alcotest.(check bool) "reloaded policy"
+          (Policy.check (Admin_log.current l) ~user:s1 ~right:Right.Delete ~pos:None)
+          (Policy.check (Admin_log.current back) ~user:s1 ~right:Right.Delete ~pos:None);
+        let rs = Admin_log.requests c in
+        Alcotest.(check bool) "repeated version rejected" true
+          (Result.is_error (Admin_log.of_requests ~admin:adm p0 (rs @ rs))));
   ]
 
 (* ----- Controller scenarios (paper Figs. 2-5) ----- *)
@@ -557,6 +615,22 @@ let controller_unit_tests =
         let u = recv u m1 in
         Alcotest.(check int) "both applied" 2 (C.version u);
         Alcotest.(check int) "queue empty" 0 (C.pending_admin u));
+    Alcotest.test_case "a duplicate admin request never moves stable_version back"
+      `Quick (fun () ->
+        let policy = all_rights_policy [ adm; s1 ] in
+        let a = C.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
+        let u = C.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0 in
+        let _, ms =
+          List.fold_left
+            (fun (a, ms) k ->
+              let a, m = ok_admin a (Admin_op.Add_obj (Printf.sprintf "o%d" k, Docobj.Whole)) in
+              (a, ms @ [ m ]))
+            (a, []) [ 1; 2; 3; 4; 5 ]
+        in
+        let u = List.fold_left recv u ms in
+        Alcotest.(check int) "v5 stable" 5 (C.stable_version u);
+        let u, _ = C.receive u (List.nth ms 2) in
+        Alcotest.(check int) "still v5 after a duplicate of v3" 5 (C.stable_version u));
     Alcotest.test_case "tentative then validated" `Quick (fun () ->
         let policy = all_rights_policy [ adm; s1; s2 ] in
         let a = C.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
@@ -654,6 +728,91 @@ let session_tests =
         Alcotest.(check string) "insert still fine" "abc!" (Session.visible_string s adm));
   ]
 
+(* ----- the cut of L through the controller ----- *)
+
+(* An administrator and a user: the user's three edits are validated at
+   v1..v3, the user applies the validations and beacons back, and the
+   administrator compacts.  Also returns the user as it was before the
+   validations reached it: a member restarted from an old snapshot. *)
+let cut_session ?metrics ?trace () =
+  let policy = all_rights_policy [ adm; s1 ] in
+  let a = C.create ?metrics ?trace ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
+  let u = C.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0 in
+  let u, qs =
+    List.fold_left
+      (fun (u, qs) c ->
+        let u, q, _ = ok_gen u (Op.ins 0 c) in
+        (u, qs @ [ q ]))
+      (u, []) [ 'x'; 'y'; 'z' ]
+  in
+  let a, vs =
+    List.fold_left
+      (fun (a, vs) q ->
+        let a, out = recv_admin a q in
+        (a, vs @ out))
+      (a, []) qs
+  in
+  let stale = u in
+  let u = List.fold_left recv u vs in
+  let clock, version = C.beacon u in
+  let a = C.compact (C.receive_beacon a ~peer:s1 ~clock ~version) in
+  (a, u, stale)
+
+let cut_tests =
+  [
+    Alcotest.test_case "compaction cuts L at the stable version; gauges show it" `Quick
+      (fun () ->
+        let metrics = Dce_obs.Metrics.create () in
+        let a, u, _ = cut_session ~metrics () in
+        let gauge name =
+          Dce_obs.Metrics.gauge_value (Dce_obs.Metrics.gauge metrics name)
+        in
+        Alcotest.(check int) "version" 3 (C.version a);
+        (* v3 is the newest request and stays *)
+        Alcotest.(check int) "cut" 2 (Admin_log.cut (C.admin_log a));
+        Alcotest.(check int) "controller.admin_cut" 2 (gauge "controller.admin_cut");
+        Alcotest.(check int) "controller.admin_log_live" 1
+          (gauge "controller.admin_log_live");
+        Alcotest.(check string) "content unchanged" (vis u) (vis a));
+    Alcotest.test_case "a member behind the cut gets no delta and catches up whole"
+      `Quick (fun () ->
+        let a, _, stale = cut_session () in
+        Alcotest.(check bool) "the oplog alone would allow a delta" true
+          (Vclock.leq (C.compacted_upto a) (C.clock stale));
+        Alcotest.(check bool) "no delta below the L cut" true
+          (C.delta_since a ~clock:(C.clock stale) ~version:(C.version stale) = None);
+        let caught, _ = C.catch_up stale a in
+        Alcotest.(check int) "caught up to v3" 3 (C.version caught);
+        Alcotest.(check int) "nothing parked" 0 (C.pending_admin caught);
+        Alcotest.(check string) "same document" (vis a) (vis caught);
+        (* a delta cut for a member at the cut does not apply below it *)
+        let d = Option.get (C.delta_since a ~clock:(C.clock stale) ~version:2) in
+        Alcotest.(check bool) "gapped delta rejected" true
+          (Result.is_error (C.apply_delta stale d)));
+    Alcotest.test_case "no gapped suffix is re-sent to a donor behind our cut" `Quick
+      (fun () ->
+        let events = ref [] in
+        let trace = Dce_obs.Trace.callback (fun e -> events := e :: !events) in
+        let a, _, stale = cut_session ~trace () in
+        let _, out = C.catch_up a stale in
+        Alcotest.(check bool) "no administrative request re-sent" true
+          (List.for_all (function C.Admin _ -> false | C.Coop _ -> true) out);
+        Alcotest.(check bool) "reported as heal_impossible" true
+          (List.exists
+             (fun (e : Dce_obs.Trace.event) ->
+               match e.Dce_obs.Trace.kind with
+               | Dce_obs.Trace.Net { action = "heal_impossible"; _ } -> true
+               | _ -> false)
+             !events));
+    Alcotest.test_case "a cut state round-trips through dump and load" `Quick (fun () ->
+        let a, _, _ = cut_session () in
+        let b = Result.get_ok (C.load ~eq:Char.equal (C.dump a)) in
+        Alcotest.(check int) "cut" (Admin_log.cut (C.admin_log a))
+          (Admin_log.cut (C.admin_log b));
+        Alcotest.(check int) "version" (C.version a) (C.version b);
+        Alcotest.(check bool) "same dump" true (C.dump a = C.dump b));
+  ]
+
 let () =
   Alcotest.run "dce_core"
     [
@@ -673,5 +832,6 @@ let () =
           Alcotest.test_case "Fig.5: full worked example converges to ayc" `Quick fig5;
         ] );
       ("controller", controller_unit_tests);
+      ("cut", cut_tests);
       ("session", session_tests);
     ]

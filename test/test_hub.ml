@@ -858,6 +858,21 @@ let snapshot_fallback_test () =
          (Controller.compacted_upto (Hub.controller hub))
   in
   require "hub compacts past the stale clock" (pump_until [ hub ] eps cut_past_stale);
+  (* the validations of ep1's and ep2's edits are settled everywhere, so
+     compaction also cuts the hub's administrative log, and the
+     per-document gauge reports what L keeps *)
+  let admin_log () = Controller.admin_log (Hub.controller hub) in
+  let gauge name =
+    try
+      List.assoc
+        (Obs.Metrics.with_label name ~key:"doc" ~value:"main")
+        (Obs.Metrics.gauges metrics)
+    with Not_found -> -1
+  in
+  require "hub cuts L and reports its length"
+    (pump_until [ hub ] eps (fun () ->
+         Dce_core.Admin_log.cut (admin_log ()) > 0
+         && gauge "hub.admin_log_len" = Dce_core.Admin_log.live (admin_log ())));
   let converged = doc_of ep0 in
   close ep1;
   (* resurrect site 1 from the stale state: the hosted log no longer

@@ -427,6 +427,192 @@ let policy_properties =
         fast = brute);
   ]
 
+(* ----- Admin_log against the list reference -----
+
+   Random histories over every administrative operation kind, cut at
+   random versions, replayed into the indexed log and into
+   [Admin_log_ref] (the list it replaced, which never drops an entry).
+   Every version must answer the same policy, administrator, restrictive
+   versions and first denial, and the suffix accessor must either match
+   the reference or refuse, below the cut only.  The log's operations are
+   passed as a record so that seeded mutants can stand in for them. *)
+
+type log_impl = {
+  compact : Admin_log.t -> upto:int -> Admin_log.t;
+  first_denial :
+    Admin_log.t -> from_version:int -> user:Subject.user -> right:Right.t ->
+    pos:int option -> int option;
+}
+
+let shipped_log = { compact = Admin_log.compact; first_denial = Admin_log.first_denial }
+
+(* one step's operation, every kind reachable; Validates weigh in as
+   often as the nine others together, as on a live session *)
+let admin_op_of k =
+  let u = k mod 4 and k' = k / 4 in
+  let subject =
+    match k' mod 3 with 0 -> Subject.Any | 1 -> Subject.User u | _ -> Subject.Group "g"
+  in
+  let obj =
+    match (k' / 3) mod 3 with
+    | 0 -> Docobj.Whole
+    | 1 -> Docobj.Zone { lo = 1; hi = 3 }
+    | _ -> Docobj.Named "n"
+  in
+  let right = List.nth Right.all ((k' / 9) mod List.length Right.all) in
+  match (k / 108) mod 18 with
+  | 0 -> Admin_op.Add_user u
+  | 1 -> Admin_op.Del_user u
+  | 2 -> Admin_op.Add_to_group ("g", u)
+  | 3 -> Admin_op.Del_from_group ("g", u)
+  | 4 -> Admin_op.Add_obj ("n", Docobj.Zone { lo = 0; hi = u })
+  | 5 -> Admin_op.Del_obj "n"
+  | 6 ->
+    Admin_op.Add_auth
+      ( 0,
+        if k mod 2 = 0 then Auth.grant [ subject ] [ obj ] [ right ]
+        else Auth.deny [ subject ] [ obj ] [ right ] )
+  | 7 -> Admin_op.Del_auth 0
+  | 8 -> Admin_op.Transfer_admin u
+  | _ -> Admin_op.Validate { Request.site = u; serial = k }
+
+(* (initial policy, steps): a step [(k, 0)] cuts at a version drawn from
+   [k], any other step appends [admin_op_of k] *)
+let gen_history =
+  QCheck2.Gen.(
+    pair gen_small_policy (list_size (int_range 0 30) (pair (int_range 0 100_000) (int_range 0 4))))
+
+let show_history (_, steps) =
+  String.concat "; "
+    (List.map
+       (fun (k, choice) ->
+         if choice = 0 then Printf.sprintf "cut(%d)" k
+         else Format.asprintf "%a" Admin_op.pp (admin_op_of k))
+       steps)
+
+(* replay a history into both logs; also returns the highest cut asked
+   for, a version every member has reached.  [None] once [append]
+   accepts a request the reference refuses, or the reverse. *)
+let replay_history impl (p0, steps) =
+  List.fold_left
+    (fun acc (k, choice) ->
+      match acc with
+      | None -> None
+      | Some (r, l, stable) ->
+        if choice = 0 then
+          let upto = k mod (Admin_log_ref.version r + 1) in
+          Some (r, impl.compact l ~upto, max stable upto)
+        else
+          let req =
+            {
+              Admin_op.admin = Admin_log_ref.current_admin r;
+              version = Admin_log_ref.version r + 1;
+              op = admin_op_of k;
+              ctx = Vclock.empty;
+            }
+          in
+          (match (Admin_log_ref.append r req, Admin_log.append l req) with
+           | Ok r, Ok l -> Some (r, l, stable)
+           | Error _, Error _ -> acc
+           | _ -> None))
+    (Some (Admin_log_ref.create ~admin:0 p0, Admin_log.create ~admin:0 p0, 0))
+    steps
+
+let policy_key p = (Policy.users p, Policy.groups p, Policy.objects p, Policy.auths p)
+
+let log_agrees impl history =
+  match replay_history impl history with
+  | None -> false
+  | Some (r, l, stable) ->
+  let n = Admin_log_ref.version r in
+  let probes =
+    List.concat_map
+      (fun user ->
+        List.concat_map
+          (fun right -> List.map (fun pos -> (user, right, pos)) [ None; Some 1; Some 4 ])
+          Right.all)
+      [ 0; 1; 2; 3 ]
+  in
+  let at v =
+    Option.map policy_key (Admin_log.policy_at l v)
+    = Option.map policy_key (Admin_log_ref.policy_at r v)
+    && Admin_log.admin_at l v = Admin_log_ref.admin_at r v
+    && Admin_log.restrictive_since l v
+       = List.map (fun q -> q.Admin_op.version) (Admin_log_ref.restrictive_since r v)
+    && (match Admin_log.suffix l v with
+        | Some rs ->
+          rs = List.filter (fun q -> q.Admin_op.version > v) (Admin_log_ref.requests r)
+        | None -> v < Admin_log.cut l && v < stable)
+    && List.for_all
+         (fun (user, right, pos) ->
+           impl.first_denial l ~from_version:v ~user ~right ~pos
+           = Admin_log_ref.first_denial r ~from_version:v ~user ~right ~pos)
+         probes
+  in
+  Admin_log.version l = n
+  && policy_key (Admin_log.current l) = policy_key (Admin_log_ref.current r)
+  && Admin_log.current_admin l = Admin_log_ref.current_admin r
+  && Admin_log.cut l <= stable
+  && List.for_all at (List.init (n + 3) (fun i -> i - 1))
+
+(* seeded mutants, each of which the differential must catch *)
+let off_by_one_denial t ~from_version ~user ~right ~pos =
+  (* skips a restrictive request at [from_version + 1] *)
+  let granted v =
+    match Admin_log.policy_at t v with
+    | Some p -> Policy.check p ~user ~right ~pos
+    | None -> false
+  in
+  if from_version > Admin_log.version t then None
+  else if not (granted from_version) then Some from_version
+  else
+    List.find_opt (fun v -> not (granted v))
+      (Admin_log.restrictive_since t (from_version + 1))
+
+let cut_a_change t ~upto =
+  (* the shipped cut, plus the oldest entry that changes the policy or
+     the administrator at or below [upto] *)
+  let t = Admin_log.compact t ~upto in
+  let rs = Admin_log.requests t in
+  match
+    List.find_opt
+      (fun (q : Admin_op.request) ->
+        q.Admin_op.version <= upto
+        && q.Admin_op.version < Admin_log.version t
+        && match q.Admin_op.op with Admin_op.Validate _ -> false | _ -> true)
+      rs
+  with
+  | None -> t
+  | Some victim -> (
+    match
+      Admin_log.of_requests ~admin:(Admin_log.initial_admin t) (Admin_log.initial t)
+        (List.filter (fun q -> q != victim) rs)
+    with
+    | Ok t' -> t'
+    | Error _ -> t)
+
+let admin_log_properties =
+  [
+    qtest "indexed log agrees with the list reference at every version, cut or not"
+      ~count:300 gen_history show_history (log_agrees shipped_log);
+    Alcotest.test_case "seeded mutants of the log are caught" `Quick (fun () ->
+        let cases =
+          QCheck2.Gen.generate ~rand:(Random.State.make [| 16 |]) ~n:300 gen_history
+        in
+        List.iter
+          (fun (name, impl) ->
+            Alcotest.(check bool) (name ^ " is caught") true
+              (List.exists (fun h -> not (log_agrees impl h)) cases))
+          [
+            ( "restrictive boundary off by one",
+              { shipped_log with first_denial = off_by_one_denial } );
+            ("a cut that drops an entry changing the policy", { shipped_log with compact = cut_a_change });
+            ( "a cut one version too high",
+              { shipped_log with compact = (fun t ~upto -> Admin_log.compact t ~upto:(upto + 1)) }
+            );
+          ]);
+  ]
+
 (* ----- Controller invariants ----- *)
 
 let controller_properties =
@@ -488,11 +674,13 @@ let controller_properties =
       (fun choices ->
         (* Two fleets run the SAME session in lockstep — same generations,
            same delivery schedule.  The [twin] fleet additionally absorbs
-           beacons and compacts its window at points chosen by the random
-           stream; [plain] never compacts.  Compaction is pure garbage
-           collection, so at quiescence every twin must be
-           content-fingerprint-identical to its plain double — and, with
-           every peer's beacon in hand, must compact its window to zero. *)
+           beacons and compacts its window (and its administrative log) at
+           points chosen by the random stream; [plain] never compacts.
+           Compaction is pure garbage collection, so at quiescence every
+           twin must be content-fingerprint-identical to its plain double,
+           answer the same policy and administrator at every version, and,
+           with every peer's beacon in hand, must compact its window to
+           zero. *)
         let nsites = 3 in
         let policy =
           Policy.make ~users:[ 0; 1; 2 ]
@@ -538,6 +726,18 @@ let controller_properties =
             enqueue site [ m ]
           | _, Controller.Denied _ -> ()
         in
+        (* a policy change, so L holds entries besides the Validates that
+           no cut may drop *)
+        let administer k =
+          let name = Printf.sprintf "o%d" (Controller.version plain.(0)) in
+          let op = Admin_op.Add_obj (name, Docobj.Zone { lo = 0; hi = k mod 5 }) in
+          match (Controller.admin_update plain.(0) op, Controller.admin_update twin.(0) op) with
+          | Ok (p, m), Ok (t, _) ->
+            plain.(0) <- p;
+            twin.(0) <- t;
+            enqueue 0 [ m ]
+          | _ -> ()
+        in
         let beacon_and_compact site =
           for peer = 0 to nsites - 1 do
             if peer <> site then begin
@@ -554,6 +754,7 @@ let controller_properties =
           (fun k ->
             let site = k mod nsites in
             match (k / nsites) mod 3 with
+            | 0 when site = 0 && (k / 9) mod 4 = 0 -> administer (k / 9)
             | 0 -> generate site (k / 9)
             | 1 -> deliver site
             | _ -> beacon_and_compact site)
@@ -581,7 +782,16 @@ let controller_properties =
                     (Controller.document twin.(i))
                && Vclock.equal (Controller.clock plain.(i)) (Controller.clock twin.(i))
                && Controller.version plain.(i) = Controller.version twin.(i)
-               && Controller.window_len twin.(i) = 0)));
+               && Controller.window_len twin.(i) = 0
+               &&
+               let lp = Controller.admin_log plain.(i)
+               and lt = Controller.admin_log twin.(i) in
+               List.for_all
+                 (fun v ->
+                   Option.map policy_key (Admin_log.policy_at lp v)
+                   = Option.map policy_key (Admin_log.policy_at lt v)
+                   && Admin_log.admin_at lp v = Admin_log.admin_at lt v)
+                 (List.init (Admin_log.version lp + 1) Fun.id))));
   ]
 
 (* ----- exhaustive small-scope transformation properties -----
@@ -623,6 +833,7 @@ let () =
       ("cursor", cursor_properties);
       ("oplog", oplog_properties);
       ("policy", policy_properties);
+      ("admin_log", admin_log_properties);
       ("controller", controller_properties);
       ("enum", enum_properties);
     ]

@@ -441,7 +441,22 @@ let golden_tests =
         Alcotest.(check bool) "the user retroactively undid its own request" true
           undone_own;
         Alcotest.(check string) "administrator" "2685b774b704d5d7189588f0c799aed9" (fp a);
-        Alcotest.(check string) "user" "a1f691b56ea5b389f398c8eaa4ff0b9a" (fp u));
+        Alcotest.(check string) "user" "a1f691b56ea5b389f398c8eaa4ff0b9a" (fp u);
+        (* the pinned bytes are the ones every earlier commit wrote: they
+           load, uncut, and re-encode to themselves *)
+        List.iter
+          (fun c ->
+            let blob = Proto.Char_proto.encode_state (Controller.dump c) in
+            match Proto.Char_proto.decode_state blob with
+            | Error e -> Alcotest.fail e
+            | Ok st -> (
+              match Controller.load ~eq:Char.equal st with
+              | Error e -> Alcotest.fail e
+              | Ok c' ->
+                Alcotest.(check int) "loads uncut" 0
+                  (Admin_log.cut (Controller.admin_log c'));
+                Alcotest.(check string) "round-trips" (fp c) (fp c')))
+          [ a; u ]);
   ]
 
 let () =
