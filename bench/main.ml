@@ -308,8 +308,18 @@ let core_point ~n ~h c =
         | Error e -> failwith e)
   in
   per_s "snapshot_decode" t_dec;
-  Printf.printf "%8s %8s %11.4f %11.4f %11.4f %11.3f %11.3f\n" (size_label n)
-    (size_label h) t_gen t_recv t_undo t_enc t_dec
+  (* the join side: decoding and then loading, where the document is
+     rebuilt from its cells *)
+  let t_load =
+    median_ms ~hist:(hist "snapshot_load") (fun () ->
+        match Dce_wire.Proto.Char_proto.decode_state blob with
+        | Error e -> failwith e
+        | Ok st -> (
+          match C.load ~eq:Char.equal st with Ok _ -> () | Error e -> failwith e))
+  in
+  per_s "snapshot_load" t_load;
+  Printf.printf "%8s %8s %11.4f %11.4f %11.4f %11.3f %11.3f %11.3f\n" (size_label n)
+    (size_label h) t_gen t_recv t_undo t_enc t_dec t_load
 
 (* new stack vs the pre-change representation, same run: integrate one
    remote insert at n=100k.  The reference side replays the old code
@@ -683,11 +693,40 @@ let run_session_length ~quick () =
      without the document is %d%% of l1k's at l20k (gate: <= 150)\n"
     (recv "l20k" "l1k") (recv "l20k_pinned" "l1k") (logs "l20k" "l1k")
 
+(* ----- the document's footprint -----
+
+   core.doc_words_per_100_cells.* count the words one tombstone document
+   holds per 100 model cells: [Obj.reachable_words] of the document
+   alone, so nothing two replicas could share is counted.  n100k is a
+   fresh [Tdoc.of_string]; n100k_edited is a 100k-cell site's document
+   after 3,000 seeded 50/25/25 edits through [Controller.generate],
+   divided by the model cells it then holds.  Both are exact for a given
+   compiler, so CI gates on them.  The op stream is reseeded here, so
+   the quick and the full run count the same edits. *)
+let run_doc_memory () =
+  rng := Dce_sim.Rng.of_int 2009;
+  let n = 100_000 in
+  let per_100_cells doc =
+    Obj.reachable_words (Obj.repr doc) * 100 / Tdoc.model_length doc
+  in
+  let fresh =
+    per_100_cells (Tdoc.of_string (String.init n (fun i -> Char.chr (97 + (i mod 26)))))
+  in
+  let edited = per_100_cells (C.document (build_core_site ~site:user ~n ~h:3_000)) in
+  let put k v = Obs.Metrics.add (Obs.Metrics.counter bench_metrics k) v in
+  put "core.doc_words_per_100_cells.n100k" fresh;
+  put "core.doc_words_per_100_cells.n100k_edited" edited;
+  Printf.printf
+    "== core: document footprint ==\n\
+     words per 100 cells at n=100k: fresh %d (gate: <= 200), after 3k edits %d \
+     (gate: <= 250)\n"
+    fresh edited
+
 let run_core ~quick () =
   Printf.printf "== core: engine scaling baseline%s ==\n"
     (if quick then " (quick)" else "");
-  Printf.printf "%8s %8s %11s %11s %11s %11s %11s\n" "n" "|H|" "gen(ms)"
-    "integ(ms)" "undo(ms)" "enc(ms)" "dec(ms)";
+  Printf.printf "%8s %8s %11s %11s %11s %11s %11s %11s\n" "n" "|H|" "gen(ms)"
+    "integ(ms)" "undo(ms)" "enc(ms)" "dec(ms)" "load(ms)";
   let points =
     if quick then [ (1_000, 100); (100_000, 100) ]
     else
@@ -713,6 +752,8 @@ let run_core ~quick () =
   run_core_admin ();
   print_newline ();
   run_session_length ~quick ();
+  print_newline ();
+  run_doc_memory ();
   print_newline ()
 
 (* ----- E6: Fig. 7 ----- *)

@@ -178,6 +178,8 @@ let run port bind users text heartbeat_ms idle_timeout_ms data_dir fsync trace_f
             ("members", Obs.Json.Int (Hub.member_count ~doc hub));
             ("doc_len", Obs.Json.Int
                (Dce_ot.Tdoc.visible_length (Controller.document c)));
+            ("doc_cells", Obs.Json.Int
+               (Dce_ot.Tdoc.model_length (Controller.document c)));
             ("policy_version", Obs.Json.Int (Controller.version c));
             ("pending_coop", Obs.Json.Int (Controller.pending_coop c));
             ("pending_admin", Obs.Json.Int (Controller.pending_admin c));

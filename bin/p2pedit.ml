@@ -350,6 +350,7 @@ let net_sessions site () =
         ("joined", Obs.Json.Bool true);
         ("site", Obs.Json.Int (Controller.site c));
         ("doc_len", Obs.Json.Int (Tdoc.visible_length (Controller.document c)));
+        ("doc_cells", Obs.Json.Int (Tdoc.model_length (Controller.document c)));
         ("policy_version", Obs.Json.Int (Controller.version c));
         ("pending_coop", Obs.Json.Int (Controller.pending_coop c));
         ("pending_admin", Obs.Json.Int (Controller.pending_admin c));

@@ -37,6 +37,7 @@ type meters = {
   g_pending_admin : M.gauge;
   g_oplog : M.gauge;
   g_doc : M.gauge;
+  g_cells : M.gauge;
   g_version : M.gauge;
   g_window : M.gauge;
   g_compacted : M.gauge;
@@ -65,6 +66,7 @@ let meters_of metrics =
     g_pending_admin = M.gauge reg "controller.pending_admin";
     g_oplog = M.gauge reg "controller.oplog_live";
     g_doc = M.gauge reg "controller.doc_visible";
+    g_cells = M.gauge reg "controller.doc_cells";
     g_version = M.gauge reg "controller.policy_version";
     g_window = M.gauge reg "controller.window_len";
     g_compacted = M.gauge reg "controller.compacted_upto";
@@ -161,6 +163,7 @@ let note_levels t =
   M.set t.m.g_pending_admin t.n_admin_queue;
   M.set t.m.g_oplog (Oplog.live_length t.oplog);
   M.set t.m.g_doc (Tdoc.visible_length t.doc);
+  M.set t.m.g_cells (Tdoc.model_length t.doc);
   M.set t.m.g_version (version t);
   if M.enabled t.m.reg then begin
     M.set t.m.g_window (Oplog.live_length t.oplog);

@@ -102,7 +102,9 @@ val create :
     [denied_local] / [admin_applied] / [undone] / [dups] at the
     corresponding decision points, and level gauges
     [controller.pending_coop] / [pending_admin] / [oplog_live] /
-    [doc_visible] / [policy_version] refreshed after each transition
+    [doc_visible] / [doc_cells] / [policy_version] refreshed after each
+    transition ([doc_cells] counts the model cells, tombstones
+    included: what the document's memory follows)
     (plus [window_len] / [compacted_upto] / [admin_log_live] /
     [admin_cut] when the registry is enabled).
     Omitted, every update is a dead branch, like the null sink. *)

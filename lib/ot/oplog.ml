@@ -13,6 +13,20 @@ end
 module Ids = Set.Make (Id)
 module Id_map = Map.Make (Id)
 
+let is_tentative e =
+  match e.role with
+  | Normal -> e.req.Request.flag = Request.Tentative
+  | Canceller _ -> false
+
+let tentative e = if is_tentative e then 1 else 0
+
+module Log = Stree.Make (struct
+  type 'e t = 'e entry
+
+  let size _ = 1
+  let weight = tentative
+end)
+
 (* Entries in execution order in a stat tree (measure: tentative normal
    entries, so the tentative set enumerates without scanning settled
    entries), indexed twice over:
@@ -28,19 +42,12 @@ module Id_map = Map.Make (Id)
    drops no tentative entry, never rewrites [tpos].  [compacted] is the
    per-site serial floor below which entries have been compacted away. *)
 type 'e t = {
-  entries : 'e entry Stree.t;
+  entries : 'e Log.t;
   ids : Ids.t;
   tpos : int Id_map.t;
   base : int;
   compacted : Vclock.t;
 }
-
-let is_tentative e =
-  match e.role with
-  | Normal -> e.req.Request.flag = Request.Tentative
-  | Canceller _ -> false
-
-let tentative e = if is_tentative e then 1 else 0
 
 (* record entry [e] at absolute position [pos] if it is tentative *)
 let place e pos tpos =
@@ -48,21 +55,21 @@ let place e pos tpos =
 
 let empty =
   {
-    entries = Stree.empty;
+    entries = Log.empty;
     ids = Ids.empty;
     tpos = Id_map.empty;
     base = 0;
     compacted = Vclock.empty;
   }
 
-let length h = Stree.length h.entries
+let length h = Log.length h.entries
 
 let live_length = length
 
-let entries h = Stree.to_list h.entries
+let entries h = Log.to_list h.entries
 
 let of_entries ~compacted entries =
-  let tree = Stree.of_list ~measure:tentative entries in
+  let tree = Log.of_list entries in
   let ids, tpos, _ =
     List.fold_left
       (fun (ids, tpos, i) e ->
@@ -95,9 +102,9 @@ let position id h =
       | Normal -> Id.compare e.req.Request.id id <> 0
       | Canceller _ -> true
     in
-    Some (Stree.length h.entries - 1 - Stree.suffix_length other h.entries)
+    Some (Log.length h.entries - 1 - Log.suffix_length other h.entries)
 
-let find id h = Option.map (fun i -> (Stree.get h.entries i).req) (position id h)
+let find id h = Option.map (fun i -> (Log.get h.entries i).req) (position id h)
 
 let mem id h =
   Vclock.dominates_event h.compacted ~site:id.Request.site ~count:id.Request.serial
@@ -107,11 +114,11 @@ let set_flag id flag h =
   match position id h with
   | None -> h
   | Some i ->
-    let e = Stree.get h.entries i in
+    let e = Log.get h.entries i in
     let e = { e with req = { e.req with Request.flag } } in
     {
       h with
-      entries = Stree.set ~measure:tentative h.entries i e;
+      entries = Log.set h.entries i e;
       tpos = place e (h.base + i) (Id_map.remove id h.tpos);
     }
 
@@ -120,18 +127,18 @@ let validate id h =
 
 let tentative_requests h =
   (* exactly the nonzero-measure entries, all normal by construction *)
-  List.rev (Stree.fold_nonzero (fun acc e -> e.req :: acc) [] h.entries)
+  List.rev (Log.fold_nonzero (fun acc e -> e.req :: acc) [] h.entries)
 
 let broadcast_form (q : 'e Request.t) h =
   let rec last_normal i =
     if i < 0 then None
     else
-      let e = Stree.get h.entries i in
+      let e = Log.get h.entries i in
       match e.role with
       | Normal -> Some e.req.Request.id
       | Canceller _ -> last_normal (i - 1)
   in
-  { q with Request.dep = last_normal (Stree.length h.entries - 1) }
+  { q with Request.dep = last_normal (Log.length h.entries - 1) }
 
 let with_op e op =
   if op == e.req.Request.op then e else { e with req = { e.req with Request.op } }
@@ -156,22 +163,22 @@ let movable e =
    first insertion or Nop-carrying entry.  The bubble is batched: its
    extent is found in one right-to-left walk, the movable suffix is
    transposed in a flat array and written back with a single
-   {!Stree.set_range} walk — O(k + log H) tree work for a bubble of
+   {!Stree.Make} [set_range] walk — O(k + log H) tree work for a bubble of
    extent [k], instead of two O(log H) tree writes per transposition.
    [entry] is a normal entry. *)
 let append_entry_canonized h entry =
-  let pos = Stree.length h.entries in
+  let pos = Log.length h.entries in
   let k =
-    if Op.is_ins entry.req.Request.op then Stree.suffix_length movable h.entries else 0
+    if Op.is_ins entry.req.Request.op then Log.suffix_length movable h.entries else 0
   in
-  let entries = Stree.append ~measure:tentative h.entries entry in
+  let entries = Log.append h.entries entry in
   let ids = Ids.add entry.req.Request.id h.ids in
   if k = 0 then { h with entries; ids; tpos = place entry (h.base + pos) h.tpos }
   else begin
     let lo = pos - k in
     let window = Array.make (k + 1) entry in
     let (_ : int) =
-      Stree.fold_range
+      Log.fold_range
         (fun i e ->
           window.(i) <- e;
           i + 1)
@@ -186,7 +193,7 @@ let append_entry_canonized h entry =
       window.(!i) <- a';
       decr i
     done;
-    let entries = Stree.set_range ~measure:tentative entries ~pos:lo window in
+    let entries = Log.set_range entries ~pos:lo window in
     (* the new entry landed at [!i], pushing what followed one place
        right: only the tentative ones among them have a position *)
     let tpos = ref h.tpos in
@@ -224,15 +231,15 @@ let in_context_of (q : _ Request.t) e =
    concurrent with the whole suffix), separation moves nothing and the
    write-back is skipped entirely. *)
 let integrate q h =
-  let n = Stree.length h.entries in
-  let p = Stree.prefix_length (in_context_of q) h.entries in
+  let n = Log.length h.entries in
+  let p = Log.prefix_length (in_context_of q) h.entries in
   let entries, tpos, op =
     if p = n then (h.entries, h.tpos, q.Request.op)
     else begin
       let w = n - p in
-      let window = Array.make w (Stree.get h.entries p) in
+      let window = Array.make w (Log.get h.entries p) in
       let (_ : int) =
-        Stree.fold_range
+        Log.fold_range
           (fun i e ->
             window.(i) <- e;
             i + 1)
@@ -264,7 +271,7 @@ let integrate q h =
       else begin
         (* the window really was permuted: write it back in one walk,
            and re-place its tentative entries *)
-        let entries = Stree.set_range ~measure:tentative h.entries ~pos:p window in
+        let entries = Log.set_range h.entries ~pos:p window in
         let tpos = ref h.tpos in
         for i = 0 to w - 1 do
           tpos := place window.(i) (h.base + p + i) !tpos
@@ -287,22 +294,22 @@ let undo ~cancel_version id h =
   match position id h with
   | None -> None
   | Some i ->
-    let e = Stree.get h.entries i in
+    let e = Log.get h.entries i in
     if e.req.Request.flag = Request.Invalid then None
     else
-      let n = Stree.length h.entries in
+      let n = Log.length h.entries in
       let inv =
-        Stree.fold_range
+        Log.fold_range
           (fun op e' -> Transform.it op e'.req.Request.op)
           (Op.inverse e.req.Request.op)
           h.entries ~pos:(i + 1) ~len:(n - i - 1)
       in
       let entries =
-        Stree.set ~measure:tentative h.entries i
+        Log.set h.entries i
           { e with req = { e.req with Request.flag = Request.Invalid } }
       in
       let cancel = canceller_of ~cancel_version e.req inv in
-      let entries = Stree.append ~measure:tentative entries cancel in
+      let entries = Log.append entries cancel in
       Some (inv, { h with entries; tpos = Id_map.remove id h.tpos })
 
 (* Rejecting a request = integrating it and undoing it on the spot: the
@@ -323,7 +330,7 @@ let causally_ready (q : _ Request.t) h =
 
 let is_canonical h =
   let ok, _ =
-    Stree.fold_left
+    Log.fold_left
       (fun (ok, seen_du) e ->
         let op = e.req.Request.op in
         if (not ok) || (Op.is_ins op && seen_du) then (false, seen_du)
@@ -347,12 +354,12 @@ let compact ~stable ~stable_version h =
       && Vclock.dominates_event stable ~site:target.Request.site
            ~count:target.Request.serial
   in
-  let k = Stree.prefix_length droppable h.entries in
+  let k = Log.prefix_length droppable h.entries in
   if k = 0 then h
   else
-    let n = Stree.length h.entries in
+    let n = Log.length h.entries in
     let dropped =
-      List.rev (Stree.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:0 ~len:k)
+      List.rev (Log.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:0 ~len:k)
     in
     let compacted =
       List.fold_left
@@ -377,10 +384,10 @@ let compact ~stable ~stable_version h =
     in
     let rest =
       List.rev
-        (Stree.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:k ~len:(n - k))
+        (Log.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:k ~len:(n - k))
     in
     {
-      entries = Stree.of_list ~measure:tentative rest;
+      entries = Log.of_list rest;
       ids;
       tpos = h.tpos;
       base = h.base + k;

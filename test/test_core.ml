@@ -774,6 +774,22 @@ let cut_tests =
         Alcotest.(check int) "controller.admin_log_live" 1
           (gauge "controller.admin_log_live");
         Alcotest.(check string) "content unchanged" (vis u) (vis a));
+    Alcotest.test_case "a deletion lowers doc_visible and leaves doc_cells" `Quick
+      (fun () ->
+        let metrics = Dce_obs.Metrics.create () in
+        let gauge name =
+          Dce_obs.Metrics.gauge_value (Dce_obs.Metrics.gauge metrics name)
+        in
+        let policy = all_rights_policy [ adm; s1 ] in
+        let u = C.create ~eq:Char.equal ~metrics ~site:s1 ~admin:adm ~policy doc0 in
+        let u, _, _ = ok_gen u (Op.ins 0 'x') in
+        Alcotest.(check int) "visible before" 4 (gauge "controller.doc_visible");
+        Alcotest.(check int) "cells before" 4 (gauge "controller.doc_cells");
+        let u, _, _ = ok_gen u (Tdoc.del_visible (C.document u) 1) in
+        Alcotest.(check int) "visible after" 3 (gauge "controller.doc_visible");
+        Alcotest.(check int) "cells after: the tombstone stays" 4
+          (gauge "controller.doc_cells");
+        Alcotest.(check string) "document" "xbc" (vis u));
     Alcotest.test_case "a member behind the cut gets no delta and catches up whole"
       `Quick (fun () ->
         let a, _, stale = cut_session () in

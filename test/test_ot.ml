@@ -150,7 +150,26 @@ let tdoc_boundary_tests =
 
 (* ----- Stree (the stat tree underneath Tdoc and Oplog) ----- *)
 
-(* differential model: a plain list with the same measure *)
+(* size-1 elements weighed by their low bit, as the log weighs its
+   entries by tentativeness; the differential model is a plain list with
+   the same measure *)
+module Unit = Stree.Make (struct
+  type 'a t = int
+
+  let size _ = 1
+  let weight x = x land 1
+end)
+
+(* runs of integers: an element spans its length and weighs its odd
+   members, as a document chunk spans its cells and weighs the visible
+   ones; the differential model is the flattened list *)
+module Runs = Stree.Make (struct
+  type 'a t = int list
+
+  let size = List.length
+  let weight l = List.length (List.filter (fun x -> x land 1 = 1) l)
+end)
+
 let stree_tests =
   let measure x = x land 1 in
   let gen_list = QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 100)) in
@@ -158,10 +177,10 @@ let stree_tests =
   [
     qtest "of_list/to_list roundtrip, length and weight" ~count:500 gen_list
       print_list (fun l ->
-        let t = Stree.of_list ~measure l in
-        Stree.to_list t = l
-        && Stree.length t = List.length l
-        && Stree.weight t = List.fold_left (fun a x -> a + measure x) 0 l);
+        let t = Unit.of_list l in
+        Unit.to_list t = l
+        && Unit.length t = List.length l
+        && Unit.weight t = List.fold_left (fun a x -> a + measure x) 0 l);
     qtest "insert agrees with list insertion" ~count:500
       QCheck2.Gen.(
         gen_list >>= fun l ->
@@ -169,9 +188,9 @@ let stree_tests =
         int_range 0 100 >>= fun x -> return (l, i, x))
       (fun (l, i, x) -> Format.asprintf "%s i=%d x=%d" (print_list l) i x)
       (fun (l, i, x) ->
-        let t = Stree.insert ~measure (Stree.of_list ~measure l) i x in
+        let t = Unit.insert (Unit.of_list l) i x in
         let expect = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l) in
-        Stree.to_list t = expect && Stree.length t = List.length l + 1);
+        Unit.to_list t = expect && Unit.length t = List.length l + 1);
     qtest "set/update/get agree with the list model" ~count:500
       QCheck2.Gen.(
         gen_list >>= fun l ->
@@ -185,11 +204,11 @@ let stree_tests =
       (function
         | None -> true
         | Some (l, i, x) ->
-          let t = Stree.of_list ~measure l in
-          Stree.get t i = List.nth l i
-          && Stree.to_list (Stree.set ~measure t i x)
+          let t = Unit.of_list l in
+          Unit.get t i = List.nth l i
+          && Unit.to_list (Unit.set t i x)
              = List.mapi (fun j y -> if j = i then x else y) l
-          && Stree.to_list (Stree.update ~measure t i (fun y -> y + 1))
+          && Unit.to_list (Unit.update t i (fun y _ -> y + 1))
              = List.mapi (fun j y -> if j = i then y + 1 else y) l);
     qtest "set_range agrees with element-wise set" ~count:500
       QCheck2.Gen.(
@@ -202,8 +221,8 @@ let stree_tests =
       (fun (l, pos, xs) ->
         Format.asprintf "%s pos=%d xs=%s" (print_list l) pos (print_list xs))
       (fun (l, pos, xs) ->
-        let t0 = Stree.of_list ~measure l in
-        let t = Stree.set_range ~measure t0 ~pos (Array.of_list xs) in
+        let t0 = Unit.of_list l in
+        let t = Unit.set_range t0 ~pos (Array.of_list xs) in
         let expect =
           List.mapi
             (fun j y ->
@@ -211,12 +230,12 @@ let stree_tests =
               else y)
             l
         in
-        Stree.to_list t = expect
-        && Stree.weight t = List.fold_left (fun a x -> a + measure x) 0 expect
-        && Stree.length t = List.length l);
+        Unit.to_list t = expect
+        && Unit.weight t = List.fold_left (fun a x -> a + measure x) 0 expect
+        && Unit.length t = List.length l);
     qtest "rank is the prefix measure sum; select inverts it" ~count:500 gen_list
       print_list (fun l ->
-        let t = Stree.of_list ~measure l in
+        let t = Unit.of_list l in
         let arr = Array.of_list l in
         let n = Array.length arr in
         let naive_rank i =
@@ -226,12 +245,12 @@ let stree_tests =
           done;
           !s
         in
-        List.for_all (fun i -> Stree.rank t i = naive_rank i) (List.init (n + 1) Fun.id)
+        List.for_all (fun i -> Unit.rank t i (fun _ _ -> 0) = naive_rank i) (List.init (n + 1) Fun.id)
         && List.for_all
              (fun k ->
-               let i = Stree.select t k in
-               Stree.rank t i = k && measure arr.(i) = 1)
-             (List.init (Stree.weight t) Fun.id));
+               let i = Unit.select t k (fun _ _ -> 0) in
+               Unit.rank t i (fun _ _ -> 0) = k && measure arr.(i) = 1)
+             (List.init (Unit.weight t) Fun.id));
     qtest "fold_range is the sublist fold; fold_nonzero filters" ~count:500
       QCheck2.Gen.(
         gen_list >>= fun l ->
@@ -240,23 +259,23 @@ let stree_tests =
         int_range 0 (n - pos) >>= fun len -> return (l, pos, len))
       (fun (l, pos, len) -> Format.asprintf "%s [%d,+%d)" (print_list l) pos len)
       (fun (l, pos, len) ->
-        let t = Stree.of_list ~measure l in
-        List.rev (Stree.fold_range (fun acc x -> x :: acc) [] t ~pos ~len)
+        let t = Unit.of_list l in
+        List.rev (Unit.fold_range (fun acc x -> x :: acc) [] t ~pos ~len)
         = List.filteri (fun j _ -> j >= pos && j < pos + len) l
-        && List.rev (Stree.fold_nonzero (fun acc x -> x :: acc) [] t)
+        && List.rev (Unit.fold_nonzero (fun acc x -> x :: acc) [] t)
            = List.filter (fun x -> measure x <> 0) l);
     qtest "prefix_length stops at the first failure" ~count:500 gen_list print_list
       (fun l ->
         let p x = x mod 3 <> 0 in
-        let t = Stree.of_list ~measure l in
+        let t = Unit.of_list l in
         let rec naive = function x :: rest when p x -> 1 + naive rest | _ -> 0 in
-        Stree.prefix_length p t = naive l);
+        Unit.prefix_length p t = naive l);
     qtest "suffix_length stops at the first failure from the right" ~count:500 gen_list
       print_list (fun l ->
         let p x = x mod 3 <> 0 in
-        let t = Stree.of_list ~measure l in
+        let t = Unit.of_list l in
         let rec naive = function x :: rest when p x -> 1 + naive rest | _ -> 0 in
-        Stree.suffix_length p t = naive (List.rev l));
+        Unit.suffix_length p t = naive (List.rev l));
     qtest "random append/insert sequences stay balanced enough to agree"
       ~count:200
       QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 1000) (int_range 0 100)))
@@ -265,13 +284,57 @@ let stree_tests =
         let t, l =
           List.fold_left
             (fun (t, l) (at, x) ->
-              let i = at mod (Stree.length t + 1) in
-              ( Stree.insert ~measure t i x,
+              let i = at mod (Unit.length t + 1) in
+              ( Unit.insert t i x,
                 List.filteri (fun j _ -> j < i) l
                 @ (x :: List.filteri (fun j _ -> j >= i) l) ))
-            (Stree.empty, []) ops
+            (Unit.empty, []) ops
         in
-        Stree.to_list t = l);
+        Unit.to_list t = l);
+    qtest "sized elements: find, rank, select, update and insert agree with the flat list"
+      ~count:500
+      QCheck2.Gen.(
+        list_size (int_range 1 12) (list_size (int_range 1 5) (int_range 0 9))
+        >>= fun runs ->
+        int_range 0 (List.length runs) >>= fun b ->
+        int_range 0 (List.length (List.concat runs) - 1) >>= fun u ->
+        return (runs, b, u))
+      (fun (runs, b, u) ->
+        Format.asprintf "%a b=%d u=%d" Fmt.(Dump.list (Dump.list int)) runs b u)
+      (fun (runs, b, u) ->
+        let t = Runs.of_list runs and flat = List.concat runs in
+        let n = List.length flat in
+        let odd x = x land 1 = 1 in
+        let count_odd l = List.length (List.filter odd l) in
+        let take k l = List.filteri (fun j _ -> j < k) l in
+        let odds = List.filter (fun i -> odd (List.nth flat i)) (List.init n Fun.id) in
+        let kth_odd_in v k = List.nth (List.filter (fun j -> odd (List.nth v j)) (List.init (List.length v) Fun.id)) k in
+        let start = List.fold_left ( + ) 0 (List.map List.length (take b runs)) in
+        let grown = Runs.update t u (fun v o -> take (o + 1) v @ (0 :: List.filteri (fun j _ -> j > o) v)) in
+        Runs.length t = n
+        && Runs.weight t = count_odd flat
+        && List.for_all
+             (fun i -> let v, o = Runs.find t i in List.nth v o = List.nth flat i)
+             (List.init n Fun.id)
+        && List.for_all
+             (fun i -> Runs.rank t i (fun v o -> count_odd (take o v)) = count_odd (take i flat))
+             (List.init (n + 1) Fun.id)
+        && List.for_all
+             (fun k -> Runs.select t k kth_odd_in = List.nth odds k)
+             (List.init (List.length odds) Fun.id)
+        && List.concat (Runs.to_list grown)
+           = take (u + 1) flat @ (0 :: List.filteri (fun j _ -> j > u) flat)
+        && Runs.length grown = n + 1
+        && List.concat (Runs.to_list (Runs.insert t start [ 7 ]))
+           = take start flat @ (7 :: List.filteri (fun j _ -> j >= start) flat)
+        && List.for_all
+             (fun i ->
+               let _, o = Runs.find t i in
+               o = 0
+               || match Runs.insert t i [ 7 ] with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+             (List.init n Fun.id));
   ]
 
 (* ----- Tdoc vs the array-based reference oracle ----- *)
@@ -344,6 +407,147 @@ let differential_tests =
                  (Tdoc.up_visible ~tag tree v 'Q')
                  (Tdoc_ref.up_visible ~tag arr v 'Q'))
              (List.init vl Fun.id));
+  ]
+
+(* ----- Tdoc vs the reference across chunk boundaries -----
+
+   [Tdoc] packs cells into chunks of 64, and an insertion into a full
+   chunk splits it into two halves, so chunk edges sit at multiples of
+   64 after [of_cells] and near multiples of 32 after splits.  These
+   documents span three to five chunks, with hidden and written cells
+   scattered through them, and the op sequences aim at those edges, at
+   the middle of full chunks (where they split) and at the document's
+   end.  The generator tracks the state on [Tdoc_ref], so it does not
+   depend on the code under test. *)
+
+let chunk_cells = 64
+
+(* cell [i] of a generated document: plain, hidden, written, or both;
+   write tags are unique per cell (site 9 never issues an op here) *)
+let gen_scattered_cell i =
+  let open QCheck2.Gen in
+  let write j =
+    map2
+      (fun value retracted -> { Tdoc.wtag = { Op.stamp = (4 * i) + j; site = 9 }; value; retracted })
+      gen_char (int_range 0 1)
+  in
+  let writes = int_range 1 2 >>= fun k -> flatten_l (List.init k write) in
+  gen_char >>= fun elt ->
+  frequency
+    [
+      (6, return { Tdoc.elt; writes = []; hidden = 0 });
+      (2, map (fun hidden -> { Tdoc.elt; writes = []; hidden }) (int_range 1 2));
+      (1, map (fun writes -> { Tdoc.elt; writes; hidden = 0 }) writes);
+      (1, map2 (fun writes hidden -> { Tdoc.elt; writes; hidden }) writes (int_range 1 2));
+    ]
+
+let gen_chunked_cells =
+  let open QCheck2.Gen in
+  int_range ((2 * chunk_cells) + 1) (5 * chunk_cells) >>= fun n ->
+  flatten_l (List.init n gen_scattered_cell)
+
+(* a position in [0, n) — or [0, n] with [~ends] — aimed at a chunk edge
+   (a multiple of 32, one either side), otherwise uniform *)
+let gen_edge_pos ?(ends = false) n =
+  let open QCheck2.Gen in
+  let hi = if ends then n else n - 1 in
+  let edges =
+    List.filter
+      (fun p -> p >= 0 && p <= hi)
+      (hi :: List.concat_map (fun b -> [ (32 * b) - 1; 32 * b; (32 * b) + 1 ]) (List.init ((n / 32) + 2) Fun.id))
+  in
+  frequency [ (3, oneofl edges); (1, int_range 0 hi) ]
+
+(* every kind of operation, Undel and Unup included, valid on [d] *)
+let gen_edge_op d =
+  let open QCheck2.Gen in
+  let n = Tdoc_ref.model_length d in
+  let ins = map2 (fun p e -> Op.ins ~pr:1 p e) (gen_edge_pos ~ends:true n) gen_char in
+  if n = 0 then ins
+  else
+    let cell_op =
+      gen_edge_pos n >>= fun p ->
+      let c = Tdoc_ref.cell d p in
+      frequency
+        ([ (2, return (Op.del p c.Tdoc.elt));
+           (2, map (fun e -> Op.up ~tag:(fresh_tag 1) p c.Tdoc.elt e) gen_char) ]
+        @ (if c.Tdoc.hidden > 0 then [ (2, return (Op.undel p c.Tdoc.elt)) ] else [])
+        @
+        match c.Tdoc.writes with
+        | [] -> []
+        | ws -> [ (2, oneofl ws >|= fun w -> Op.unup ~tag:w.Tdoc.wtag p w.Tdoc.value) ])
+    in
+    frequency [ (2, ins); (3, cell_op) ]
+
+let gen_chunked_op_seq =
+  let open QCheck2.Gen in
+  gen_chunked_cells >>= fun cells ->
+  int_range 0 40 >>= fun k ->
+  let rec steps d acc k =
+    if k = 0 then return (cells, List.rev acc)
+    else gen_edge_op d >>= fun op -> steps (Tdoc_ref.apply d op) (op :: acc) (k - 1)
+  in
+  steps (Tdoc_ref.of_cells cells) [] k
+
+(* cells as elt/hide count/write count, without going through [Tdoc] *)
+let pp_cells =
+  Fmt.(list ~sep:nop (fun ppf (c : char Tdoc.cell) ->
+      pf ppf "%c%d%d" c.Tdoc.elt c.Tdoc.hidden (List.length c.Tdoc.writes)))
+
+let print_chunked_op_seq (cells, ops) =
+  Format.asprintf "%a then @[%a@]" pp_cells cells Fmt.(list ~sep:semi pp_char_op) ops
+
+(* every projection and translation of [tree] is [arr]'s *)
+let agrees tree arr =
+  let vl = Tdoc_ref.visible_length arr and ml = Tdoc_ref.model_length arr in
+  let tag = { Op.stamp = 999_999; site = 1 } in
+  Tdoc.visible_string tree = Tdoc_ref.visible_string arr
+  && Tdoc.visible_list tree = Tdoc_ref.visible_list arr
+  && Tdoc.model_list tree = Tdoc_ref.model_list arr
+  && Tdoc.model_length tree = ml
+  && Tdoc.visible_length tree = vl
+  && List.for_all (fun m -> Tdoc.cell tree m = Tdoc_ref.cell arr m) (List.init ml Fun.id)
+  && List.for_all
+       (fun m -> Tdoc.visible_of_model tree m = Tdoc_ref.visible_of_model arr m)
+       (List.init (ml + 2) Fun.id)
+  && List.for_all
+       (fun v ->
+         Tdoc.model_of_visible tree v = Tdoc_ref.model_of_visible arr v
+         && Op.equal Char.equal (Tdoc.ins_visible ~pr:1 tree v 'q')
+              (Tdoc_ref.ins_visible ~pr:1 arr v 'q')
+         && (v = vl
+            || Op.equal Char.equal (Tdoc.del_visible tree v) (Tdoc_ref.del_visible arr v)
+               && Op.equal Char.equal (Tdoc.up_visible ~tag tree v 'Q')
+                    (Tdoc_ref.up_visible ~tag arr v 'Q')))
+       (List.init (vl + 1) Fun.id)
+
+let chunk_tests =
+  [
+    qtest "of_cells then model_list is the identity across chunks" ~count:200
+      gen_chunked_cells
+      (Format.asprintf "%a" pp_cells)
+      (fun cells -> Tdoc.model_list (Tdoc.of_cells cells) = cells);
+    qtest "chunked and array documents agree after every op at chunk edges" ~count:150
+      gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+        let _, _, ok =
+          List.fold_left
+            (fun (tree, arr, ok) op ->
+              let tree = Tdoc.apply tree op and arr = Tdoc_ref.apply arr op in
+              (tree, arr, ok && agrees tree arr))
+            (Tdoc.of_cells cells, Tdoc_ref.of_cells cells, true)
+            ops
+        in
+        ok);
+    qtest "apply leaves every earlier version unchanged across chunk splits" ~count:200
+      gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+        let versions d0 apply =
+          List.rev (List.fold_left (fun (ds : _ list) op -> apply (List.hd ds) op :: ds) [ d0 ] ops)
+        in
+        let trees = versions (Tdoc.of_cells cells) Tdoc.apply in
+        let arrs = versions (Tdoc_ref.of_cells cells) Tdoc_ref.apply in
+        List.for_all2
+          (fun tree arr -> Tdoc.model_list tree = Tdoc_ref.model_list arr)
+          trees arrs);
   ]
 
 (* ----- plain Document (positional; used by baselines) ----- *)
@@ -912,7 +1116,7 @@ let () =
       ("op", op_unit_tests @ [ test_inverse_cancels ]);
       ("stree", stree_tests);
       ("tdoc", tdoc_unit_tests @ tdoc_boundary_tests);
-      ("tdoc-differential", differential_tests);
+      ("tdoc-differential", differential_tests @ chunk_tests);
       ("document", doc_unit_tests @ [ test_doc_impl_equivalence ]);
       ( "transform",
         transform_unit_tests
