@@ -673,7 +673,7 @@ let run_session_length ~quick () =
       (fun i ((name, validated, _), (a, _)) ->
         let per_s = 1_000_000_000 / best.(i) in
         let st = C.dump a in
-        let state = encoded st and logs = encoded { st with C.st_doc = [] } in
+        let state = encoded st and logs = encoded { st with C.st_doc = Tdoc.empty } in
         let log = C.admin_log a in
         put ("core.receive_per_s." ^ name) per_s;
         put ("core.state_bytes." ^ name) state;
@@ -700,7 +700,10 @@ let run_session_length ~quick () =
    alone, so nothing two replicas could share is counted.  n100k is a
    fresh [Tdoc.of_string]; n100k_edited is a 100k-cell site's document
    after 3,000 seeded 50/25/25 edits through [Controller.generate],
-   divided by the model cells it then holds.  Both are exact for a given
+   divided by the model cells it then holds.  core.doc_bytes_per_100_cells.*
+   count what the same two documents cost encoded: a site state's
+   [encode_state] bytes minus those of the same state holding
+   [Tdoc.empty], per 100 model cells.  All four are exact for a given
    compiler, so CI gates on them.  The op stream is reseeded here, so
    the quick and the full run count the same edits. *)
 let run_doc_memory () =
@@ -709,18 +712,33 @@ let run_doc_memory () =
   let per_100_cells doc =
     Obj.reachable_words (Obj.repr doc) * 100 / Tdoc.model_length doc
   in
-  let fresh =
-    per_100_cells (Tdoc.of_string (String.init n (fun i -> Char.chr (97 + (i mod 26)))))
+  let bytes_per_100_cells site =
+    let st = C.dump site in
+    let encoded st = String.length (Dce_wire.Proto.Char_proto.encode_state st) in
+    (encoded st - encoded { st with C.st_doc = Tdoc.empty })
+    * 100 / Tdoc.model_length st.C.st_doc
   in
-  let edited = per_100_cells (C.document (build_core_site ~site:user ~n ~h:3_000)) in
+  let fresh_site =
+    C.create ~eq:Char.equal ~site:user ~admin:adm ~policy:core_policy
+      (Tdoc.of_string (String.init n (fun i -> Char.chr (97 + (i mod 26)))))
+  in
+  let edited_site = build_core_site ~site:user ~n ~h:3_000 in
+  let fresh = per_100_cells (C.document fresh_site) in
+  let edited = per_100_cells (C.document edited_site) in
+  let fresh_b = bytes_per_100_cells fresh_site in
+  let edited_b = bytes_per_100_cells edited_site in
   let put k v = Obs.Metrics.add (Obs.Metrics.counter bench_metrics k) v in
   put "core.doc_words_per_100_cells.n100k" fresh;
   put "core.doc_words_per_100_cells.n100k_edited" edited;
+  put "core.doc_bytes_per_100_cells.n100k" fresh_b;
+  put "core.doc_bytes_per_100_cells.n100k_edited" edited_b;
   Printf.printf
     "== core: document footprint ==\n\
      words per 100 cells at n=100k: fresh %d (gate: <= 200), after 3k edits %d \
-     (gate: <= 250)\n"
-    fresh edited
+     (gate: <= 250)\n\
+     encoded bytes per 100 cells at n=100k: fresh %d (gate: <= 110), after 3k edits %d \
+     (gate: <= 125)\n"
+    fresh edited fresh_b edited_b
 
 let run_core ~quick () =
   Printf.printf "== core: engine scaling baseline%s ==\n"

@@ -532,7 +532,7 @@ let fp_controller ?(stab = true) ppf c =
   let st = Controller.dump c in
   Format.fprintf ppf "s%d n%d k(%a)|D:" st.Controller.st_site st.Controller.st_serial
     fp_clock st.Controller.st_clock;
-  List.iter (fp_cell ppf) st.Controller.st_doc;
+  List.iter (fp_cell ppf) (Tdoc.model_list st.Controller.st_doc);
   Format.fprintf ppf "|H:";
   List.iter (fp_entry ppf) st.Controller.st_oplog;
   (* compaction state and stability bounds drive future compact/beacon

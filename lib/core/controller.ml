@@ -581,7 +581,7 @@ let rec drain (t, msgs) =
 type 'e state = {
   st_site : Subject.user;
   st_features : features;
-  st_doc : 'e Tdoc.cell list;
+  st_doc : 'e Tdoc.t;
   st_oplog : 'e Oplog.entry list;
   st_compacted : Vclock.t;
   st_clock : Vclock.t;
@@ -600,7 +600,7 @@ let dump t =
   {
     st_site = t.site;
     st_features = t.features;
-    st_doc = Tdoc.model_list t.doc;
+    st_doc = t.doc;
     st_oplog = Oplog.entries t.oplog;
     st_compacted = Oplog.compacted_upto t.oplog;
     st_clock = t.clock;
@@ -628,7 +628,7 @@ let load ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ?metrics s =
         features = s.st_features;
         eq;
         trace;
-        doc = Tdoc.of_cells s.st_doc;
+        doc = s.st_doc;
         oplog = Oplog.of_entries ~compacted:s.st_compacted s.st_oplog;
         clock = s.st_clock;
         serial = s.st_serial;

@@ -200,7 +200,9 @@ val receive : 'e t -> 'e message -> 'e t * 'e message list
 type 'e state = {
   st_site : Subject.user;
   st_features : features;
-  st_doc : 'e Dce_ot.Tdoc.cell list;
+  st_doc : 'e Dce_ot.Tdoc.t;
+      (** the document itself: persistent, so {!dump} shares it in O(1)
+          and {!load} adopts it *)
   st_oplog : 'e Dce_ot.Oplog.entry list;
   st_compacted : Dce_ot.Vclock.t;
   st_clock : Dce_ot.Vclock.t;

@@ -120,33 +120,69 @@ let rank_in k off =
   in
   go 0 off
 
-(* [n] cells in full chunks: [elt i] is the i-th cell's element, and
-   [touched_cell i] the i-th cell if it is touched *)
-let pack n elt touched_cell =
-  let chunk_at lo =
-    let len = min cap (n - lo) in
-    let marks = ref [] in
-    for i = lo + len - 1 downto lo do
-      match touched_cell i with Some c -> marks := (i - lo, c) :: !marks | None -> ()
+(* [n] cells in full chunks: [elt i] is cell [i]'s element, and
+   [touched] the touched cells' (model position, record) pairs in
+   position order *)
+let pack n elt touched =
+  let chunks = ref [] and j = ref (Array.length touched) in
+  for b = ((n + cap - 1) / cap) - 1 downto 0 do
+    let lo = b * cap and hi = !j in
+    while !j > 0 && fst touched.(!j - 1) >= lo do
+      decr j
     done;
-    chunk
-      (Array.init len (fun i -> elt (lo + i)))
-      (Array.of_list (List.map fst !marks))
-      (Array.of_list (List.map snd !marks))
-  in
-  T.of_list (List.init ((n + cap - 1) / cap) (fun b -> chunk_at (b * cap)))
+    let first = !j in
+    let marks = hi - first in
+    chunks :=
+      chunk
+        (Array.init (min cap (n - lo)) (fun i -> elt (lo + i)))
+        (Array.init marks (fun i -> fst touched.(first + i) - lo))
+        (Array.init marks (fun i -> snd touched.(first + i)))
+      :: !chunks
+  done;
+  T.of_list !chunks
 
 let empty = T.empty
 
 let of_list l =
   let a = Array.of_list l in
-  pack (Array.length a) (Array.get a) (fun _ -> None)
+  pack (Array.length a) (Array.get a) [||]
 
-let of_string s = pack (String.length s) (String.get s) (fun _ -> None)
+let of_string s = pack (String.length s) (String.get s) [||]
 
 let of_cells cells =
   let a = Array.of_list cells in
-  pack (Array.length a) (fun i -> a.(i).elt) (fun i -> if touched a.(i) then Some a.(i) else None)
+  let marks = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    if touched a.(i) then marks := (i, a.(i)) :: !marks
+  done;
+  pack (Array.length a) (fun i -> a.(i).elt) (Array.of_list !marks)
+
+let of_overlay elts overlay =
+  let n = Array.length elts in
+  let rec marks prev acc = function
+    | [] -> Ok (pack n (Array.get elts) (Array.of_list (List.rev acc)))
+    | (pos, writes, hidden) :: rest ->
+      if pos < 0 || pos >= n then Error "overlay position out of range"
+      else if pos <= prev then Error "overlay position out of order"
+      else
+        let c = { elt = elts.(pos); writes; hidden } in
+        if touched c then marks pos ((pos, c) :: acc) rest
+        else Error "overlay entry names an untouched cell"
+  in
+  marks (-1) [] overlay
+
+let iter_elts f d = T.fold_left (fun () k -> Array.iter f k.elts) () d
+
+let fold_touched f acc d =
+  let acc, _ =
+    T.fold_left
+      (fun (acc, base) k ->
+        let acc = ref acc in
+        Array.iteri (fun j off -> acc := f !acc (base + off) k.cells.(j)) k.offs;
+        (!acc, base + Array.length k.elts))
+      (acc, 0) d
+  in
+  acc
 
 let model_length = T.length
 

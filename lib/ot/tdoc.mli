@@ -35,7 +35,10 @@
     and, in a sparse overlay sorted by offset, the record of each
     {e touched} cell (one with a write or a hide count).  An insertion
     into a full chunk splits it into two halves, so every chunk but a
-    document's first holds at least 32 cells.
+    document's first holds at least 32 cells.  Where the chunks split
+    depends on the edit history, never on the cells alone: two
+    documents with equal cells may be chunked differently, so nothing
+    canonical (an encoding, a fingerprint) may depend on the split.
 
     {b Memory.}  An untouched cell costs one array slot: about 1.2 words
     per cell in full chunks (the tree node and chunk header amortized
@@ -47,10 +50,13 @@
     {b Cost.}  {!model_length} and {!visible_length} are O(1); {!cell},
     {!apply} and the visible<->model coordinate translations are
     O(log n + 64); the visible projections skip fully hidden chunks and
-    subtrees.  {!of_cells}/{!of_string} pack full chunks directly and,
-    with {!model_list}, are the O(n) bulk converters for wire snapshots
-    and persistence; only {!model_list} and {!cell} build cell records
-    for untouched cells.
+    subtrees.  The wire and the journal carry a document in the shape it
+    is stored in: {!iter_elts} walks the chunks' element arrays,
+    {!fold_touched} their overlays, and {!of_overlay} packs full chunks
+    back from the two, so no record is built for an untouched cell on
+    either side.  {!of_cells}/{!of_string} pack full chunks directly;
+    only {!model_list} and {!cell} build records for untouched cells,
+    for the checker, the tests and the tools.
 
     {b Persistence.}  Documents are values: {!apply} returns a new
     document sharing every chunk and tree node it did not change, and
@@ -83,7 +89,28 @@ val content : 'e cell -> 'e
     element. *)
 
 val of_cells : 'e cell list -> 'e t
-(** Rebuild a document from its cells (persistence tooling). *)
+(** Rebuild a document from its cells, in full chunks (tests and
+    tools). *)
+
+val iter_elts : ('e -> unit) -> 'e t -> unit
+(** Every cell's element, touched or not, in model order: the chunks'
+    element arrays, walked in place. *)
+
+val fold_touched : ('acc -> int -> 'e cell -> 'acc) -> 'acc -> 'e t -> 'acc
+(** Fold over the touched cells (a write or a hide count) in model
+    order, with their model positions: the chunks' overlays, walked in
+    place.  Every other cell is [{ elt; writes = []; hidden = 0 }] with
+    its element from {!iter_elts}. *)
+
+val of_overlay : 'e array -> (int * 'e write list * int) list -> ('e t, string) result
+(** [of_overlay elts overlay] is the document whose cell [i] has
+    element [elts.(i)], and for each [(pos, writes, hidden)] of
+    [overlay] those writes and that hide count; every other cell is
+    untouched.  It packs full chunks, the ones {!of_cells} builds over
+    the same cells.  [Error] when an overlay position is out of range
+    or not strictly above the one before it, or when an entry has no
+    write and a zero hide count (an untouched cell is never in the
+    overlay, so each document has one encoding).  [elts] is not kept. *)
 
 val visible_list : 'e t -> 'e list
 val visible_string : char t -> string

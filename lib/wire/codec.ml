@@ -120,6 +120,22 @@ let get_list get d =
     in
     go [] len
 
+let get_array get d =
+  let* len = get_varint d in
+  if len > remaining d then Error "array length exceeds input"
+  else if len = 0 then Ok [||]
+  else
+    let* x = get d in
+    let a = Array.make len x in
+    let rec go i =
+      if i = len then Ok a
+      else
+        let* x = get d in
+        a.(i) <- x;
+        go (i + 1)
+    in
+    go 1
+
 let get_option get d =
   let* present = get_bool d in
   if not present then Ok None
@@ -193,10 +209,10 @@ let set_metrics = function
 let magic = "DCE1"
 let format_version = 1
 
-let frame_raw payload =
+let frame_raw version payload =
   let b = Buffer.create (String.length payload + 16) in
   Buffer.add_string b magic;
-  put_varint b format_version;
+  put_varint b version;
   put_varint b (String.length payload);
   let crc = crc32 payload in
   put_varint b (Int32.to_int (Int32.logand crc 0xFFFFl));
@@ -204,12 +220,12 @@ let frame_raw payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let frame payload =
+let frame ?(version = format_version) payload =
   match !instr with
-  | None -> frame_raw payload
+  | None -> frame_raw version payload
   | Some i ->
     let t0 = Dce_obs.Clock.now_ns () in
-    let s = frame_raw payload in
+    let s = frame_raw version payload in
     Dce_obs.Metrics.observe i.enc_ns (Dce_obs.Clock.now_ns () - t0);
     Dce_obs.Metrics.observe i.enc_bytes (String.length s);
     s
@@ -234,7 +250,8 @@ let stream_varint buf ~pos ~stop =
 
 let ( let+ ) r f = match r with Ok x -> f x | Error _ as e -> e
 
-let unframe_prefix_bytes ?max_payload buf ~pos ~stop =
+(* a frame of the given format version starting at [pos] *)
+let unframe_at version ?max_payload buf ~pos ~stop =
   if pos < 0 || pos > stop || stop > Bytes.length buf then
     invalid_arg "Codec.unframe_prefix_bytes: bad range";
   let avail = stop - pos in
@@ -246,9 +263,9 @@ let unframe_prefix_bytes ?max_payload buf ~pos ~stop =
   if not magic_ok then Error (Corrupt "bad magic")
   else if avail < 4 then Error Truncated
   else
-    let+ version, pos = stream_varint buf ~pos:(pos + 4) ~stop in
-    if version <> format_version then
-      Error (Corrupt (Printf.sprintf "unsupported format version %d" version))
+    let+ found, pos = stream_varint buf ~pos:(pos + 4) ~stop in
+    if found <> version then
+      Error (Corrupt (Printf.sprintf "unsupported format version %d" found))
     else
       let+ len, pos = stream_varint buf ~pos ~stop in
       (match max_payload with
@@ -268,25 +285,28 @@ let unframe_prefix_bytes ?max_payload buf ~pos ~stop =
            else Error (Corrupt "checksum mismatch")
          end)
 
+let unframe_prefix_bytes ?max_payload buf ~pos ~stop =
+  unframe_at format_version ?max_payload buf ~pos ~stop
+
 let unframe_prefix ?max_payload s ~pos =
   (* unsafe_of_string is sound: unframe_prefix_bytes only reads *)
   unframe_prefix_bytes ?max_payload
     (Bytes.unsafe_of_string s)
     ~pos ~stop:(String.length s)
 
-let unframe_raw s =
-  match unframe_prefix s ~pos:0 with
+let unframe_raw version s =
+  match unframe_at version (Bytes.unsafe_of_string s) ~pos:0 ~stop:(String.length s) with
   | Ok (payload, stop) ->
     if stop = String.length s then Ok payload else Error "length mismatch"
   | Error Truncated -> Error "truncated frame"
   | Error (Corrupt e) -> Error e
 
-let unframe s =
+let unframe ?(version = format_version) s =
   match !instr with
-  | None -> unframe_raw s
+  | None -> unframe_raw version s
   | Some i ->
     let t0 = Dce_obs.Clock.now_ns () in
-    let r = unframe_raw s in
+    let r = unframe_raw version s in
     Dce_obs.Metrics.observe i.dec_ns (Dce_obs.Clock.now_ns () - t0);
     (match r with
      | Ok _ -> Dce_obs.Metrics.observe i.dec_bytes (String.length s)

@@ -44,6 +44,11 @@ val get_bool : decoder -> bool result
 val get_char : decoder -> char result
 val get_string : decoder -> string result
 val get_list : (decoder -> 'a result) -> decoder -> 'a list result
+
+val get_array : (decoder -> 'a result) -> decoder -> 'a array result
+(** What {!put_list} writes, read into an array.  Like {!get_list} it
+    refuses a count above the bytes left before allocating anything. *)
+
 val get_option : (decoder -> 'a result) -> decoder -> 'a option result
 val get_pair : (decoder -> 'a result) -> (decoder -> 'b result) -> decoder -> ('a * 'b) result
 
@@ -51,13 +56,18 @@ val ( let* ) : 'a result -> ('a -> 'b result) -> 'b result
 
 (* {2 Framing} *)
 
-val frame : string -> string
-(** Wrap a payload: magic, format version, length, CRC-32, payload. *)
+val frame : ?version:int -> string -> string
+(** Wrap a payload: magic, format version ([version], default 1),
+    length, CRC-32, payload.  A payload whose layout changes gets its
+    own version, so a reader of the new layout refuses an old blob
+    instead of misreading it; every other frame keeps version 1 and its
+    bytes. *)
 
-val unframe : string -> string result
-(** Check magic/version/length/checksum and return the payload.  The
-    input must be exactly one frame; for byte streams use
-    {!unframe_prefix}. *)
+val unframe : ?version:int -> string -> string result
+(** Check magic/version/length/checksum and return the payload; a
+    frame of any version but [version] (default 1) is refused as
+    ["unsupported format version N"].  The input must be exactly one
+    frame; for byte streams use {!unframe_prefix}. *)
 
 type frame_error =
   | Truncated  (** The buffer ends mid-frame: wait for more bytes. *)
@@ -67,8 +77,8 @@ type frame_error =
 
 val unframe_prefix :
   ?max_payload:int -> string -> pos:int -> (string * int, frame_error) Stdlib.result
-(** Decode one frame starting at [pos] of a byte stream: [Ok (payload,
-    next)] consumes bytes [pos..next-1].  This is the incremental entry
+(** Decode one frame of version 1 starting at [pos] of a byte stream:
+    [Ok (payload, next)] consumes bytes [pos..next-1].  This is the incremental entry
     point a stream reader needs — [Truncated] means the stream has not
     yet delivered the rest of the frame, [Corrupt] that it never will.
     [max_payload] bounds the declared payload length before any

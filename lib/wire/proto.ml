@@ -394,16 +394,48 @@ let get_write ec d =
   let* retracted = get_varint d in
   Ok { Tdoc.wtag; value; retracted }
 
-let put_cell ec b (c : _ Tdoc.cell) =
-  ec.put b c.Tdoc.elt;
-  put_list (put_write ec) b c.Tdoc.writes;
-  put_varint b c.Tdoc.hidden
+(* The document section: the model length, then every cell's element
+   in model order, then the touched cells (a write or a hide count) in
+   model order, each as its gap from the previous touched position (the
+   first from 0), its writes and its hide count.  A touched cell's
+   element is the one in the run.  The section depends on the cells
+   alone, never on where the chunks split, so {!fingerprint} stays
+   canonical. *)
+let put_doc ec b d =
+  put_varint b (Tdoc.model_length d);
+  Tdoc.iter_elts (ec.put b) d;
+  let touched = Tdoc.fold_touched (fun acc pos c -> (pos, c) :: acc) [] d in
+  put_varint b (List.length touched);
+  ignore
+    (List.fold_left
+       (fun prev (pos, (c : _ Tdoc.cell)) ->
+         put_varint b (pos - prev);
+         put_list (put_write ec) b c.Tdoc.writes;
+         put_varint b c.Tdoc.hidden;
+         pos)
+       0 (List.rev touched))
 
-let get_cell ec d =
-  let* elt = ec.get d in
+let get_touched ec d =
+  let* gap = get_varint d in
   let* writes = get_list (get_write ec) d in
   let* hidden = get_varint d in
-  Ok { Tdoc.elt; writes; hidden }
+  Ok (gap, writes, hidden)
+
+let get_doc ec d =
+  let* elts = get_array ec.get d in
+  let* touched = get_list (get_touched ec) d in
+  let n = Array.length elts in
+  (* gaps to positions: a gap reaching past [n] is refused here, before
+     a sum of hostile gaps can overflow; [Tdoc.of_overlay] checks the
+     rest *)
+  let rec place prev acc = function
+    | [] -> Ok (List.rev acc)
+    | (gap, writes, hidden) :: rest ->
+      if gap > n - prev then Error "overlay position out of range"
+      else place (prev + gap) ((prev + gap, writes, hidden) :: acc) rest
+  in
+  let* overlay = place 0 [] touched in
+  Tdoc.of_overlay elts overlay
 
 let put_entry ec b (e : _ Oplog.entry) =
   (match e.Oplog.role with
@@ -440,7 +472,7 @@ let get_features d =
 let put_state ec b (s : _ Controller.state) =
   put_varint b s.Controller.st_site;
   put_features b s.Controller.st_features;
-  put_list (put_cell ec) b s.Controller.st_doc;
+  put_doc ec b s.Controller.st_doc;
   put_list (put_entry ec) b s.Controller.st_oplog;
   put_vclock b s.Controller.st_compacted;
   put_vclock b s.Controller.st_clock;
@@ -458,7 +490,7 @@ let put_state ec b (s : _ Controller.state) =
 let get_state ec d =
   let* st_site = get_varint d in
   let* st_features = get_features d in
-  let* st_doc = get_list (get_cell ec) d in
+  let* st_doc = get_doc ec d in
   let* st_oplog = get_list (get_entry ec) d in
   let* st_compacted = get_vclock d in
   let* st_clock = get_vclock d in
@@ -491,10 +523,15 @@ let get_state ec d =
       st_peer_beacon;
     }
 
-let encode_state ec s = frame (to_string (put_state ec) s)
+(* The state frame alone has version 2: its document section changed
+   layout, so a state written before the change is refused rather than
+   misread.  Messages, journal records and envelopes keep version 1. *)
+let state_version = 2
+
+let encode_state ec s = frame ~version:state_version (to_string (put_state ec) s)
 
 let decode_state ec s =
-  let* payload = unframe s in
+  let* payload = unframe ~version:state_version s in
   of_string (get_state ec) payload
 
 let fingerprint ec c =

@@ -9,7 +9,26 @@
     checksum) and the never-raising decoding layer, then through the
     domain constructors' own validation — so a hostile byte string can be
     fed to them directly.  [Controller.load] additionally replays the
-    administrative history, rejecting tampered policies. *)
+    administrative history, rejecting tampered policies.
+
+    {b The document section of a state} ({!encode_state}) carries the
+    tombstone document in the shape [Dce_ot.Tdoc] stores it: the model
+    length; every cell's element in model order, one [put] each (one
+    byte a character); then the count of {e touched} cells (a write or
+    a hide count) and, for each in model order, its gap from the
+    previous touched position (the first from 0), its writes and its
+    hide count.  A touched cell's element is the one in the run, so it
+    is not sent twice.  The layout depends on the cells alone, never on
+    where the chunks split, so {!fingerprint} stays canonical.  The
+    decoder refuses an element count above the bytes left before it
+    allocates, and an overlay position out of order or out of range or
+    naming an untouched cell ([Dce_ot.Tdoc.of_overlay]).
+
+    A state is framed with format version 2; a state of the earlier
+    layout, one (element, writes, hide count) triple per cell, has
+    version 1 and is refused with ["unsupported format version 1"]
+    instead of being misread.  Messages, deltas, frontiers, journal
+    records and relay envelopes keep version 1 and their bytes. *)
 
 open Dce_ot
 open Dce_core

@@ -140,6 +140,100 @@ let print_doc_three_ops (doc, o1, o2, o3) =
   Format.asprintf "doc=%s o1=%a o2=%a o3=%a" (show_tdoc doc) pp_char_op o1 pp_char_op o2
     pp_char_op o3
 
+(* ----- chunk-edge documents -----
+
+   [Tdoc] packs cells into chunks of 64, and an insertion into a full
+   chunk splits it into two halves, so chunk edges sit at multiples of
+   64 after [of_cells] and near multiples of 32 after splits.  These
+   documents span three to five chunks, with hidden and written cells
+   scattered through them, and the op sequences aim at those edges, at
+   the middle of full chunks (where they split) and at the document's
+   end.  The generator tracks the state on [Tdoc_ref], so it does not
+   depend on the code under test.  [test_ot] checks [Tdoc] against the
+   reference on them; [test_wire] checks the state codec. *)
+
+let chunk_cells = 64
+
+(* cell [i] of a generated document: plain, hidden, written, or both;
+   write tags are unique per cell (site 9 never issues an op here) *)
+let gen_scattered_cell i =
+  let open QCheck2.Gen in
+  let write j =
+    map2
+      (fun value retracted -> { Tdoc.wtag = { Op.stamp = (4 * i) + j; site = 9 }; value; retracted })
+      gen_char (int_range 0 1)
+  in
+  let writes = int_range 1 2 >>= fun k -> flatten_l (List.init k write) in
+  gen_char >>= fun elt ->
+  frequency
+    [
+      (6, return { Tdoc.elt; writes = []; hidden = 0 });
+      (2, map (fun hidden -> { Tdoc.elt; writes = []; hidden }) (int_range 1 2));
+      (1, map (fun writes -> { Tdoc.elt; writes; hidden = 0 }) writes);
+      (1, map2 (fun writes hidden -> { Tdoc.elt; writes; hidden }) writes (int_range 1 2));
+    ]
+
+let gen_chunked_cells =
+  let open QCheck2.Gen in
+  int_range ((2 * chunk_cells) + 1) (5 * chunk_cells) >>= fun n ->
+  flatten_l (List.init n gen_scattered_cell)
+
+(* a position in [0, n) — or [0, n] with [~ends] — aimed at a chunk edge
+   (a multiple of 32, one either side), otherwise uniform *)
+let gen_edge_pos ?(ends = false) n =
+  let open QCheck2.Gen in
+  let hi = if ends then n else n - 1 in
+  let edges =
+    List.filter
+      (fun p -> p >= 0 && p <= hi)
+      (hi :: List.concat_map (fun b -> [ (32 * b) - 1; 32 * b; (32 * b) + 1 ]) (List.init ((n / 32) + 2) Fun.id))
+  in
+  frequency [ (3, oneofl edges); (1, int_range 0 hi) ]
+
+(* every kind of operation, Undel and Unup included, valid on [d] *)
+let gen_edge_op d =
+  let open QCheck2.Gen in
+  let n = Tdoc_ref.model_length d in
+  let ins = map2 (fun p e -> Op.ins ~pr:1 p e) (gen_edge_pos ~ends:true n) gen_char in
+  if n = 0 then ins
+  else
+    let cell_op =
+      gen_edge_pos n >>= fun p ->
+      let c = Tdoc_ref.cell d p in
+      frequency
+        ([ (2, return (Op.del p c.Tdoc.elt));
+           (2, map (fun e -> Op.up ~tag:(fresh_tag 1) p c.Tdoc.elt e) gen_char) ]
+        @ (if c.Tdoc.hidden > 0 then [ (2, return (Op.undel p c.Tdoc.elt)) ] else [])
+        @
+        match c.Tdoc.writes with
+        | [] -> []
+        | ws -> [ (2, oneofl ws >|= fun w -> Op.unup ~tag:w.Tdoc.wtag p w.Tdoc.value) ])
+    in
+    frequency [ (2, ins); (3, cell_op) ]
+
+let gen_chunked_op_seq =
+  let open QCheck2.Gen in
+  gen_chunked_cells >>= fun cells ->
+  int_range 0 40 >>= fun k ->
+  let rec steps d acc k =
+    if k = 0 then return (cells, List.rev acc)
+    else gen_edge_op d >>= fun op -> steps (Tdoc_ref.apply d op) (op :: acc) (k - 1)
+  in
+  steps (Tdoc_ref.of_cells cells) [] k
+
+(* cells as elt/hide count/write count, without going through [Tdoc] *)
+let pp_cells =
+  Fmt.(list ~sep:nop (fun ppf (c : char Tdoc.cell) ->
+      pf ppf "%c%d%d" c.Tdoc.elt c.Tdoc.hidden (List.length c.Tdoc.writes)))
+
+let print_chunked_op_seq (cells, ops) =
+  Format.asprintf "%a then @[%a@]" pp_cells cells Fmt.(list ~sep:semi pp_char_op) ops
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* Run a qcheck property as an alcotest case. *)
 let qtest ?(count = 1000) name gen print prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)

@@ -15,6 +15,7 @@ module Wal = Dce_store.Wal
 module Snapshot = Dce_store.Snapshot
 module Store = Dce_store.Store
 module Persist = Dce_store.Persist
+module Io = Dce_store.Io
 module Rng = Dce_sim.Rng
 module Convergence = Dce_sim.Convergence
 open Helpers
@@ -427,6 +428,38 @@ let persist_tests =
            | Ok (j, _) ->
              Persist.close j;
              Alcotest.fail "opened a log that has no snapshot to replay onto"));
+    Alcotest.test_case "a journal whose snapshot has the cell-triple layout is refused, untouched"
+      `Quick (fun () ->
+        let world = Io.Mem.create () in
+        let open_mem () =
+          Persist.opendir ~io:(Io.Mem.io world) ~eq:Char.equal ~codec:Proto.char_codec "j"
+        in
+        let j, _ = ok_exn "open" (open_mem ()) in
+        let c = mk_ctrl ~site:0 "abc" in
+        ok_exn "checkpoint" (Persist.checkpoint j c);
+        let op = Tdoc.ins_visible (Controller.document c) 0 'x' in
+        ignore (gen_accept c op);
+        Persist.record j (Persist.Generated op);
+        let snap = Filename.concat "j" (Snapshot.filename (Persist.generation j)) in
+        Persist.close j;
+        (* the image a journal written before the element-run layout
+           holds: its log records have the format they always had, and
+           its snapshot frames a state of the cell-triple layout *)
+        Io.Mem.set_file world snap
+          (Codec.frame (State_v1.encode_state Proto.char_codec (Controller.dump c)));
+        let files = Io.Mem.files world in
+        let image = Io.Mem.image_fingerprint (Io.Mem.snapshot world) in
+        (match open_mem () with
+         | Ok (j, _) ->
+           Persist.close j;
+           Alcotest.fail "opened a journal whose snapshot it cannot read"
+         | Error e ->
+           if not (contains e "unsupported format version 1") then
+             Alcotest.failf "refused with %S" e);
+        Alcotest.(check (list (pair string string))) "every file byte-identical" files
+          (Io.Mem.files world);
+        Alcotest.(check string) "the image unchanged" image
+          (Io.Mem.image_fingerprint (Io.Mem.snapshot world)));
     Alcotest.test_case "replay is fingerprint-exact across all three record kinds"
       `Quick
       (in_dir (fun dir ->
@@ -850,7 +883,6 @@ let recovery_tests =
 (* ----- Persist.compact: checkpoint-then-clamp ----- *)
 
 module Vclock = Dce_ot.Vclock
-module Io = Dce_store.Io
 
 (* Two users: the administrator (site 0) edits and site 1 acknowledges
    with a beacon, so everything generated so far is stable at site 0 —

@@ -345,6 +345,191 @@ let channel_tests =
           (List.for_all (Tdoc.equal_model Char.equal (List.hd docs)) docs));
   ]
 
+(* ----- the document section -----
+
+   A state's document travels as its model length, every cell's element
+   in model order, and the touched cells as (gap from the previous
+   touched position, writes, hide count).  These cases carry generated
+   documents in the state of a small session and check that the section
+   is canonical across chunk splits, that the decoder refuses every
+   malformed overlay, and that hostile bytes behind a valid frame never
+   make it raise. *)
+
+(* a state whose log, administrative log and clocks are not empty, to
+   carry the documents under test *)
+let carrier_state =
+  let policy = all_rights [ adm; s1 ] in
+  let a = Controller.create ~eq:Char.equal ~site:adm ~admin:adm ~policy (Tdoc.of_string "abc") in
+  let a =
+    match Controller.generate a (Op.ins 0 'x') with
+    | a, Controller.Accepted _ -> a
+    | _, Controller.Denied e -> failwith e
+  in
+  match Controller.admin_update a (Admin_op.Add_user 9) with
+  | Ok (a, _) -> Controller.dump a
+  | Error e -> failwith e
+
+let carrying d = { carrier_state with Controller.st_doc = d }
+
+let chunked_doc (cells, ops) = Tdoc.apply_all (Tdoc.of_cells cells) ops
+
+let state_payload st =
+  match Codec.unframe ~version:2 (Proto.Char_proto.encode_state st) with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* where the document section starts in a state payload: after the
+   site and the three feature flags *)
+let doc_offset = String.length (Codec.to_string Codec.put_varint adm) + 3
+
+(* a state framed around a hand-written document section: [n] cells
+   whose elements are [elts], then [overlay] as (gap, hide count) pairs
+   with no writes *)
+let with_section ~n elts overlay =
+  let section =
+    Codec.to_string
+      (fun b () ->
+        Codec.put_varint b n;
+        Buffer.add_string b elts;
+        Codec.put_list
+          (fun b (gap, hidden) ->
+            Codec.put_varint b gap;
+            Codec.put_varint b 0;
+            Codec.put_varint b hidden)
+          b overlay)
+      ()
+  in
+  let p = state_payload (carrying Tdoc.empty) in
+  assert (String.sub p doc_offset 2 = "\000\000");
+  Codec.frame ~version:2
+    (String.sub p 0 doc_offset ^ section
+    ^ String.sub p (doc_offset + 2) (String.length p - doc_offset - 2))
+
+let refused what ~expect blob =
+  match Proto.Char_proto.decode_state blob with
+  | Ok _ -> Alcotest.failf "%s: decoded" what
+  | Error e ->
+    if not (contains e expect) then
+      Alcotest.failf "%s: refused with %S, expected %S" what e expect
+
+(* a mutation of a state payload: a byte flipped, the payload cut, or a
+   huge count spliced over a byte *)
+type mutation = Flip of int * int | Cut of int | Splice of int * int
+
+let pp_mutation ppf = function
+  | Flip (at, x) -> Format.fprintf ppf "flip byte %d by %#x" at x
+  | Cut at -> Format.fprintf ppf "cut at %d" at
+  | Splice (at, n) -> Format.fprintf ppf "splice count %d at %d" n at
+
+let mutate p m =
+  let n = String.length p in
+  if n = 0 then p
+  else
+    match m with
+    | Flip (at, x) ->
+      let b = Bytes.of_string p in
+      let at = at mod n in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x));
+      Bytes.to_string b
+    | Cut at -> String.sub p 0 (at mod n)
+    | Splice (at, count) ->
+      let at = at mod n in
+      String.sub p 0 at ^ Codec.to_string Codec.put_varint count ^ String.sub p (at + 1) (n - at - 1)
+
+let gen_hostile =
+  let open QCheck2.Gen in
+  gen_chunked_op_seq >>= fun seq ->
+  let d = chunked_doc seq in
+  let p = state_payload (carrying d) in
+  (* the counts of the document section head the element run and the
+     overlay; splices aim at them as often as anywhere else *)
+  let run_count = doc_offset in
+  let overlay_count =
+    doc_offset + String.length (Codec.to_string Codec.put_varint (Tdoc.model_length d))
+    + Tdoc.model_length d
+  in
+  let at =
+    frequency [ (1, oneofl [ run_count; overlay_count ]); (1, int_range 0 (String.length p - 1)) ]
+  in
+  (* counts no bound-free allocation could survive: past what memory
+     can hold, so a decoder that trusted one would raise *)
+  let huge = int_range (1 lsl 50) max_int in
+  list_size (int_range 1 3)
+    (frequency
+       [
+         (3, map2 (fun at x -> Flip (at, x)) at (int_range 1 255));
+         (1, map (fun at -> Cut at) at);
+         (2, map2 (fun at n -> Splice (at, n)) at huge);
+       ])
+  >|= fun ms -> (p, ms)
+
+let document_tests =
+  [
+    Alcotest.test_case "only the state frame changed version" `Quick (fun () ->
+        let version_byte s = Char.code s.[4] in
+        Alcotest.(check int) "state" 2
+          (version_byte (Proto.Char_proto.encode_state carrier_state));
+        let admin_request = List.hd carrier_state.Controller.st_admin_requests in
+        Alcotest.(check int) "message" 1
+          (version_byte (Proto.Char_proto.encode_message (Controller.Admin admin_request)));
+        Alcotest.(check int) "delta" 1
+          (version_byte
+             (Proto.Char_proto.encode_delta
+                {
+                  Controller.dl_clock = Vclock.empty;
+                  dl_version = 0;
+                  dl_compacted = Vclock.empty;
+                  dl_admin = [];
+                  dl_coop = [];
+                  dl_coop_queue = [];
+                  dl_admin_queue = [];
+                })));
+    Alcotest.test_case "a state in the cell-triple layout is refused, not misread" `Quick
+      (fun () ->
+        refused "cell-triple state" ~expect:"unsupported format version 1"
+          (State_v1.encode_state Proto.char_codec
+             (carrying (Tdoc.of_string (String.make 200 'q')))));
+    Alcotest.test_case "a hand-written section decodes" `Quick (fun () ->
+        match Proto.Char_proto.decode_state (with_section ~n:3 "abc" [ (1, 1) ]) with
+        | Error e -> Alcotest.fail e
+        | Ok st ->
+          Alcotest.(check string) "visible" "ac" (Tdoc.visible_string st.Controller.st_doc);
+          Alcotest.(check int) "model" 3 (Tdoc.model_length st.Controller.st_doc));
+    Alcotest.test_case "an overlay position out of order is refused" `Quick (fun () ->
+        refused "repeated position" ~expect:"out of order"
+          (with_section ~n:3 "abc" [ (1, 1); (0, 1) ]));
+    Alcotest.test_case "an overlay position past the end is refused" `Quick (fun () ->
+        refused "one past the end" ~expect:"out of range" (with_section ~n:3 "abc" [ (3, 1) ]);
+        refused "far past the end" ~expect:"out of range"
+          (with_section ~n:3 "abc" [ (1, 1); (max_int, 1) ]));
+    Alcotest.test_case "an overlay entry naming an untouched cell is refused" `Quick (fun () ->
+        refused "no write, hide count 0" ~expect:"untouched" (with_section ~n:3 "abc" [ (1, 0) ]));
+    Alcotest.test_case "an element count larger than the input is refused" `Quick (fun () ->
+        refused "a million elements in three bytes" ~expect:"exceeds input"
+          (with_section ~n:1_000_000 "abc" []));
+    qtest "the section is canonical across chunk splits" ~count:150 gen_chunked_op_seq
+      print_chunked_op_seq (fun seq ->
+        let d = chunked_doc seq in
+        let repacked = Tdoc.of_cells (Tdoc.model_list d) in
+        let blob = Proto.Char_proto.encode_state (carrying d) in
+        blob = Proto.Char_proto.encode_state (carrying repacked)
+        &&
+        match Proto.Char_proto.decode_state blob with
+        | Error _ -> false
+        | Ok st ->
+          let d' = st.Controller.st_doc in
+          Tdoc.equal_model Char.equal d' d
+          && Obj.reachable_words (Obj.repr d') = Obj.reachable_words (Obj.repr repacked));
+    qtest "decode_state never raises on hostile payloads behind a valid frame" ~count:1000
+      gen_hostile
+      (fun (p, ms) ->
+        Format.asprintf "%d-byte payload, %a" (String.length p)
+          Fmt.(list ~sep:comma pp_mutation) ms)
+      (fun (p, ms) ->
+        let blob = Codec.frame ~version:2 (List.fold_left mutate p ms) in
+        match Proto.Char_proto.decode_state blob with Ok _ | Error _ -> true);
+  ]
+
 (* ----- golden state fingerprint -----
 
    A seeded administrator-plus-user session whose final states are
@@ -440,10 +625,24 @@ let golden_tests =
           (List.length (Controller.tentative u) >= 200);
         Alcotest.(check bool) "the user retroactively undid its own request" true
           undone_own;
-        Alcotest.(check string) "administrator" "2685b774b704d5d7189588f0c799aed9" (fp a);
-        Alcotest.(check string) "user" "a1f691b56ea5b389f398c8eaa4ff0b9a" (fp u);
-        (* the pinned bytes are the ones every earlier commit wrote: they
-           load, uncut, and re-encode to themselves *)
+        (* the same states as every earlier commit dumped: the reference
+           encoder of the cell-triple layout still writes the bytes those
+           commits pinned *)
+        let fp_v1 c = Digest.to_hex (Digest.string (State_v1.fingerprint Proto.char_codec c)) in
+        Alcotest.(check string) "administrator, cell-triple layout"
+          "2685b774b704d5d7189588f0c799aed9" (fp_v1 a);
+        Alcotest.(check string) "user, cell-triple layout" "a1f691b56ea5b389f398c8eaa4ff0b9a"
+          (fp_v1 u);
+        (* the same states in the element-run layout *)
+        Alcotest.(check string) "administrator" "2d486d671b2f892c99c8d62e35bade80" (fp a);
+        Alcotest.(check string) "user" "57a813d8431cefc0ea1fabeba6408bc9" (fp u);
+        (* the content digest (visible document, policy, version) does
+           not depend on the state codec *)
+        let content = Proto.content_fingerprint Proto.char_codec in
+        Alcotest.(check string) "administrator content" "379da627ce59f74226cc7f751b56f6c8"
+          (content a);
+        Alcotest.(check string) "user content" "f23ead09ae5848103cb87f4c27ab7af1" (content u);
+        (* the pinned bytes load, uncut, and re-encode to themselves *)
         List.iter
           (fun c ->
             let blob = Proto.Char_proto.encode_state (Controller.dump c) in
@@ -468,5 +667,6 @@ let () =
       ("fuzz", fuzz_tests);
       ("persistence", persistence_tests);
       ("channel", channel_tests);
+      ("document", document_tests);
       ("golden", golden_tests);
     ]
