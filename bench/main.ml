@@ -734,8 +734,8 @@ let run_doc_memory () =
   put "core.doc_bytes_per_100_cells.n100k_edited" edited_b;
   Printf.printf
     "== core: document footprint ==\n\
-     words per 100 cells at n=100k: fresh %d (gate: <= 200), after 3k edits %d \
-     (gate: <= 250)\n\
+     words per 100 cells at n=100k: fresh %d (gate: <= 55), after 3k edits %d \
+     (gate: <= 105)\n\
      encoded bytes per 100 cells at n=100k: fresh %d (gate: <= 110), after 3k edits %d \
      (gate: <= 125)\n"
     fresh edited fresh_b edited_b

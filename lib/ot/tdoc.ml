@@ -2,54 +2,7 @@ type 'e write = { wtag : Op.tag; value : 'e; retracted : int }
 
 type 'e cell = { elt : 'e; writes : 'e write list; hidden : int }
 
-(* A chunk is a run of up to [cap] cells: every cell's element in
-   [elts], plus a sparse overlay holding the whole record of each
-   touched cell (one with a write or a hide count), sorted by offset in
-   [offs] and [cells].  An untouched cell is one array slot.  [vis]
-   counts the visible cells.  No array is written after the chunk
-   holding it is built: documents share chunks across versions. *)
-type 'e chunk = { elts : 'e array; offs : int array; cells : 'e cell array; vis : int }
-
-let cap = 64
-
-(* A stat tree of chunks, each as large as its cell count and weighed by
-   its visible cells: tree positions are model positions, the cached
-   weight is the visible length, and select/rank descend to a chunk and
-   finish the visible<->model translation inside it. *)
-module T = Stree.Make (struct
-  type 'e t = 'e chunk
-
-  let size k = Array.length k.elts
-  let weight k = k.vis
-end)
-
-type 'e t = 'e T.t
-
-let fresh_cell elt = { elt; writes = []; hidden = 0 }
-
-let touched c = c.writes <> [] || c.hidden <> 0
-
-let chunk elts offs cells =
-  let vis =
-    Array.fold_left (fun v c -> if c.hidden = 0 then v else v - 1) (Array.length elts) cells
-  in
-  { elts; offs; cells; vis }
-
-(* index in [k.offs] of the first offset at or past [off] *)
-let slot k off =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if k.offs.(mid) < off then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length k.offs)
-
-let marked k j off = j < Array.length k.offs && k.offs.(j) = off
-
-let cell_at k off =
-  let j = slot k off in
-  if marked k j off then k.cells.(j) else fresh_cell k.elts.(off)
+type _ run = Chars : string -> char run | Elts : 'e array -> 'e run
 
 (* fresh copies of [a] with [x] inserted at, or [x] written to, or the
    slot removed from index [j] *)
@@ -71,6 +24,98 @@ let remove_at a j =
   Array.blit a (j + 1) b j (n - 1 - j);
   b
 
+(* A run's cells: one byte each in a packed run, one slot in an array
+   run.  Neither is written once built: the packed kind is an immutable
+   string, and an array run is only ever copied. *)
+module Run = struct
+  let length : type e. e run -> int = function
+    | Chars s -> String.length s
+    | Elts a -> Array.length a
+
+  let get : type e. e run -> int -> e =
+   fun r i -> match r with Chars s -> s.[i] | Elts a -> a.(i)
+
+  let sub : type e. e run -> int -> int -> e run =
+   fun r pos len ->
+    match r with
+    | Chars s -> Chars (String.sub s pos len)
+    | Elts a -> Elts (Array.sub a pos len)
+
+  (* the empty run of [r]'s kind *)
+  let empty : type e. e run -> e run = function Chars _ -> Chars "" | Elts _ -> Elts [||]
+
+  let iteri : type e. (int -> e -> unit) -> e run -> unit =
+   fun f r -> match r with Chars s -> String.iteri f s | Elts a -> Array.iteri f a
+
+  (* a fresh run of [r]'s kind with [x] inserted at index [j] *)
+  let insert : type e. e run -> int -> e -> e run =
+   fun r j x ->
+    match r with
+    | Chars s ->
+      let n = String.length s in
+      let b = Bytes.create (n + 1) in
+      Bytes.blit_string s 0 b 0 j;
+      Bytes.set b j x;
+      Bytes.blit_string s j b (j + 1) (n - j);
+      Chars (Bytes.unsafe_to_string b)
+    | Elts a -> Elts (insert_at a j x)
+end
+
+(* A chunk is a run of up to [cap] cells: every cell's element in
+   [run], plus a sparse overlay holding the whole record of each
+   touched cell (one with a write or a hide count), sorted by offset in
+   [offs] and [cells].  An untouched cell is one byte of a packed run
+   or one slot of an array run.  [vis] counts the visible cells.
+   Nothing is written after the chunk holding it is built: documents
+   share chunks across versions. *)
+type 'e chunk = { run : 'e run; offs : int array; cells : 'e cell array; vis : int }
+
+let cap = 64
+
+(* A stat tree of chunks, each as large as its cell count and weighed by
+   its visible cells: tree positions are model positions, the cached
+   weight is the visible length, and select/rank descend to a chunk and
+   finish the visible<->model translation inside it. *)
+module T = Stree.Make (struct
+  type 'e t = 'e chunk
+
+  let size k = Run.length k.run
+  let weight k = k.vis
+end)
+
+(* [blank] is an empty run of the kind the document was built with: the
+   chunk a first insertion creates grows from it, so a document built
+   packed stays packed while it holds no cell.  Every later chunk
+   inherits its run's kind from the chunk it was inserted into or split
+   from. *)
+type 'e t = { tree : 'e T.t; blank : 'e run }
+
+let fresh_cell elt = { elt; writes = []; hidden = 0 }
+
+let touched c = c.writes <> [] || c.hidden <> 0
+
+let chunk run offs cells =
+  let vis =
+    Array.fold_left (fun v c -> if c.hidden = 0 then v else v - 1) (Run.length run) cells
+  in
+  { run; offs; cells; vis }
+
+(* index in [k.offs] of the first offset at or past [off] *)
+let slot k off =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if k.offs.(mid) < off then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length k.offs)
+
+let marked k j off = j < Array.length k.offs && k.offs.(j) = off
+
+let cell_at k off =
+  let j = slot k off in
+  if marked k j off then k.cells.(j) else fresh_cell (Run.get k.run off)
+
 let vis_of c = if c.hidden = 0 then 1 else 0
 
 (* [k] with the cell at [off] replaced by [c], which has the same element *)
@@ -91,15 +136,15 @@ let insert_cell k off elt =
   for i = j to Array.length offs - 1 do
     offs.(i) <- offs.(i) + 1
   done;
-  { elts = insert_at k.elts off elt; offs; cells = k.cells; vis = k.vis + 1 }
+  { run = Run.insert k.run off elt; offs; cells = k.cells; vis = k.vis + 1 }
 
 (* the two halves of an overfull chunk *)
 let split k =
-  let n = Array.length k.elts and m = Array.length k.offs in
+  let n = Run.length k.run and m = Array.length k.offs in
   let h = n / 2 in
   let j = slot k h in
-  ( chunk (Array.sub k.elts 0 h) (Array.sub k.offs 0 j) (Array.sub k.cells 0 j),
-    chunk (Array.sub k.elts h (n - h))
+  ( chunk (Run.sub k.run 0 h) (Array.sub k.offs 0 j) (Array.sub k.cells 0 j),
+    chunk (Run.sub k.run h (n - h))
       (Array.init (m - j) (fun i -> k.offs.(j + i) - h))
       (Array.sub k.cells j (m - j)) )
 
@@ -120,10 +165,10 @@ let rank_in k off =
   in
   go 0 off
 
-(* [n] cells in full chunks: [elt i] is cell [i]'s element, and
-   [touched] the touched cells' (model position, record) pairs in
-   position order *)
-let pack n elt touched =
+(* [run]'s cells in full chunks of its kind, with [touched] the touched
+   cells' (model position, record) pairs in position order *)
+let pack run touched =
+  let n = Run.length run in
   let chunks = ref [] and j = ref (Array.length touched) in
   for b = ((n + cap - 1) / cap) - 1 downto 0 do
     let lo = b * cap and hi = !j in
@@ -134,20 +179,18 @@ let pack n elt touched =
     let marks = hi - first in
     chunks :=
       chunk
-        (Array.init (min cap (n - lo)) (fun i -> elt (lo + i)))
+        (Run.sub run lo (min cap (n - lo)))
         (Array.init marks (fun i -> fst touched.(first + i) - lo))
         (Array.init marks (fun i -> snd touched.(first + i)))
       :: !chunks
   done;
-  T.of_list !chunks
+  { tree = T.of_list !chunks; blank = Run.empty run }
 
-let empty = T.empty
+let empty = { tree = T.empty; blank = Elts [||] }
 
-let of_list l =
-  let a = Array.of_list l in
-  pack (Array.length a) (Array.get a) [||]
+let of_list l = pack (Elts (Array.of_list l)) [||]
 
-let of_string s = pack (String.length s) (String.get s) [||]
+let of_string s = pack (Chars s) [||]
 
 let of_cells cells =
   let a = Array.of_list cells in
@@ -155,23 +198,25 @@ let of_cells cells =
   for i = Array.length a - 1 downto 0 do
     if touched a.(i) then marks := (i, a.(i)) :: !marks
   done;
-  pack (Array.length a) (fun i -> a.(i).elt) (Array.of_list !marks)
+  pack (Elts (Array.map (fun c -> c.elt) a)) (Array.of_list !marks)
 
-let of_overlay elts overlay =
-  let n = Array.length elts in
+let of_overlay run overlay =
+  let n = Run.length run in
   let rec marks prev acc = function
-    | [] -> Ok (pack n (Array.get elts) (Array.of_list (List.rev acc)))
+    | [] -> Ok (pack run (Array.of_list (List.rev acc)))
     | (pos, writes, hidden) :: rest ->
       if pos < 0 || pos >= n then Error "overlay position out of range"
       else if pos <= prev then Error "overlay position out of order"
       else
-        let c = { elt = elts.(pos); writes; hidden } in
+        let c = { elt = Run.get run pos; writes; hidden } in
         if touched c then marks pos ((pos, c) :: acc) rest
         else Error "overlay entry names an untouched cell"
   in
   marks (-1) [] overlay
 
-let iter_elts f d = T.fold_left (fun () k -> Array.iter f k.elts) () d
+let run_length = Run.length
+
+let iter_runs f d = T.fold_left (fun () k -> f k.run) () d.tree
 
 let fold_touched f acc d =
   let acc, _ =
@@ -179,14 +224,14 @@ let fold_touched f acc d =
       (fun (acc, base) k ->
         let acc = ref acc in
         Array.iteri (fun j off -> acc := f !acc (base + off) k.cells.(j)) k.offs;
-        (!acc, base + Array.length k.elts))
-      (acc, 0) d
+        (!acc, base + Run.length k.run))
+      (acc, 0) d.tree
   in
   acc
 
-let model_length = T.length
+let model_length d = T.length d.tree
 
-let visible_length = T.weight
+let visible_length d = T.weight d.tree
 
 let content c =
   let best =
@@ -204,7 +249,7 @@ let content c =
 let history c = c.elt :: List.map (fun w -> w.value) c.writes
 
 let cell d i =
-  let k, off = T.find d i in
+  let k, off = T.find d.tree i in
   cell_at k off
 
 (* visible cells live in chunks of nonzero weight, so both projections
@@ -213,7 +258,7 @@ let fold_visible f acc d =
   T.fold_nonzero
     (fun acc k ->
       let acc = ref acc and j = ref 0 in
-      Array.iteri
+      Run.iteri
         (fun off e ->
           if marked k !j off then begin
             let c = k.cells.(!j) in
@@ -221,14 +266,14 @@ let fold_visible f acc d =
             if c.hidden = 0 then acc := f !acc (content c)
           end
           else acc := f !acc e)
-        k.elts;
+        k.run;
       !acc)
-    acc d
+    acc d.tree
 
 let visible_list d = List.rev (fold_visible (fun acc e -> e :: acc) [] d)
 
 let visible_string d =
-  let b = Buffer.create (T.weight d) in
+  let b = Buffer.create (visible_length d) in
   fold_visible (fun () -> Buffer.add_char b) () d;
   Buffer.contents b
 
@@ -236,28 +281,28 @@ let visible_string d =
    list is built without a reversal *)
 let cells_onto k acc =
   let acc = ref acc and j = ref (Array.length k.offs - 1) in
-  for off = Array.length k.elts - 1 downto 0 do
+  for off = Run.length k.run - 1 downto 0 do
     if !j >= 0 && k.offs.(!j) = off then begin
       acc := k.cells.(!j) :: !acc;
       decr j
     end
-    else acc := fresh_cell k.elts.(off) :: !acc
+    else acc := fresh_cell (Run.get k.run off) :: !acc
   done;
   !acc
 
 let model_list d =
-  List.fold_left (fun acc k -> cells_onto k acc) [] (T.fold_left (fun ks k -> k :: ks) [] d)
+  List.fold_left (fun acc k -> cells_onto k acc) [] (T.fold_left (fun ks k -> k :: ks) [] d.tree)
 
 let model_of_visible d v =
   if v < 0 then invalid_arg "Tdoc.model_of_visible: negative position";
   let vl = visible_length d in
-  if v < vl then T.select d v select_in
+  if v < vl then T.select d.tree v select_in
   else if v = vl then model_length d
   else invalid_arg "Tdoc.model_of_visible: beyond visible length"
 
 let visible_of_model d m =
   if m < 0 then invalid_arg "Tdoc.visible_of_model: negative position";
-  T.rank d (min m (model_length d)) rank_in
+  T.rank d.tree (min m (model_length d)) rank_in
 
 let conflict fmt = Format.kasprintf (fun s -> raise (Document.Edit_conflict s)) fmt
 
@@ -266,29 +311,31 @@ let check_history ~eq ~what ~pos c expected =
     conflict "%s at model position %d: element never present in the cell" what pos
 
 let apply ?(eq = ( = )) d op =
-  let n = T.length d in
+  let n = model_length d in
   let in_range what pos =
     if pos < 0 || pos >= n then
       invalid_arg (Printf.sprintf "Tdoc.apply: %s position %d out of range" what pos)
   in
   (* the cell at [pos] replaced by [f] of it, in one descent *)
-  let with_cell pos f = T.update d pos (fun k off -> set_cell k off (f (cell_at k off))) in
+  let with_cell pos f =
+    { d with tree = T.update d.tree pos (fun k off -> set_cell k off (f (cell_at k off))) }
+  in
   match op with
   | Op.Nop -> d
   | Op.Ins { pos; elt; _ } ->
     if pos < 0 || pos > n then invalid_arg "Tdoc.apply: Ins position out of range";
-    if n = 0 then T.insert d 0 (chunk [| elt |] [||] [||])
+    if n = 0 then { d with tree = T.insert d.tree 0 (chunk (Run.insert d.blank 0 elt) [||] [||]) }
     else
       (* a position between two chunks goes to the later one; the end
          of the document to the last chunk *)
       let at = min pos (n - 1) in
-      let k, off = T.find d at in
+      let k, off = T.find d.tree at in
       let off = off + pos - at in
       let k = insert_cell k off elt in
-      if Array.length k.elts <= cap then T.set d at k
+      if Run.length k.run <= cap then { d with tree = T.set d.tree at k }
       else
         let a, b = split k in
-        T.insert (T.set d at a) (pos - off + Array.length a.elts) b
+        { d with tree = T.insert (T.set d.tree at a) (pos - off + Run.length a.run) b }
   | Op.Del { pos; elt } ->
     in_range "Del" pos;
     with_cell pos (fun c ->
@@ -328,7 +375,7 @@ let ins_visible ?pr d v elt = Op.ins ?pr (model_of_visible d v) elt
 
 let visible_cell d v =
   let m = model_of_visible d v in
-  if m >= T.length d then invalid_arg "Tdoc: no visible cell at this position";
+  if m >= model_length d then invalid_arg "Tdoc: no visible cell at this position";
   let c = cell d m in
   if c.hidden <> 0 then invalid_arg "Tdoc: no visible cell at this position";
   (m, c)
@@ -361,7 +408,7 @@ let equal_cell eq a b =
        wa wb
 
 let equal_model eq a b =
-  T.length a = T.length b
+  model_length a = model_length b
   &&
   let rec go = function
     | [], [] -> true

@@ -31,49 +31,71 @@
     {b Representation.}  Cells are stored in {e chunks} of at most 64
     consecutive cells, indexed by a persistent stat tree ({!Stree}) in
     which a chunk spans as many positions as it has cells and weighs its
-    visible cells.  A chunk keeps every cell's element in a plain array
-    and, in a sparse overlay sorted by offset, the record of each
-    {e touched} cell (one with a write or a hide count).  An insertion
-    into a full chunk splits it into two halves, so every chunk but a
-    document's first holds at least 32 cells.  Where the chunks split
-    depends on the edit history, never on the cells alone: two
-    documents with equal cells may be chunked differently, so nothing
-    canonical (an encoding, a fingerprint) may depend on the split.
+    visible cells.  A chunk keeps every cell's element in a {!run} and,
+    in a sparse overlay sorted by offset, the record of each {e touched}
+    cell (one with a write or a hide count).  A run is {e packed}, one
+    byte a cell in an immutable string, in a character document built by
+    {!of_string} (the empty string included) or decoded from a state;
+    it is an array, one slot a cell, in a document built by {!of_list},
+    {!of_cells} or {!empty}, the only kind a non-character element type
+    can have.  Every chunk an insertion or a split creates inherits its
+    document's kind, which never shows in the document's cells.  An
+    insertion into a full chunk splits it into two halves, so every
+    chunk but a document's first holds at least 32 cells.  Where the
+    chunks split depends on the edit history, never on the cells
+    alone: two documents with equal cells may be chunked differently,
+    so nothing canonical (an encoding, a fingerprint) may depend on the
+    split.
 
-    {b Memory.}  An untouched cell costs one array slot: about 1.2 words
-    per cell in full chunks (the tree node and chunk header amortized
-    over 64 cells), about 1.4 in half-full ones.  A touched cell
-    costs its slot plus an overlay entry and its record, 7 words, plus
-    its writes.  The one-node-per-cell layout this replaces cost 11
-    words for every cell.
+    {b Memory.}  An untouched cell of a packed run costs one byte:
+    about 0.37 words per cell in full chunks (the 64-byte string, the
+    tree node and the chunk header amortized over 64 cells), about 0.6
+    in half-full ones.  In an array run it costs one slot: about 1.2
+    words per cell in full chunks, 1.4 in half-full ones.  A touched
+    cell costs its byte or slot plus an overlay entry and its record,
+    7 words, plus its writes.  The one-node-per-cell layout chunks
+    replaced cost 11 words for every cell.
 
     {b Cost.}  {!model_length} and {!visible_length} are O(1); {!cell},
     {!apply} and the visible<->model coordinate translations are
     O(log n + 64); the visible projections skip fully hidden chunks and
     subtrees.  The wire and the journal carry a document in the shape it
-    is stored in: {!iter_elts} walks the chunks' element arrays,
-    {!fold_touched} their overlays, and {!of_overlay} packs full chunks
-    back from the two, so no record is built for an untouched cell on
-    either side.  {!of_cells}/{!of_string} pack full chunks directly;
-    only {!model_list} and {!cell} build records for untouched cells,
-    for the checker, the tests and the tools.
+    is stored in: {!iter_runs} walks the chunks' runs, {!fold_touched}
+    their overlays, and {!of_overlay} packs full chunks back from the
+    two, so no record is built for an untouched cell on either side.
+    {!of_cells}/{!of_string} pack full chunks directly; only
+    {!model_list} and {!cell} build records for untouched cells, for
+    the checker, the tests and the tools.
 
     {b Persistence.}  Documents are values: {!apply} returns a new
     document sharing every chunk and tree node it did not change, and
-    no array is written once a returned document can reach it.  Forked
-    replicas and the model checker's search share documents freely. *)
+    no run or array is written once a returned document can reach it.
+    Forked replicas and the model checker's search share documents
+    freely. *)
 
 type 'e write = { wtag : Op.tag; value : 'e; retracted : int }
 
 type 'e cell = { elt : 'e; writes : 'e write list; hidden : int }
 
+type _ run =
+  | Chars : string -> char run  (** Packed: one byte a cell. *)
+  | Elts : 'e array -> 'e run  (** One array slot a cell. *)
+(** A run of elements, one per cell in model order. *)
+
+val run_length : 'e run -> int
+(** Elements in a run. *)
+
 type 'e t
 
 val empty : 'e t
+(** No cell; insertions build array runs. *)
+
 val of_list : 'e list -> 'e t
-(** All cells visible, no writes. *)
+(** All cells visible, no writes; array runs. *)
 
 val of_string : string -> char t
+(** All cells visible, no writes; packed runs, also for [""], so the
+    chunks insertions create are packed too. *)
 
 val model_length : 'e t -> int
 (** Cells including tombstones.  O(1). *)
@@ -89,28 +111,29 @@ val content : 'e cell -> 'e
     element. *)
 
 val of_cells : 'e cell list -> 'e t
-(** Rebuild a document from its cells, in full chunks (tests and
-    tools). *)
+(** Rebuild a document from its cells, in full chunks of array runs
+    (tests and tools). *)
 
-val iter_elts : ('e -> unit) -> 'e t -> unit
-(** Every cell's element, touched or not, in model order: the chunks'
-    element arrays, walked in place. *)
+val iter_runs : ('e run -> unit) -> 'e t -> unit
+(** The chunks' runs in model order, as stored: together they hold
+    every cell's element, touched or not. *)
 
 val fold_touched : ('acc -> int -> 'e cell -> 'acc) -> 'acc -> 'e t -> 'acc
 (** Fold over the touched cells (a write or a hide count) in model
     order, with their model positions: the chunks' overlays, walked in
     place.  Every other cell is [{ elt; writes = []; hidden = 0 }] with
-    its element from {!iter_elts}. *)
+    its element from {!iter_runs}. *)
 
-val of_overlay : 'e array -> (int * 'e write list * int) list -> ('e t, string) result
+val of_overlay : 'e run -> (int * 'e write list * int) list -> ('e t, string) result
 (** [of_overlay elts overlay] is the document whose cell [i] has
-    element [elts.(i)], and for each [(pos, writes, hidden)] of
+    element [i] of [elts], and for each [(pos, writes, hidden)] of
     [overlay] those writes and that hide count; every other cell is
-    untouched.  It packs full chunks, the ones {!of_cells} builds over
-    the same cells.  [Error] when an overlay position is out of range
-    or not strictly above the one before it, or when an entry has no
-    write and a zero hide count (an untouched cell is never in the
-    overlay, so each document has one encoding).  [elts] is not kept. *)
+    untouched.  It packs full chunks of [elts]' kind: over an [Elts]
+    run, the ones {!of_cells} builds over the same cells.  [Error] when
+    an overlay position is out of range or not strictly above the one
+    before it, or when an entry has no write and a zero hide count (an
+    untouched cell is never in the overlay, so each document has one
+    encoding).  [elts] is not kept. *)
 
 val visible_list : 'e t -> 'e list
 val visible_string : char t -> string

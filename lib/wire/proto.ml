@@ -5,10 +5,38 @@ open Codec
 type 'e elt_codec = {
   put : Codec.encoder -> 'e -> unit;
   get : Codec.decoder -> 'e Codec.result;
+  put_run : Codec.encoder -> 'e Tdoc.run -> unit;
+  get_run : Codec.decoder -> 'e Tdoc.run Codec.result;
 }
 
-let char_codec = { put = put_char; get = get_char }
-let string_codec = { put = put_string; get = get_string }
+(* a character is one byte, so a packed run goes out as it is stored and
+   a whole element section comes back as one bounded read: what
+   [put_string] writes and [get_string] reads *)
+let char_codec =
+  {
+    put = put_char;
+    get = get_char;
+    put_run =
+      (fun b -> function
+        | Tdoc.Chars s -> Buffer.add_string b s
+        | Tdoc.Elts a -> Array.iter (put_char b) a);
+    get_run =
+      (fun d ->
+        let* s = get_string d in
+        Ok (Tdoc.Chars s));
+  }
+
+let string_codec =
+  {
+    put = put_string;
+    get = get_string;
+    (* a string run is never packed *)
+    put_run = (fun b (Tdoc.Elts a) -> Array.iter (put_string b) a);
+    get_run =
+      (fun d ->
+        let* a = get_array get_string d in
+        Ok (Tdoc.Elts a));
+  }
 
 (* ----- Vclock ----- *)
 
@@ -395,15 +423,15 @@ let get_write ec d =
   Ok { Tdoc.wtag; value; retracted }
 
 (* The document section: the model length, then every cell's element
-   in model order, then the touched cells (a write or a hide count) in
-   model order, each as its gap from the previous touched position (the
-   first from 0), its writes and its hide count.  A touched cell's
-   element is the one in the run.  The section depends on the cells
-   alone, never on where the chunks split, so {!fingerprint} stays
-   canonical. *)
+   in model order (the element codec's runs), then the touched cells (a
+   write or a hide count) in model order, each as its gap from the
+   previous touched position (the first from 0), its writes and its
+   hide count.  A touched cell's element is the one in the run.  The
+   section depends on the cells alone, never on where the chunks split,
+   so {!fingerprint} stays canonical. *)
 let put_doc ec b d =
   put_varint b (Tdoc.model_length d);
-  Tdoc.iter_elts (ec.put b) d;
+  Tdoc.iter_runs (ec.put_run b) d;
   let touched = Tdoc.fold_touched (fun acc pos c -> (pos, c) :: acc) [] d in
   put_varint b (List.length touched);
   ignore
@@ -422,9 +450,9 @@ let get_touched ec d =
   Ok (gap, writes, hidden)
 
 let get_doc ec d =
-  let* elts = get_array ec.get d in
+  let* elts = ec.get_run d in
   let* touched = get_list (get_touched ec) d in
-  let n = Array.length elts in
+  let n = Tdoc.run_length elts in
   (* gaps to positions: a gap reaching past [n] is refused here, before
      a sum of hostile gaps can overflow; [Tdoc.of_overlay] checks the
      rest *)

@@ -14,15 +14,17 @@
     {b The document section of a state} ({!encode_state}) carries the
     tombstone document in the shape [Dce_ot.Tdoc] stores it: the model
     length; every cell's element in model order, one [put] each (one
-    byte a character); then the count of {e touched} cells (a write or
-    a hide count) and, for each in model order, its gap from the
-    previous touched position (the first from 0), its writes and its
-    hide count.  A touched cell's element is the one in the run, so it
-    is not sent twice.  The layout depends on the cells alone, never on
-    where the chunks split, so {!fingerprint} stays canonical.  The
-    decoder refuses an element count above the bytes left before it
-    allocates, and an overlay position out of order or out of range or
-    naming an untouched cell ([Dce_ot.Tdoc.of_overlay]).
+    byte a character: a packed run goes out whole); then the count of
+    {e touched} cells (a write or a hide count) and, for each in model
+    order, its gap from the previous touched position (the first from
+    0), its writes and its hide count.  A touched cell's element is the
+    one in the run, so it is not sent twice.  The layout depends on the
+    cells alone, never on where the chunks split, so {!fingerprint}
+    stays canonical.  The decoder refuses an element count above the
+    bytes left before it allocates, and an overlay position out of order
+    or out of range or naming an untouched cell
+    ([Dce_ot.Tdoc.of_overlay]).  {!char_codec} decodes the elements into
+    packed runs, so a decoded character document is packed.
 
     A state is framed with format version 2; a state of the earlier
     layout, one (element, writes, hide count) triple per cell, has
@@ -36,7 +38,16 @@ open Dce_core
 type 'e elt_codec = {
   put : Codec.encoder -> 'e -> unit;
   get : Codec.decoder -> 'e Codec.result;
+  put_run : Codec.encoder -> 'e Tdoc.run -> unit;
+      (** A run's elements, as that many [put]s would write them. *)
+  get_run : Codec.decoder -> 'e Tdoc.run Codec.result;
+      (** An element count, then that many elements, read into a run:
+          the element section of a state. *)
 }
+(** An element type's codec.  {!char_codec} writes a packed run with one
+    [Buffer.add_string] and reads a state's element section with one
+    bounded read into a packed run; {!string_codec} works an element at
+    a time and reads array runs. *)
 
 val char_codec : char elt_codec
 val string_codec : string elt_codec

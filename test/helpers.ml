@@ -221,6 +221,22 @@ let gen_chunked_op_seq =
   in
   steps (Tdoc_ref.of_cells cells) [] k
 
+(* the document of [cells] in full chunks of packed runs, as a decoded
+   character state holds it: [Tdoc.of_cells] builds the array-run twin *)
+let packed_of_cells cells =
+  let elts =
+    String.of_seq (List.to_seq (List.map (fun (c : char Tdoc.cell) -> c.Tdoc.elt) cells))
+  in
+  let overlay =
+    List.concat
+      (List.mapi
+         (fun i (c : char Tdoc.cell) ->
+           if c.Tdoc.writes = [] && c.Tdoc.hidden = 0 then []
+           else [ (i, c.Tdoc.writes, c.Tdoc.hidden) ])
+         cells)
+  in
+  match Tdoc.of_overlay (Tdoc.Chars elts) overlay with Ok d -> d | Error e -> failwith e
+
 (* cells as elt/hide count/write count, without going through [Tdoc] *)
 let pp_cells =
   Fmt.(list ~sep:nop (fun ppf (c : char Tdoc.cell) ->

@@ -148,6 +148,66 @@ let tdoc_boundary_tests =
         Alcotest.(check int) "whole model" 2 (Tdoc.visible_of_model d 3));
   ]
 
+(* ----- the packed run's footprint ----- *)
+
+(* Words per 100 model cells of a character document whose chunks are
+   all half full, the fewest cells a split leaves: a 32-byte string is 6
+   words, its run 2, the chunk record 5 and its tree node 7, so 20 words
+   for 32 cells.  Array runs cost 33 + 2 + 5 + 7 words for the same
+   cells, 147 per 100. *)
+let packed_words_per_100_cells = 63
+
+(* [d] grown by [n] seeded insertions at random positions, checked
+   against the same insertions into a string *)
+let grown_by_insertions n d =
+  let rng = Random.State.make [| 2009 |] in
+  let rec go d s k =
+    if k = 0 then begin
+      Alcotest.(check string) "content" s (Tdoc.visible_string d);
+      d
+    end
+    else
+      let pos = Random.State.int rng (String.length s + 1) in
+      let c = Char.chr (97 + Random.State.int rng 26) in
+      go (Tdoc.apply d (Op.ins pos c))
+        (String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (String.length s - pos))
+        (k - 1)
+  in
+  go d "" n
+
+let words_per_100_cells d = Obj.reachable_words (Obj.repr d) * 100 / Tdoc.model_length d
+
+let tdoc_memory_tests =
+  [
+    Alcotest.test_case "an empty character document packs from its first insertion" `Quick
+      (fun () ->
+        let decoded =
+          let policy =
+            Dce_core.Policy.make ~users:[ 0 ]
+              Dce_core.[ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+          in
+          let st =
+            Dce_core.Controller.dump
+              (Dce_core.Controller.create ~eq:Char.equal ~site:0 ~admin:0 ~policy
+                 (Tdoc.of_string ""))
+          in
+          match Dce_wire.Proto.Char_proto.(decode_state (encode_state st)) with
+          | Ok st -> st.Dce_core.Controller.st_doc
+          | Error e -> Alcotest.fail e
+        in
+        List.iter
+          (fun (what, d) ->
+            let words = words_per_100_cells (grown_by_insertions 2_000 d) in
+            if words > packed_words_per_100_cells then
+              Alcotest.failf "%s: %d words per 100 cells, packed runs hold at most %d" what
+                words packed_words_per_100_cells)
+          [ ("of_string \"\"", Tdoc.of_string ""); ("decoded state", decoded) ];
+        (* the bound tells the kinds apart: array runs grown alike exceed it *)
+        Alcotest.(check bool) "array runs exceed the bound" true
+          (words_per_100_cells (grown_by_insertions 2_000 Tdoc.empty)
+          > packed_words_per_100_cells));
+  ]
+
 (* ----- Stree (the stat tree underneath Tdoc and Oplog) ----- *)
 
 (* size-1 elements weighed by their low bit, as the log weighs its
@@ -414,12 +474,30 @@ let differential_tests =
    The chunk-edge documents and op sequences ([gen_chunked_cells],
    [gen_chunked_op_seq]) live in [Helpers]: the wire tests reuse them. *)
 
-(* every projection and translation of [tree] is [arr]'s *)
-let agrees tree arr =
+(* the generated cells and ops with every character mapped through [f],
+   for documents of another element type *)
+let lift_cell f (c : char Tdoc.cell) =
+  {
+    Tdoc.elt = f c.Tdoc.elt;
+    writes =
+      List.map (fun (w : char Tdoc.write) -> { w with Tdoc.value = f w.Tdoc.value }) c.Tdoc.writes;
+    hidden = c.Tdoc.hidden;
+  }
+
+let lift_op f : char Op.t -> _ Op.t = function
+  | Op.Ins { pos; elt; pr } -> Op.ins ~pr pos (f elt)
+  | Op.Del { pos; elt } -> Op.del pos (f elt)
+  | Op.Undel { pos; elt } -> Op.undel pos (f elt)
+  | Op.Up { pos; before; after; tag } -> Op.up ~tag pos (f before) (f after)
+  | Op.Unup { pos; value; tag } -> Op.unup ~tag pos (f value)
+  | Op.Nop -> Op.Nop
+
+(* every projection and translation of [tree] is [arr]'s; [lift] maps a
+   character to the documents' element type *)
+let agrees lift tree arr =
   let vl = Tdoc_ref.visible_length arr and ml = Tdoc_ref.model_length arr in
   let tag = { Op.stamp = 999_999; site = 1 } in
-  Tdoc.visible_string tree = Tdoc_ref.visible_string arr
-  && Tdoc.visible_list tree = Tdoc_ref.visible_list arr
+  Tdoc.visible_list tree = Tdoc_ref.visible_list arr
   && Tdoc.model_list tree = Tdoc_ref.model_list arr
   && Tdoc.model_length tree = ml
   && Tdoc.visible_length tree = vl
@@ -430,42 +508,57 @@ let agrees tree arr =
   && List.for_all
        (fun v ->
          Tdoc.model_of_visible tree v = Tdoc_ref.model_of_visible arr v
-         && Op.equal Char.equal (Tdoc.ins_visible ~pr:1 tree v 'q')
-              (Tdoc_ref.ins_visible ~pr:1 arr v 'q')
+         && Op.equal ( = ) (Tdoc.ins_visible ~pr:1 tree v (lift 'q'))
+              (Tdoc_ref.ins_visible ~pr:1 arr v (lift 'q'))
          && (v = vl
-            || Op.equal Char.equal (Tdoc.del_visible tree v) (Tdoc_ref.del_visible arr v)
-               && Op.equal Char.equal (Tdoc.up_visible ~tag tree v 'Q')
-                    (Tdoc_ref.up_visible ~tag arr v 'Q')))
+            || Op.equal ( = ) (Tdoc.del_visible tree v) (Tdoc_ref.del_visible arr v)
+               && Op.equal ( = ) (Tdoc.up_visible ~tag tree v (lift 'Q'))
+                    (Tdoc_ref.up_visible ~tag arr v (lift 'Q'))))
        (List.init (vl + 1) Fun.id)
 
-let chunk_tests =
+(* The chunk-edge properties over documents that [build] (named
+   [built]) makes from the generated cells, each character mapped
+   through [lift]; [prefix] names the run kind. *)
+let chunk_tests_of ~prefix ~built lift build =
+  let cells_of = List.map (lift_cell lift) and ops_of = List.map (lift_op lift) in
   [
-    qtest "of_cells then model_list is the identity across chunks" ~count:200
+    qtest (prefix ^ built ^ " then model_list is the identity across chunks") ~count:200
       gen_chunked_cells
       (Format.asprintf "%a" pp_cells)
-      (fun cells -> Tdoc.model_list (Tdoc.of_cells cells) = cells);
-    qtest "chunked and array documents agree after every op at chunk edges" ~count:150
-      gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+      (fun cells ->
+        let cells = cells_of cells in
+        Tdoc.model_list (build cells) = cells);
+    qtest (prefix ^ "chunked and array documents agree after every op at chunk edges")
+      ~count:150 gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+        let cells = cells_of cells in
         let _, _, ok =
           List.fold_left
             (fun (tree, arr, ok) op ->
               let tree = Tdoc.apply tree op and arr = Tdoc_ref.apply arr op in
-              (tree, arr, ok && agrees tree arr))
-            (Tdoc.of_cells cells, Tdoc_ref.of_cells cells, true)
-            ops
+              (tree, arr, ok && agrees lift tree arr))
+            (build cells, Tdoc_ref.of_cells cells, true)
+            (ops_of ops)
         in
         ok);
-    qtest "apply leaves every earlier version unchanged across chunk splits" ~count:200
-      gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+    qtest (prefix ^ "apply leaves every earlier version unchanged across chunk splits")
+      ~count:200 gen_chunked_op_seq print_chunked_op_seq (fun (cells, ops) ->
+        let cells = cells_of cells and ops = ops_of ops in
         let versions d0 apply =
           List.rev (List.fold_left (fun (ds : _ list) op -> apply (List.hd ds) op :: ds) [ d0 ] ops)
         in
-        let trees = versions (Tdoc.of_cells cells) Tdoc.apply in
+        let trees = versions (build cells) Tdoc.apply in
         let arrs = versions (Tdoc_ref.of_cells cells) Tdoc_ref.apply in
         List.for_all2
           (fun tree arr -> Tdoc.model_list tree = Tdoc_ref.model_list arr)
           trees arrs);
   ]
+
+(* Packed runs, as the editors' character documents are built, and
+   array runs over another element type (one-character strings), the
+   only kind such a document has. *)
+let chunk_tests =
+  chunk_tests_of ~prefix:"packed: " ~built:"of_overlay" Fun.id packed_of_cells
+  @ chunk_tests_of ~prefix:"" ~built:"of_cells" (String.make 1) Tdoc.of_cells
 
 (* ----- plain Document (positional; used by baselines) ----- *)
 
@@ -1032,7 +1125,7 @@ let () =
     [
       ("op", op_unit_tests @ [ test_inverse_cancels ]);
       ("stree", stree_tests);
-      ("tdoc", tdoc_unit_tests @ tdoc_boundary_tests);
+      ("tdoc", tdoc_unit_tests @ tdoc_boundary_tests @ tdoc_memory_tests);
       ("tdoc-differential", differential_tests @ chunk_tests);
       ("document", doc_unit_tests @ [ test_doc_impl_equivalence ]);
       ( "transform",

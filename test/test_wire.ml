@@ -507,12 +507,17 @@ let document_tests =
     Alcotest.test_case "an element count larger than the input is refused" `Quick (fun () ->
         refused "a million elements in three bytes" ~expect:"exceeds input"
           (with_section ~n:1_000_000 "abc" []));
+    (* the same edits on array and packed runs, and the cells repacked
+       into full packed chunks, encode alike; the decoded document is
+       the packed twin, chunk for chunk *)
     qtest "the section is canonical across chunk splits" ~count:150 gen_chunked_op_seq
-      print_chunked_op_seq (fun seq ->
+      print_chunked_op_seq (fun ((cells, ops) as seq) ->
         let d = chunked_doc seq in
-        let repacked = Tdoc.of_cells (Tdoc.model_list d) in
+        let edited_packed = Tdoc.apply_all (packed_of_cells cells) ops in
+        let repacked = packed_of_cells (Tdoc.model_list d) in
         let blob = Proto.Char_proto.encode_state (carrying d) in
-        blob = Proto.Char_proto.encode_state (carrying repacked)
+        blob = Proto.Char_proto.encode_state (carrying edited_packed)
+        && blob = Proto.Char_proto.encode_state (carrying repacked)
         &&
         match Proto.Char_proto.decode_state blob with
         | Error _ -> false

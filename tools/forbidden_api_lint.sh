@@ -33,6 +33,13 @@
 #                 point them at Replica.  Tests and bench/ are exempt —
 #                 they drive the layers directly.
 #
+#   obj-magic     Obj.magic in lib/ or bin/.  A cast turns a type error
+#                 the compiler would report into memory corruption at
+#                 run time.  Where one representation must serve several
+#                 element types, say so in the types instead, as the
+#                 GADT behind a tombstone document's runs (Tdoc.run)
+#                 does for packed character runs and element arrays.
+#
 # Allowlist: tools/forbidden_api_allowlist.txt, one "<rule> <path>" per
 # line ('#' comments).  An entry exempts the whole file for that rule —
 # keep entries rare and justified inline.
@@ -85,6 +92,9 @@ report lib-exit "$@"
 set -- $(grep -rnE '(Persist\.(record|maybe_checkpoint|checkpoint|compact)|Controller\.(catch_up|apply_delta|rejoin))([^[:alnum:]_]|$)' lib bin 2>/dev/null \
   | grep -vE '^lib/(core|store|check)/') || true
 report journal-bypass "$@"
+
+set -- $(grep -rn 'Obj\.magic' lib bin 2>/dev/null) || true
+report obj-magic "$@"
 
 IFS=$old_ifs
 
