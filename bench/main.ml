@@ -466,7 +466,12 @@ let run_steady () =
   Obs.Metrics.add (Obs.Metrics.counter bench_metrics "core.steady_h10k_vs_h100_pct") pct;
   Printf.printf "steady |H|=10k holds %d%% of the |H|=100 throughput (gate: >= 50)\n" pct
 
-(* ----- delta catch-up vs the full snapshot ----- *)
+(* ----- delta join vs snapshot join -----
+
+   Both joins replay the same suffix: the snapshot join decodes and
+   loads the donor's whole state, and [catch_up] takes the delta from
+   the joiner's own clock and version out of it; the delta join decodes
+   that suffix alone.  What differs is the bytes and the decoding. *)
 
 let run_delta_sync () =
   let n = 1_000 and h = 2_000 and lag = 50 in
@@ -523,8 +528,8 @@ let run_delta_sync () =
   put "core.deltasync_bytes" (String.length delta_blob);
   put "core.delta_vs_full_pct" pct;
   Printf.printf
-    "catch-up after %d missed of %d ops: full %d B / %.3f ms, delta %d B / %.3f ms  \
-     (%d%% of full bytes; gate: <= 10)\n"
+    "join after %d missed of %d ops: snapshot %d B / %.3f ms, delta %d B / %.3f ms  \
+     (%d%% of the snapshot's bytes; gate: <= 10)\n"
     lag h (String.length full_blob) t_full (String.length delta_blob) t_delta pct
 
 (* ----- the administrator's settled log -----

@@ -304,8 +304,10 @@ let restart ~cycle ~mangled ~pre_fp n =
 (* The reconnect handshake, as p2pedit runs it against a dced snapshot:
    catch up from the relay's session copy (the replica checkpoints it),
    re-broadcast what the relay cannot prove acknowledged. *)
-let reconnect sess c =
-  broadcast sess ~from:c.id (Replica.catch_up c.replica (ctrl sess.relay))
+let reconnect ~cycle sess c =
+  match Replica.catch_up c.replica (ctrl sess.relay) with
+  | Ok out -> broadcast sess ~from:c.id out
+  | Error e -> failf "cycle %d: %s failed to catch up: %s" cycle c.name e
 
 (* {2 Setup, oracle, teardown} *)
 
@@ -422,10 +424,10 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
          out: every client reconnects, and each one's catch-up
          re-broadcasts its own requests the relay no longer proves
          acked — exactly how the group heals a forgetful dced *)
-      Array.iter (fun c -> reconnect sess c) sess.clients
+      Array.iter (fun c -> reconnect ~cycle sess c) sess.clients
     else begin
       broadcast sess ~from:victim.id r.Persist.emitted;
-      reconnect sess victim
+      reconnect ~cycle sess victim
     end;
     say "cycle %3d/%d: killed %s (fsync %s), %a -> gen %d, %d replayed%s@."
       cycle cycles victim.name

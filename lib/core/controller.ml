@@ -101,9 +101,11 @@ type 'e t = {
      peers advance the frontier; they merge monotonically so stale or
      reordered beacons are no-ops. *)
   peer_beacon : (Vclock.t * int) User_map.t;
-  (* true while [catch_up] replays a donor's history: the administrator
-     must not mint fresh validations for requests whose settled fate is
-     already recorded in the history being replayed *)
+  (* true while a state transfer replays history through [receive] (a
+     donor's delta, or our own unacknowledged requests after a rejoin):
+     the administrator must not mint fresh validations for requests
+     whose settled fate that history may already record;
+     [validate_backlog] settles what is still tentative afterwards *)
   replay : bool;
   m : meters;
 }
@@ -687,7 +689,7 @@ let receive t msg =
       in
       (note_levels t, msgs)
 
-(* ----- reconnection by replay (the durable alternative to [rejoin]) ----- *)
+(* ----- state transfer: replay only the suffix a joiner lacks ----- *)
 
 (* A stored request's broadcast form: the generation-context operation
    with the flag it was born with (the administrator's own requests are
@@ -712,20 +714,14 @@ let normal_requests oplog =
       | Oplog.Normal -> Some e.Oplog.req)
     (Oplog.entries oplog)
 
-(* Feed a list of history messages through [receive] in replay mode:
-   duplicates are dropped, the rest queues until causally ready, and
-   every security decision (interval checks, rejections, undo) is taken
-   by this site's own algorithm rather than trusted from the donor. *)
+(* Feed history messages through [receive] in replay mode: duplicates
+   are dropped, the rest queues until causally ready, and every security
+   decision (interval checks, rejections, undo) is taken by this site's
+   own algorithm rather than trusted from the donor.  Replay mode mints
+   nothing, so there is no output to collect. *)
 let replay_history t history =
-  let t, replayed =
-    List.fold_left
-      (fun (t, acc) m ->
-        let t, ms = receive t m in
-        (t, acc @ ms))
-      ({ t with replay = true }, [])
-      history
-  in
-  ({ t with replay = false }, replayed)
+  let t = List.fold_left (fun t m -> fst (receive t m)) { t with replay = true } history in
+  { t with replay = false }
 
 (* Requests of ours a donor at [donor_clock]/[donor_version] never saw:
    put them back on the wire (receivers deduplicate, so over-sending is
@@ -768,51 +764,78 @@ let unacked_by t ~donor_clock ~donor_version =
    backlog now (same obligation as an admin transfer). *)
 let validate_backlog t =
   if is_admin t && t.features.validation then
-    List.fold_left
-      (fun (t, acc) (q : 'e Request.t) ->
-        match issue_admin t (Admin_op.Validate q.Request.id) with
-        | Ok (t, ms) -> (t, acc @ ms)
-        | Error _ -> (t, acc))
-      (t, []) (tentative t)
+    let t, rev_msgs =
+      List.fold_left
+        (fun (t, acc) (q : 'e Request.t) ->
+          match issue_admin t (Admin_op.Validate q.Request.id) with
+          | Ok (t, ms) -> (t, List.rev_append ms acc)
+          | Error _ -> (t, acc))
+        (t, []) (tentative t)
+    in
+    (t, List.rev rev_msgs)
   else (t, [])
 
-(* The one state-transfer guard: [donor]'s logs still hold everything a
-   site at [clock]/[version] lacks — neither the oplog's cut nor L's is
-   above it.  Below either cut the dropped entries cannot be resent, and
-   the joiner needs the donor's whole state. *)
-let resumable donor ~clock ~version =
-  Vclock.leq (Oplog.compacted_upto donor.oplog) clock
-  && Admin_log.cut donor.admin_log <= version
+type 'e delta = {
+  dl_clock : Vclock.t;
+  dl_version : int;
+  dl_compacted : Vclock.t;
+  dl_admin : Admin_op.request list;
+  dl_coop : 'e Request.t list;
+  dl_coop_queue : 'e Request.t list;
+  dl_admin_queue : Admin_op.request list;
+}
+
+(* The one state-transfer guard: at or above both of the donor's cuts,
+   the joiner's clock counts exactly what it has integrated, so the
+   entries it does not count are exactly what it lacks.  Below either
+   cut the dropped entries cannot be resent ([Admin_log.suffix] declines
+   below L's). *)
+let delta_since donor ~clock ~version =
+  match Admin_log.suffix donor.admin_log version with
+  | Some dl_admin when Vclock.leq (Oplog.compacted_upto donor.oplog) clock ->
+    let dl_coop =
+      normal_requests donor.oplog
+      |> List.filter (fun (q : 'e Request.t) ->
+             not
+               (Vclock.dominates_event clock ~site:q.Request.id.Request.site
+                  ~count:q.Request.id.Request.serial))
+      |> List.map (born_copy donor.admin_log)
+    in
+    Some
+      {
+        dl_clock = donor.clock;
+        dl_version = Admin_log.version donor.admin_log;
+        dl_compacted = Oplog.compacted_upto donor.oplog;
+        dl_admin;
+        dl_coop;
+        dl_coop_queue = List.rev donor.coop_queue;
+        dl_admin_queue = List.rev donor.admin_queue;
+      }
+  | _ -> None
+
+(* Administrative requests go first, so the version sequence — and with
+   it the administrator identity at every point — is settled before
+   cooperative traffic integrates.  Then our serial clears everything
+   the group has already seen from us (or fresh requests would be
+   dropped as duplicates), and what we return re-sends our requests the
+   donor lacks plus, at the administrator, the backlog's validations. *)
+let replay_delta t d =
+  let t =
+    replay_history t
+      (List.map (fun r -> Admin r) d.dl_admin
+      @ List.map (fun q -> Coop q) d.dl_coop
+      @ List.map (fun q -> Coop q) d.dl_coop_queue
+      @ List.map (fun r -> Admin r) d.dl_admin_queue)
+  in
+  let t = { t with serial = max t.serial (Vclock.get t.clock t.site) } in
+  let unacked = unacked_by t ~donor_clock:d.dl_clock ~donor_version:d.dl_version in
+  let t, validations = validate_backlog t in
+  (note_levels t, unacked @ validations)
 
 let catch_up t donor =
-  if resumable donor ~clock:t.clock ~version:(version t) then begin
-    (* Reconstruct the donor's whole (remaining) history as ordinary
-       messages and push it through [receive].  Administrative requests
-       go first so the version sequence — and with it the administrator
-       identity at every point — is settled before cooperative traffic
-       integrates.  Sound even though the donor's logs are compacted:
-       every dropped entry is below a cut that our own clock and version
-       dominate, so we already hold it. *)
-    let history =
-      List.map (fun r -> Admin r) (Admin_log.requests donor.admin_log)
-      @ List.map
-          (fun q -> Coop (born_copy donor.admin_log q))
-          (normal_requests donor.oplog)
-      @ List.map (fun q -> Coop q) (List.rev donor.coop_queue)
-      @ List.map (fun r -> Admin r) (List.rev donor.admin_queue)
-    in
-    let t, replayed = replay_history t history in
-    (* our serial counter must clear everything the group has already seen
-       from us, or fresh requests would be dropped as duplicates *)
-    let t = { t with serial = max t.serial (Vclock.get t.clock t.site) } in
-    let unacked =
-      unacked_by t ~donor_clock:donor.clock
-        ~donor_version:(Admin_log.version donor.admin_log)
-    in
-    let t, validations = validate_backlog t in
-    (note_levels t, replayed @ unacked @ validations)
-  end
-  else begin
+  match delta_since donor ~clock:t.clock ~version:(version t) with
+  | Some d -> replay_delta t d
+  | None ->
     (* The donor compacted past this site's clock or version: entries
        we lack were dropped from the donor's logs for good, so a replay
        would be silently incomplete.  Adopt the donor's state wholesale
@@ -835,48 +858,8 @@ let catch_up t donor =
         serial = max t.serial fresh.serial;
       }
     in
-    let fresh, refed = replay_history fresh unacked in
-    let fresh, validations = validate_backlog fresh in
-    (note_levels fresh, refed @ unacked @ validations)
-  end
-
-(* ----- delta catch-up: ship only the suffix a joiner lacks ----- *)
-
-type 'e delta = {
-  dl_clock : Vclock.t;
-  dl_version : int;
-  dl_compacted : Vclock.t;
-  dl_admin : Admin_op.request list;
-  dl_coop : 'e Request.t list;
-  dl_coop_queue : 'e Request.t list;
-  dl_admin_queue : Admin_op.request list;
-}
-
-let delta_since donor ~clock ~version =
-  (* Only offered when [resumable]: at or above both cuts, the joiner's
-     clock counts exactly what it has integrated, so the entries it does
-     not count are exactly what it lacks. *)
-  match Admin_log.suffix donor.admin_log version with
-  | Some dl_admin when resumable donor ~clock ~version ->
-    let dl_coop =
-      normal_requests donor.oplog
-      |> List.filter (fun (q : 'e Request.t) ->
-             not
-               (Vclock.dominates_event clock ~site:q.Request.id.Request.site
-                  ~count:q.Request.id.Request.serial))
-      |> List.map (born_copy donor.admin_log)
-    in
-    Some
-      {
-        dl_clock = donor.clock;
-        dl_version = Admin_log.version donor.admin_log;
-        dl_compacted = Oplog.compacted_upto donor.oplog;
-        dl_admin;
-        dl_coop;
-        dl_coop_queue = List.rev donor.coop_queue;
-        dl_admin_queue = List.rev donor.admin_queue;
-      }
-  | _ -> None
+    let fresh, validations = validate_backlog (replay_history fresh unacked) in
+    (note_levels fresh, unacked @ validations)
 
 let apply_delta t (d : 'e delta) =
   if not (Vclock.leq d.dl_compacted t.clock) then
@@ -886,16 +869,4 @@ let apply_delta t (d : 'e delta) =
     | r :: _ -> r.Admin_op.version > version t + 1
     | [] -> false
   then Error "delta starts past this site's version: full snapshot required"
-  else begin
-    let history =
-      List.map (fun r -> Admin r) d.dl_admin
-      @ List.map (fun q -> Coop q) d.dl_coop
-      @ List.map (fun q -> Coop q) d.dl_coop_queue
-      @ List.map (fun r -> Admin r) d.dl_admin_queue
-    in
-    let t, replayed = replay_history t history in
-    let t = { t with serial = max t.serial (Vclock.get t.clock t.site) } in
-    let unacked = unacked_by t ~donor_clock:d.dl_clock ~donor_version:d.dl_version in
-    let t, validations = validate_backlog t in
-    Ok (note_levels t, replayed @ unacked @ validations)
-  end
+  else Ok (replay_delta t d)

@@ -231,25 +231,26 @@ val load :
 val catch_up : 'e t -> 'e t -> 'e t * 'e message list
 (** [catch_up t donor]: bring a recovered site up to date from a peer's
     snapshot {e without} abandoning local state — the durable
-    alternative to {!rejoin}.  The donor's history (administrative log,
-    cooperative log in broadcast form, receive queues) is replayed
-    through this site's own {!receive}, so duplicates drop out and every
+    alternative to {!rejoin}.  It takes {!delta_since} from this site's
+    own clock and version and replays it as {!apply_delta} does: only
+    what this site lacks goes through its own {!receive}, so every
     security decision is re-derived locally rather than trusted.  The
     returned messages must be broadcast: they carry this site's requests
     the donor had not yet seen — exactly the traffic {!rejoin}
     documents as lost — plus, when this site holds the administrator
     role, validations for the backlog that accumulated while it was
-    down.  Symmetric: if the {e donor} is the stale side, the replay
-    no-ops and the returned messages heal the donor instead.
+    down.  Symmetric: if the {e donor} is the stale side, the delta is
+    empty and the returned messages heal the donor instead; validations
+    an earlier transfer minted are re-sent among them, never minted
+    again.
 
-    If the donor's log is compacted {e past} this site's clock, or its
-    administrative log past this site's version, a replay would be
-    silently incomplete (the donor dropped entries we lack for good), so
-    [catch_up] detects it (the guard {!delta_since} applies too) and
+    When {!delta_since} declines — the donor's log is compacted past
+    this site's clock, or its administrative log past this site's
+    version, so entries we lack were dropped for good — [catch_up]
     falls back to adopting the donor's state wholesale ({!rejoin}
-    semantics) — except that, unlike a bare [rejoin], this site's own
-    unacknowledged requests are re-fed and re-broadcast, so nothing of
-    ours the group might miss is lost.  Messages parked in the local receive queues are other sites'
+    semantics), except that this site's own unacknowledged requests are
+    re-fed and re-broadcast, so nothing of ours the group might miss is
+    lost.  Messages parked in the local receive queues are other sites'
     traffic and are redelivered by their origins. *)
 
 (* {2 Log garbage collection (paper §7's future work)}
@@ -324,7 +325,7 @@ val compact : ?limit:Dce_ot.Vclock.t -> 'e t -> 'e t
    The wire-level complement to compaction: a joiner that presents a
    clock at or above the donor's compaction cut gets only the log suffix
    and policy delta it lacks, instead of an O(n x |H|) full-state
-   snapshot. *)
+   snapshot.  {!catch_up} replays the same suffix out of a snapshot. *)
 
 type 'e delta = {
   dl_clock : Dce_ot.Vclock.t;  (** donor's delivery clock at emission *)
@@ -340,17 +341,20 @@ type 'e delta = {
 
 val delta_since :
   'e t -> clock:Dce_ot.Vclock.t -> version:int -> 'e delta option
-(** [delta_since donor ~clock ~version]: the suffix a joiner that has
-    integrated exactly [clock] / [version] still lacks.  [None] when the
-    donor's log is compacted past [clock], or its administrative log past
-    [version] — the dropped entries cannot be resent, so the joiner needs
-    a full snapshot ({!catch_up} on an encoded state). *)
+(** [delta_since donor ~clock ~version]: what a joiner that has
+    integrated exactly [clock] / [version] still lacks — the
+    administrative requests above [version], the cooperative requests
+    [clock] does not count, and the donor's parked traffic.  [None] when
+    the donor's log is compacted past [clock], or its administrative log
+    past [version]: the dropped entries cannot be resent, so the joiner
+    needs the donor's whole state, which {!catch_up}'s fallback adopts. *)
 
 val apply_delta : 'e t -> 'e delta -> ('e t * 'e message list, string) result
-(** Replay a donor's {!delta_since} result through this site's own
-    {!receive} (same re-derivation discipline as {!catch_up}) and return
-    the messages to broadcast (unacknowledged local requests, admin
-    backlog validations).  [Error] if the delta's cut is above this
-    site's clock, or its administrative suffix starts above [version t +
-    1] — the receiver-side guards against a donor that compacted
-    concurrently with the handshake; fall back to a full snapshot. *)
+(** [apply_delta t d]: replay a donor's {!delta_since} result through
+    this site's own {!receive}, administrative suffix first, and return
+    the messages to broadcast: this site's requests the donor lacked
+    and, at the administrator, validations for its tentative backlog.
+    [Error] if the delta's cut is above this site's clock, or its
+    administrative suffix starts above [version t + 1] — the
+    receiver-side guards against a donor that compacted concurrently
+    with the handshake; fall back to a full snapshot ({!catch_up}). *)

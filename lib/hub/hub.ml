@@ -446,47 +446,48 @@ let handle_upstream_event t = function
       | Ok st -> (
         match Controller.load ~eq:t.eq st with
         | Error e -> reject t None ("snapshot rejected: " ^ e)
-        | Ok donor ->
-          (* heal, don't replace: the donor's history replays through
-             this replica's own [receive], duplicates drop out, and the
+        | Ok donor -> (
+          (* heal, don't replace: what the donor holds past this
+             replica's clock replays through its own [receive], and the
              returned messages are local requests the home had not seen
              — push those up so the healing is symmetric *)
-          let donor_clock = Controller.clock donor in
-          let donor_version = Controller.version donor in
-          let out = Replica.catch_up (Session.replica s) donor in
-          let merged = Session.controller s in
-          (* [catch_up]'s re-feed covers only requests this replica
-             generated, and a relay replica generates none — after a
-             home restart the snapshot it sends is *behind* us and
-             nothing else on this link will ever resend the history it
-             lost.  Push up the whole suffix the donor lacks, whatever
-             its origin: receivers deduplicate, so over-sending is
-             safe, and security is re-derived at the home as always.
-             Impossible only once our log has compacted past the
-             donor's clock; then the home stays degraded until a member
-             re-broadcasts (counted below). *)
-          let heal =
-            if Vclock.leq (Controller.clock merged) donor_clock then []
-            else
-              match
-                Controller.delta_since merged ~clock:donor_clock
-                  ~version:donor_version
-              with
-              | Some d ->
-                List.map (fun r -> Controller.Admin r) d.Controller.dl_admin
-                @ List.map (fun q -> Controller.Coop q) d.Controller.dl_coop
-              | None ->
-                Replica.note (Session.replica s) "heal_impossible"
-                  "upstream behind our compaction cut";
-                []
-          in
-          List.iter
-            (fun m ->
-              forward_up t ~from_upstream:false ~doc ~origin:t.cfg.hub_id
-                (Proto.encode_message t.codec m))
-            (heal @ out);
-          (* members may lack whatever the merge brought in *)
-          resync_members t s)))
+          match Replica.catch_up (Session.replica s) donor with
+          | Error e -> reject t None ("snapshot rejected: " ^ e)
+          | Ok out ->
+            let donor_clock = Controller.clock donor in
+            let merged = Session.controller s in
+            (* [catch_up]'s re-feed covers only requests this replica
+               generated, and a relay replica generates none — after a
+               home restart the snapshot it sends is *behind* us and
+               nothing else on this link will ever resend the history it
+               lost.  Push up the whole suffix the donor lacks, whatever
+               its origin: receivers deduplicate, so over-sending is
+               safe, and security is re-derived at the home as always.
+               Impossible only once our log has compacted past the
+               donor's clock; then the home stays degraded until a member
+               re-broadcasts (counted below). *)
+            let heal =
+              if Vclock.leq (Controller.clock merged) donor_clock then []
+              else
+                match
+                  Controller.delta_since merged ~clock:donor_clock
+                    ~version:(Controller.version donor)
+                with
+                | Some d ->
+                  List.map (fun r -> Controller.Admin r) d.Controller.dl_admin
+                  @ List.map (fun q -> Controller.Coop q) d.Controller.dl_coop
+                | None ->
+                  Replica.note (Session.replica s) "heal_impossible"
+                    "upstream behind our compaction cut";
+                  []
+            in
+            List.iter
+              (fun m ->
+                forward_up t ~from_upstream:false ~doc ~origin:t.cfg.hub_id
+                  (Proto.encode_message t.codec m))
+              (heal @ out);
+            (* members may lack whatever the merge brought in *)
+            resync_members t s))))
 
 (* ------------------------------------------------------------------ *)
 

@@ -10,7 +10,8 @@
     {!Dce_netd.Dialer}, as under {!Dce_netd.Client}.  Every reconnect
     re-attaches all docs — each [Doc_snapshot] reply then
     heals the leaf's replica ({!Dce_store.Replica.catch_up}), exactly
-    like a late-joining client.
+    like a late-joining client; a snapshot the replica cannot apply is
+    {!reject}ed and leaves it as it was.
 
     Like {!Dce_netd.Client} this owns the transport only; the hub holds
     the controllers and drives {!step} from its event loop. *)

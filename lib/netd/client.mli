@@ -8,7 +8,8 @@
     - [Connected]: TCP is up and the [Attach] went out;
     - [Snapshot blob]: the relay's full state transfer — decode it with
       [Proto.decode_state], load it, and {!Dce_store.Replica.rejoin} as
-      your own site (or {!Dce_store.Replica.catch_up} local state).
+      your own site, or {!Dce_store.Replica.catch_up} local state with
+      the part it lacks (an [Error] leaves that state as it was).
       Emitted on a (re)join without a usable resume point: the relay has
       no way to know which fan-outs a dead socket actually delivered;
     - [Message blob]: a [Proto.encode_message] blob from another site;

@@ -95,10 +95,13 @@ let on_event t = function
       | Error e -> [ Dropped ("snapshot rejected: " ^ e) ]
       | Ok donor -> (
         (* local state (a recovered journal, a previous connection) is
-           kept and the relay's history replayed through it: the durable
-           alternative to a lossy rejoin *)
+           kept and the part of the relay's history it lacks replayed
+           through it: the durable alternative to a lossy rejoin *)
         match t.replica with
-        | Some r -> joined t ~delta:false (Replica.catch_up r donor)
+        | Some r -> (
+          match Replica.catch_up r donor with
+          | Error e -> [ Dropped ("snapshot rejected: " ^ e) ]
+          | Ok out -> joined t ~delta:false out)
         | None ->
           t.replica <-
             Some

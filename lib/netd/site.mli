@@ -14,7 +14,9 @@
     [catch_up] (or [rejoin] when the site holds no state), a delta to
     [apply_delta], a message to [receive], a beacon to [absorb] — and
     sends what it returns; the first join also sends the recovered
-    re-emissions.  The journal rules are the replica's.  The site adds
+    re-emissions.  A snapshot or delta the replica cannot apply is
+    [Dropped], like a message it cannot apply, and changes nothing.
+    The journal rules are the replica's.  The site adds
     one: every (re)connect presents the live controller's clock and
     policy version, so the hub can answer with a delta instead of a
     snapshot, and the trace stamp reads the same controller. *)

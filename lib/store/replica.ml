@@ -90,14 +90,19 @@ let receive t m =
   | exception e -> Error (exn_detail e)
   | c, emitted -> accepted t c (Persist.Received m) emitted
 
-(* A state transfer brought in history the log never saw. *)
-let transferred t (c, out) =
-  t.ctrl <- c;
-  checkpoint t "state transfer";
-  out
+(* A state transfer brought in history the log never saw.  Like a
+   [receive], one that raises or declines changes nothing. *)
+let transfer t f =
+  match f t.ctrl with
+  | exception e -> Error (exn_detail e)
+  | Error _ as e -> e
+  | Ok (c, out) ->
+    t.ctrl <- c;
+    checkpoint t "state transfer";
+    Ok out
 
-let catch_up t donor = transferred t (Controller.catch_up t.ctrl donor)
-let apply_delta t d = Result.map (transferred t) (Controller.apply_delta t.ctrl d)
+let catch_up t donor = transfer t (fun c -> Ok (Controller.catch_up c donor))
+let apply_delta t d = transfer t (fun c -> Controller.apply_delta c d)
 
 let absorb t entries =
   t.ctrl <-

@@ -51,11 +51,18 @@ val receive :
 (** A message the controller cannot apply (say, a well-framed op with an
     out-of-range position) is an [Error] that changes nothing. *)
 
-val catch_up : 'e t -> 'e Dce_core.Controller.t -> 'e Dce_core.Controller.message list
-(** {!Dce_core.Controller.catch_up} from a donor. *)
+val catch_up :
+  'e t -> 'e Dce_core.Controller.t -> ('e Dce_core.Controller.message list, string) result
+(** {!Dce_core.Controller.catch_up} from a donor, checkpointed.  A
+    transfer the controller cannot apply raises inside it, as a bad
+    message raises inside {!receive}; it is an [Error] that changes
+    nothing, the controller and the journal alike. *)
 
 val apply_delta :
   'e t -> 'e Dce_core.Controller.delta -> ('e Dce_core.Controller.message list, string) result
+(** {!Dce_core.Controller.apply_delta}, checkpointed; a delta it declines
+    or cannot apply is an [Error] that changes nothing, as for
+    {!catch_up}. *)
 
 val absorb : 'e t -> Dce_wire.Proto.beacon list -> unit
 (** Fold stability beacons into the controller, in order. *)

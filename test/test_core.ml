@@ -758,6 +758,58 @@ let cut_session ?metrics ?trace () =
   let a = C.compact (C.receive_beacon a ~peer:s1 ~clock ~version) in
   (a, u, stale)
 
+(* The administrator goes down holding [a_old] while [k] edits of site
+   1's stay tentative there; it comes back as [a_old].  With [behind],
+   site 1 first compacts past [a_old] on one of the administrator's
+   edits, so only the rejoin fallback can serve it. *)
+let backlog_session ~behind k =
+  let policy = all_rights_policy [ adm; s1 ] in
+  let a_old = C.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
+  let u = C.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0 in
+  let u =
+    if behind then
+      let _, m, _ = ok_gen a_old (Op.ins 0 'a') in
+      C.compact (recv u m)
+    else u
+  in
+  let u =
+    List.fold_left
+      (fun u i ->
+        let u, _, _ = ok_gen u (Op.ins 0 (Char.chr (Char.code 'p' + i))) in
+        u)
+      u (List.init k Fun.id)
+  in
+  (a_old, u)
+
+let validated_versions out =
+  List.map
+    (function
+      | C.Admin { Admin_op.op = Admin_op.Validate _; version; _ } -> version
+      | _ -> Alcotest.fail "a catch-up emitted something besides a Validate")
+    out
+
+let backlog_validated_once ~behind () =
+  let k = 4 in
+  let a_old, u = backlog_session ~behind k in
+  Alcotest.(check bool) "the donor's cut is above the stale administrator" behind
+    (C.delta_since u ~clock:(C.clock a_old) ~version:(C.version a_old) = None);
+  let a, out = C.catch_up a_old u in
+  let v0 = C.version u in
+  Alcotest.(check (list int)) "k Validates at consecutive versions"
+    (List.init k (fun i -> v0 + 1 + i))
+    (validated_versions out);
+  (* the donor has not heard of them yet: they are re-sent, not minted
+     again *)
+  let a', again = C.catch_up a u in
+  Alcotest.(check (list int)) "the same versions re-sent" (validated_versions out)
+    (validated_versions again);
+  Alcotest.(check int) "no version minted" (C.version a) (C.version a');
+  let u = List.fold_left recv u out in
+  Alcotest.(check int) "nothing tentative at the administrator" 0
+    (List.length (C.tentative a));
+  Alcotest.(check int) "nothing tentative at the user" 0 (List.length (C.tentative u));
+  check_converged "after delivery" [ a; u ]
+
 let cut_tests =
   [
     Alcotest.test_case "compaction cuts L at the stable version; gauges show it" `Quick
@@ -827,6 +879,11 @@ let cut_tests =
           (Admin_log.cut (C.admin_log b));
         Alcotest.(check int) "version" (C.version a) (C.version b);
         Alcotest.(check bool) "same dump" true (C.dump a = C.dump b));
+    Alcotest.test_case "a recovered administrator validates its backlog once, by delta"
+      `Quick (backlog_validated_once ~behind:false);
+    Alcotest.test_case
+      "a recovered administrator validates its backlog once, by the rejoin fallback" `Quick
+      (backlog_validated_once ~behind:true);
   ]
 
 let () =

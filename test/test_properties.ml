@@ -794,6 +794,212 @@ let controller_properties =
                  (List.init (Admin_log.version lp + 1) Fun.id))));
   ]
 
+(* ----- snapshot and delta catch-up leave the same group -----
+
+   One random 3-site session (generations, deliveries, beacons plus
+   compaction, policy changes) runs until a joiner — the administrator
+   in some cases — falls behind: either it is frozen and keeps editing
+   offline, or it dies and is resurrected from an older copy of itself,
+   taken before its peers compacted on its later beacons.  Then the
+   session forks.  Fleet S catches the joiner up from the donor's
+   encoded snapshot, fleet D from the donor's encoded delta, falling
+   back to fleet S's route when [delta_since] declines.  Each fleet
+   delivers what the joiner returned, drains and runs one beacon round;
+   both must converge, and every site must hold the same content and
+   stability frontier in both. *)
+
+type fleet = {
+  sites : char Controller.t array;
+  inbox : char Controller.message list array; (* oldest first *)
+  mutable down : int option; (* the site whose link is cut *)
+}
+
+let send f ~src msgs =
+  if f.down <> Some src then
+    List.iter
+      (fun m ->
+        Array.iteri
+          (fun dst _ ->
+            if dst <> src && f.down <> Some dst then f.inbox.(dst) <- f.inbox.(dst) @ [ m ])
+          f.sites)
+      msgs
+
+let deliver f dst =
+  match f.inbox.(dst) with
+  | [] -> ()
+  | m :: rest ->
+    f.inbox.(dst) <- rest;
+    let c, out = Controller.receive f.sites.(dst) m in
+    f.sites.(dst) <- c;
+    send f ~src:dst out
+
+let rec drain_inbox f dst =
+  if f.inbox.(dst) <> [] then begin
+    deliver f dst;
+    drain_inbox f dst
+  end
+
+let rec drain_fleet f =
+  if Array.exists (fun q -> q <> []) f.inbox then begin
+    Array.iteri (fun dst _ -> deliver f dst) f.sites;
+    drain_fleet f
+  end
+
+let absorb_beacons f site =
+  Array.iteri
+    (fun peer c ->
+      if peer <> site && f.down <> Some peer && f.down <> Some site then
+        let clock, version = Controller.beacon c in
+        f.sites.(site) <-
+          Controller.receive_beacon f.sites.(site) ~peer:(Controller.site c) ~clock ~version)
+    f.sites
+
+let beacon_and_compact f site =
+  absorb_beacons f site;
+  f.sites.(site) <- Controller.compact f.sites.(site)
+
+let state_codec = Dce_wire.Proto.char_codec
+
+let decoded what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ e)
+
+let by_snapshot joiner donor =
+  let module P = Dce_wire.Proto in
+  let st =
+    decoded "decode_state"
+      (P.decode_state state_codec (P.encode_state state_codec (Controller.dump donor)))
+  in
+  Controller.catch_up joiner (decoded "load" (Controller.load ~eq:Char.equal st))
+
+let by_delta fallbacks joiner donor =
+  let module P = Dce_wire.Proto in
+  match
+    Controller.delta_since donor ~clock:(Controller.clock joiner)
+      ~version:(Controller.version joiner)
+  with
+  | None ->
+    incr fallbacks;
+    by_snapshot joiner donor
+  | Some d ->
+    let d = decoded "decode_delta" (P.decode_delta state_codec (P.encode_delta state_codec d)) in
+    decoded "apply_delta" (Controller.apply_delta joiner d)
+
+let snapshot_delta_twin fallbacks (choices, joiner, resurrect, at) =
+  let nsites = 3 in
+  let policy =
+    Policy.make ~users:[ 0; 1; 2 ] [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+  in
+  let mk site =
+    Controller.create ~eq:Char.equal ~site ~admin:0 ~policy (Tdoc.of_string "seed")
+  in
+  let f = { sites = Array.init nsites mk; inbox = Array.make nsites []; down = None } in
+  let generate site k =
+    let d = Controller.document f.sites.(site) in
+    let pos = k mod (Tdoc.visible_length d + 1) in
+    match
+      Controller.generate f.sites.(site)
+        (Tdoc.ins_visible d pos (Char.chr (Char.code 'a' + (k mod 26))))
+    with
+    | c, Controller.Accepted m ->
+      f.sites.(site) <- c;
+      send f ~src:site [ m ]
+    | _, Controller.Denied _ -> ()
+  in
+  (* policy changes: a new object, a deny on a zone of a user's inserts
+     (restrictive, so it undoes and rejects), or dropping that deny *)
+  let administer k =
+    let p = Controller.policy f.sites.(0) in
+    let op =
+      match k mod 3 with
+      | 1 ->
+        Admin_op.Add_auth
+          ( 0,
+            Auth.deny
+              [ Subject.User (1 + (k mod 2)) ]
+              [ Docobj.Zone { lo = 0; hi = k mod 5 } ]
+              [ Right.Insert ] )
+      | 2 when List.length (Policy.auths p) > 1 -> Admin_op.Del_auth 0
+      | _ -> Admin_op.Add_obj (Printf.sprintf "o%d" (Controller.version f.sites.(0)), Docobj.Whole)
+    in
+    match Controller.admin_update f.sites.(0) op with
+    | Ok (c, m) ->
+      f.sites.(0) <- c;
+      send f ~src:0 [ m ]
+    | Error _ -> ()
+  in
+  let step k =
+    let site = k mod nsites in
+    match (k / nsites) mod 3 with
+    | 0 when site = 0 && (k / 9) mod 4 = 0 -> administer (k / 9)
+    | 0 -> generate site (k / 9)
+    | 1 -> deliver f site
+    | _ -> beacon_and_compact f site
+  in
+  let split = at * List.length choices / 100 in
+  List.iteri (fun i k -> if i < split then step k) choices;
+  let old_copy = f.sites.(joiner) in
+  if not resurrect then f.down <- Some joiner;
+  List.iteri (fun i k -> if i >= split then step k) choices;
+  if resurrect then begin
+    (* in half the cases the group first settles: everything is
+       delivered, then every site, the joiner included, beacons and
+       compacts, so the older copy may fall behind the donor's cuts.
+       Then kill the joiner: its inbox dies with it, and it comes back
+       as the older copy. *)
+    if at mod 4 < 2 then begin
+      drain_fleet f;
+      Array.iteri (fun site _ -> beacon_and_compact f site) f.sites
+    end;
+    f.down <- Some joiner;
+    f.inbox.(joiner) <- [];
+    f.sites.(joiner) <- old_copy;
+    (* its peers edit on while it is down: an administrator comes back
+       to a backlog, whichever branch serves it *)
+    Array.iteri (fun site _ -> if site <> joiner then generate site at) f.sites
+  end;
+  (* the donor has integrated everything sent while the joiner was away *)
+  let donor = (joiner + 1 + (at mod 2)) mod nsites in
+  drain_inbox f donor;
+  let run route =
+    let g = { sites = Array.copy f.sites; inbox = Array.copy f.inbox; down = None } in
+    let c, out = route g.sites.(joiner) g.sites.(donor) in
+    g.sites.(joiner) <- c;
+    send g ~src:joiner out;
+    drain_fleet g;
+    Array.iteri (fun site _ -> absorb_beacons g site) g.sites;
+    g
+  in
+  let s = run by_snapshot in
+  let d = run (by_delta fallbacks) in
+  let converged g = Dce_sim.Convergence.(ok (check (Array.to_list g.sites))) in
+  let fp = Dce_wire.Proto.content_fingerprint state_codec in
+  converged s && converged d
+  && Array.for_all2
+       (fun a b ->
+         String.equal (fp a) (fp b)
+         && Vclock.equal (Controller.stable_frontier a) (Controller.stable_frontier b)
+         && Controller.stable_version a = Controller.stable_version b)
+       s.sites d.sites
+
+let catch_up_properties =
+  [
+    Alcotest.test_case "snapshot and delta catch-up leave the same group" `Quick (fun () ->
+        let fallbacks = ref 0 in
+        QCheck2.Test.check_exn
+          (QCheck2.Test.make ~count:300 ~name:"snapshot vs delta twin"
+             ~print:(fun (l, j, resurrect, at) ->
+               Printf.sprintf "%d choices, joiner %d %s at %d%%" (List.length l) j
+                 (if resurrect then "resurrected" else "frozen")
+                 at)
+             QCheck2.Gen.(
+               quad
+                 (list_size (int_range 8 60) (int_range 0 100_000))
+                 (int_range 0 2) bool (int_range 0 100))
+             (snapshot_delta_twin fallbacks));
+        Alcotest.(check bool) "some sessions took the rejoin fallback" true (!fallbacks > 0));
+  ]
+
 (* ----- exhaustive small-scope transformation properties -----
 
    The QCheck properties above (and in test_ot.ml) sample these spaces;
@@ -835,5 +1041,6 @@ let () =
       ("policy", policy_properties);
       ("admin_log", admin_log_properties);
       ("controller", controller_properties);
+      ("catch_up", catch_up_properties);
       ("enum", enum_properties);
     ]

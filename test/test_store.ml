@@ -1015,6 +1015,34 @@ let replica_tests =
           (Replica.controller r == before);
         Alcotest.(check int) "nothing was recorded" records
           (Persist.records_since_checkpoint j));
+    Alcotest.test_case "a state transfer that raises changes neither controller nor journal"
+      `Quick (fun () ->
+        let j = mem_journal (Io.Mem.create ()) in
+        let r = Replica.create ~journal:j (mk_ctrl ~site:0 "ab") in
+        (* the same hostile donor: its history holds an insert far
+           beyond the receiver's document *)
+        let donor = mk_ctrl ~site:1 "abcdefghij" in
+        let donor, _ = gen_accept donor (Tdoc.ins_visible (Controller.document donor) 9 'Z') in
+        let before = Replica.controller r in
+        let records = Persist.records_since_checkpoint j in
+        let cut = Persist.checkpoint_clock j in
+        let unchanged what = function
+          | Ok _ -> Alcotest.failf "%s applied an out-of-range insert" what
+          | Error _ ->
+            Alcotest.(check bool) (what ^ ": the controller is untouched") true
+              (Replica.controller r == before);
+            Alcotest.(check int) (what ^ ": nothing was recorded") records
+              (Persist.records_since_checkpoint j);
+            Alcotest.(check bool) (what ^ ": no checkpoint was taken") true
+              (Persist.checkpoint_clock j = cut)
+        in
+        unchanged "catch_up" (Replica.catch_up r donor);
+        let d =
+          Option.get
+            (Controller.delta_since donor ~clock:(Controller.clock before)
+               ~version:(Controller.version before))
+        in
+        unchanged "apply_delta" (Replica.apply_delta r d));
     Alcotest.test_case "catch_up and apply_delta checkpoint the merged state" `Quick
       (fun () ->
         let j = mem_journal (Io.Mem.create ()) in
@@ -1031,7 +1059,7 @@ let replica_tests =
             (Persist.checkpoint_clock j = Some (Controller.clock c))
         in
         edit 'x';
-        ignore (Replica.catch_up r !donor);
+        ignore (issue "catch_up" (Replica.catch_up r !donor));
         at_merged_clock "catch_up";
         let c = Replica.controller r in
         edit 'y';
