@@ -26,6 +26,8 @@
 
      - recovery NEVER fails, whatever was done to the tail, nor does
        any journal write;
+     - recovery replays fewer than [snapshot_every] records: the
+       checkpoint cadence bounds the log, across restarts too;
      - with an intact log, the recovered state fingerprints identical
        to the pre-kill state — exact replay, not approximate;
      - after catch-up and the flush, the convergence oracles hold
@@ -290,6 +292,10 @@ let restart ~cycle ~mangled ~pre_fp n =
       | Some c -> c
       | None -> failf "cycle %d: %s recovered no state" cycle n.name
     in
+    let every = (config_for ~cycle ~id:n.id).Store.snapshot_every in
+    if r.Persist.replayed >= every then
+      failf "cycle %d: %s replayed %d records, but it checkpoints every %d" cycle n.name
+        r.Persist.replayed every;
     (match mangled with
      | None ->
        if Persist.fingerprint j ctrl <> pre_fp then

@@ -2,7 +2,9 @@
 
    Explores EVERY delivery interleaving of a small scenario through the
    real controller (lib/check), checking the convergence and security
-   oracles at every quiescent frontier.  Where bin/replay.exe samples
+   oracles at every quiescent frontier.  Every site is the shipped
+   Dce_store.Replica, so the journal rules searched are the ones the
+   daemons run.  Where bin/replay.exe samples
    random schedules, dcecheck proves a bounded scenario has none at all
    — or produces a minimal, replayable counterexample.
 
@@ -18,13 +20,14 @@
      dune exec bin/dcecheck.exe -- --stability 2 --coop 2 --sites 2 --mutant cut-unstable
                                                        # seeded bug: must exit 1
 
-   With --crash K every non-admin site is killed (kill -9 over its
-   journal, run through the real store stack in memory) after its K-th
-   action and rebuilt through the production replay path, exhaustively
-   interleaved with deliveries, beacons and compaction; recovery
-   exactness, fallback-generation recovery, and the durability clamp
-   are checked as additional oracles.  --mutant no-clamp deliberately
-   skips the clamp, as a sanity check that the checker catches it.
+   With --crash K every site, the administrator included, is killed
+   (kill -9 over its journal, run through the real store stack in
+   memory) after its K-th action and rebuilt through the production
+   replay path, exhaustively interleaved with deliveries, beacons and
+   compaction; recovery exactness, fallback-generation recovery, and the
+   durability clamp are checked as additional oracles.  --mutant
+   no-clamp compacts with Controller.compact instead of the replica,
+   skipping the clamp, as a sanity check that the checker catches it.
    --mutant cut-unstable cuts the administrative log at each site's own
    version instead of its stable version; the per-state cut oracle (no
    cut above any member's version) must catch it.
@@ -159,8 +162,9 @@ let run_smoke max_states =
              ~features:(features ~no_retro:false ~no_interval:false ~no_validation:true)
              ~sites:3 ~coop:2 ~admin_ops:1 ()));
       (fun () ->
-        (* every non-admin site killed and rebuilt through the real
-           store replay path, interleaved with beacons and compaction *)
+        (* every site, the administrator included, killed and rebuilt
+           through the real store replay path, interleaved with beacons
+           and compaction *)
         expect "crash + recovery at every point, compaction interleaved" `Green
           (mk ~features:secure ~stability:1 ~crash:1 ~sites:2 ~coop:2 ~admin_ops:1 ()));
       (fun () ->
@@ -241,10 +245,11 @@ let stability =
 let crash =
   Arg.(value & opt ~vopt:(Some 1) (some int) None
        & info [ "crash" ] ~docv:"K"
-           ~doc:"Journal every site's inputs through the real store stack (in memory) \
-                 and kill -9 + recover every non-admin site after its K-th action \
-                 (default 1), interleaved with all delivery orders; checks recovery \
-                 exactness, corrupt-snapshot fallback, and the durability clamp.")
+           ~doc:"Journal every site's inputs through the shipped replica and the real \
+                 store stack (in memory) and kill -9 + recover every site, the \
+                 administrator included, after its K-th action (default 1), \
+                 interleaved with all delivery orders; checks recovery exactness, \
+                 corrupt-snapshot fallback, and the durability clamp.")
 
 let mutant =
   Arg.(value & opt (some string) None

@@ -2,7 +2,7 @@ open Dce_ot
 open Dce_core
 module Metrics = Dce_obs.Metrics
 module Convergence = Dce_sim.Convergence
-module Persist = Dce_store.Persist
+module Replica = Dce_store.Replica
 module Proto = Dce_wire.Proto
 
 type mid = Mcoop of Request.id | Madmin of int | Mbeacon of int * int
@@ -76,8 +76,8 @@ type node = {
      coarse (and exploration as fast) as before stability existed. *)
   stab : bool;
   (* per-site durable journals; empty unless the scenario sets
-     [persist], in which case every input is journaled through the real
-     store stack and Crash/Recover become executable *)
+     [persist], in which case every site's replica journals through the
+     real store stack and Crash/Recover become executable *)
   journals : (Subject.user * jsite) list;
   (* every administrative request as first issued: the security oracles'
      ground truth, which no site's cut may shorten *)
@@ -188,16 +188,19 @@ let is_down node u =
 
 let all_alive node = List.for_all (fun (_, j) -> j.jdown = None) node.journals
 
-(* Append one input record through the site's journal — the production
-   [Persist.record] path — carrying the post-apply controller for the
-   cadence checkpoint.  A checkpoint makes the durable image exact
-   again. *)
-let journal_record node u r c =
+(* Run [f] on site [u] as the shipped replica: over its journal image
+   when the site journals (a checkpoint makes the durable image exact
+   again), bare otherwise.  Returns the successor node and [f]'s result. *)
+let on_replica node u f =
+  let c = List.assoc u node.ctrls in
   match List.assoc_opt u node.journals with
-  | None -> node
+  | None ->
+    let r = Replica.create c in
+    let x = f r in
+    (set_ctrl u (Replica.controller r) node, x)
   | Some j ->
-    let jn, checkpointed = Journal.record j.jn r c in
-    set_jsite u { j with jn; jclean = (checkpointed || j.jclean) } node
+    let jn, c, x, checkpointed = Journal.with_replica j.jn c f in
+    (set_ctrl u c (set_jsite u { j with jn; jclean = checkpointed || j.jclean } node), x)
 
 let dirty_journal node u =
   match List.assoc_opt u node.journals with
@@ -244,17 +247,15 @@ let cut_unstable c =
 
 (* Execute one event.  Every step is a deterministic function of the
    node, so a schedule identifies a unique run.  Returns the successor
-   and a human-readable line describing what happened.  [mutant]
+   and a human-readable line describing what happened.  Every input
+   runs through the site's shipped replica ({!on_replica}), which
+   decides what is recorded, checkpointed and clamped.  [mutant]
    deliberately miscompiles one discipline (for checker-sanity runs):
-   [No_clamp] compacts straight to the stability frontier, skipping the
-   durability clamp and the pre-compaction checkpoint; [Cut_unstable]
-   cuts L at the site's own version. *)
-let exec ?mutant node =
-  let compact ?limit c =
-    let c = Controller.compact ?limit c in
-    match mutant with Some Cut_unstable -> cut_unstable c | _ -> c
-  in
-  function
+   [No_clamp] compacts with [Controller.compact] instead of the
+   replica, skipping the durability clamp and the pre-compaction
+   checkpoint; [Cut_unstable] re-cuts L at the site's own version after
+   the replica compacts. *)
+let exec ?mutant node = function
   | Act u ->
     let action, rest =
       match List.assoc u node.scripts with
@@ -275,27 +276,22 @@ let exec ?mutant node =
     (match action with
      | Scenario.Edit e ->
        let op = Scenario.op_of_edit (Controller.document c) e in
-       (match Controller.generate c op with
-        | c, Controller.Accepted m ->
-          (* journal before broadcast, like the daemons: a crash must
-             never leave the group holding a request its origin site no
-             longer remembers *)
-          let node = journal_record (set_ctrl u c node) u (Persist.Generated op) c in
+       (match on_replica node u (fun r -> Replica.generate r op) with
+        | node, Ok m ->
           ( put_in_flight node u [ m ],
             Format.asprintf "site %d: generate %a -> %s" u (Op.pp Fmt.char) op
               (mid_to_string (mid_of_message m)) )
-        | c, Controller.Denied reason ->
-          ( set_ctrl u c node,
+        | node, Error reason ->
+          ( node,
             Format.asprintf "site %d: generate %a denied locally (%s)" u (Op.pp Fmt.char)
               op reason ))
      | Scenario.Policy op ->
-       (match Controller.admin_update c op with
-        | Ok (c, m) ->
-          let node = journal_record (set_ctrl u c node) u (Persist.Admin_cmd op) c in
+       (match on_replica node u (fun r -> Replica.admin r op) with
+        | node, Ok m ->
           ( put_in_flight node u [ m ],
             Format.asprintf "site %d: admin %a -> %s" u Admin_op.pp op
               (mid_to_string (mid_of_message m)) )
-        | Error e ->
+        | _, Error e ->
           failwith
             (Format.asprintf "administrative script action %a failed: %s" Admin_op.pp op e))
      | Scenario.Beacon ->
@@ -310,42 +306,18 @@ let exec ?mutant node =
          },
          Printf.sprintf "site %d: beacon -> %s" u (mid_to_string mid) )
      | Scenario.Compact ->
-       (match List.assoc_opt u node.journals with
-        | None ->
-          let c = compact c in
-          ( set_ctrl u c node,
-            Printf.sprintf "site %d: compact (window %d)" u (Controller.window_len c) )
-        | Some j ->
-          (match mutant with
-           | Some No_clamp ->
-             (* the seeded bug: garbage-collect to the stability
-                frontier with no regard for what is durable *)
-             let c = Controller.compact c in
-             ( set_ctrl u c (set_jsite u { j with jclean = false } node),
-               Printf.sprintf "site %d: compact UNCLAMPED (window %d)" u
-                 (Controller.window_len c) )
-           | None | Some Cut_unstable ->
-             (* the hub/p2pedit discipline: clamp the cut to the durable
-                checkpoint, taking a fresh checkpoint first when the
-                frontier has moved past it (durability leads, GC
-                follows) *)
-             let fresh_enough cut = Vclock.leq (Controller.stable_frontier c) cut in
-             let j, limit =
-               match Journal.cut j.jn with
-               | Some cut when fresh_enough cut -> (j, Some cut)
-               | _ ->
-                 let jn = Journal.checkpoint j.jn c in
-                 ({ j with jn; jclean = true }, Journal.cut jn)
-             in
-             (match limit with
-              | None ->
-                ( set_jsite u j node,
-                  Printf.sprintf "site %d: compact skipped (no durable cut)" u )
-              | Some limit ->
-                let c = compact ~limit c in
-                ( set_ctrl u c (set_jsite u { j with jclean = false } node),
-                  Printf.sprintf "site %d: compact (window %d, clamped)" u
-                    (Controller.window_len c) ))))
+       (* compaction is unjournaled: the durable image goes stale *)
+       let node, how =
+         match mutant with
+         | Some No_clamp -> (set_ctrl u (Controller.compact c) node, "UNCLAMPED ")
+         | Some Cut_unstable ->
+           let node, () = on_replica node u Replica.compact in
+           (set_ctrl u (cut_unstable (List.assoc u node.ctrls)) node, "")
+         | None -> (fst (on_replica node u Replica.compact), "")
+       in
+       ( dirty_journal node u,
+         Printf.sprintf "site %d: compact %s(window %d)" u how
+           (Controller.window_len (List.assoc u node.ctrls)) )
      | Scenario.Crash ->
        (match List.assoc_opt u node.journals with
         | None ->
@@ -436,21 +408,20 @@ let exec ?mutant node =
             | pending -> Some { m with pending })
         node.msgs
     in
-    let c, emitted =
+    let node = { node with msgs } in
+    let node, emitted =
       match msg.payload with
-      | Pmsg payload -> Controller.receive (List.assoc u node.ctrls) payload
-      | Pbeacon (clock, version) ->
-        let peer = match mid with Mbeacon (s, _) -> s | _ -> assert false in
-        (Controller.receive_beacon (List.assoc u node.ctrls) ~peer ~clock ~version, [])
-    in
-    let node = set_ctrl u c { node with msgs } in
-    let node =
-      match msg.payload with
-      (* journal a received message after the controller accepted it
-         (the daemons' arrival-order discipline); beacons are soft state
-         and never journaled — the durable image goes stale *)
-      | Pmsg payload -> journal_record node u (Persist.Received payload) c
-      | Pbeacon _ -> dirty_journal node u
+      | Pmsg payload -> (
+        match on_replica node u (fun r -> Replica.receive r payload) with
+        | node, Ok emitted -> (node, emitted)
+        | _, Error e -> failwith ("receive failed: " ^ e))
+      | Pbeacon (b_clock, b_version) ->
+        (* beacons are soft state and never journaled: a bare replica
+           absorbs one, and the durable image goes stale *)
+        let b_site = match mid with Mbeacon (s, _) -> s | _ -> assert false in
+        let r = Replica.create (List.assoc u node.ctrls) in
+        Replica.absorb r [ { Proto.b_site; b_clock; b_version } ];
+        (dirty_journal (set_ctrl u (Replica.controller r) node) u, [])
     in
     let node = put_in_flight node u emitted in
     ( node,
@@ -852,21 +823,7 @@ let run ?metrics ?(max_states = 1_000_000) ?mutant scenario =
           else begin
             let child, _ =
               try exec ?mutant node e
-              with
-              | Document.Edit_conflict msg ->
-                let report = Convergence.check (List.map snd node.ctrls) in
-                raise
-                  (Stop
-                     (Found
-                        {
-                          schedule = List.rev (e :: path);
-                          report;
-                          detail =
-                            Printf.sprintf
-                              "crash: transformation conflict while executing %s (%s)"
-                              (event_to_string e) msg;
-                        }))
-              | Failure msg ->
+              with Failure msg | Document.Edit_conflict msg ->
                 let report = Convergence.check (List.map snd node.ctrls) in
                 raise
                   (Stop
@@ -949,13 +906,6 @@ let replay ?(drain = true) ?mutant scenario schedule =
         end)
       n.msgs
   in
-  let is_enabled n = function
-    | Act u -> List.mem_assoc u n.scripts
-    | Dlv (u, mid) -> (
-      match List.find_opt (fun m -> m.mid = mid) n.msgs with
-      | Some m -> List.mem u m.pending
-      | None -> false)
-  in
   let step e =
     executed := e :: !executed;
     match exec ?mutant !node e with
@@ -967,19 +917,14 @@ let replay ?(drain = true) ?mutant scenario schedule =
          could advance the cut and mask the violation *)
       if !crashed = None then
         crashed := state_violation n
-    | exception Document.Edit_conflict msg ->
-      crashed :=
-        Some
-          (Printf.sprintf "crash: transformation conflict while executing %s (%s)"
-             (event_to_string e) msg)
-    | exception Failure msg ->
+    | exception (Failure msg | Document.Edit_conflict msg) ->
       crashed :=
         Some (Printf.sprintf "crash: %s while executing %s" msg (event_to_string e))
   in
   List.iter
     (fun e ->
       if !crashed <> None then ()
-      else if is_enabled !node e then step e
+      else if List.mem e (enabled !node) then step e
       else incr skipped)
     schedule;
   let rec drain_loop () =

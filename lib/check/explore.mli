@@ -1,7 +1,8 @@
 (** Exhaustive bounded exploration of delivery interleavings.
 
     The explorer runs a {!Scenario} through the real
-    [Dce_core.Controller] — this is a race detector for the protocol
+    [Dce_core.Controller], each site wrapped in the shipped
+    [Dce_store.Replica] — this is a race detector for the protocol
     itself, not a reimplementation of it.  The transition system's
     events are:
 
@@ -9,7 +10,7 @@
       cooperative generation or an administrative operation), which may
       put a message in flight to every other site;
     - [Dlv (u, m)]: the in-flight message [m] is delivered to site [u]
-      ([Controller.receive]) — the administrator's reception can itself
+      ([Replica.receive]) — the administrator's reception can itself
       emit validation messages, which join the in-flight set.
 
     Every interleaving of these events is explored.  At each {e quiescent
@@ -68,15 +69,18 @@ type outcome =
 
 type mutant =
   | No_clamp
-      (** checker-sanity seeded bug: [Compact] garbage-collects straight
-          to the stability frontier, skipping the durability clamp and
-          the pre-compaction checkpoint (the discipline the hub and
-          p2pedit implement).  A crash-mode run must catch it. *)
+      (** checker-sanity seeded bug: [Compact] calls
+          [Controller.compact] instead of [Replica.compact], garbage-
+          collecting straight to the stability frontier and skipping
+          the durability clamp and the pre-compaction checkpoint (the
+          rule every journaled replica keeps).  A crash-mode run must
+          catch it. *)
   | Cut_unstable
-      (** checker-sanity seeded bug: [Compact] cuts the administrative
-          log at the site's own version instead of its stable version
-          (the shipped {!Dce_core.Admin_log.compact} with the wrong
-          bound).  Any stability run must catch it. *)
+      (** checker-sanity seeded bug: after [Replica.compact], [Compact]
+          re-cuts the administrative log at the site's own version
+          instead of its stable version (the shipped
+          {!Dce_core.Admin_log.compact} with the wrong bound).  Any
+          stability run must catch it. *)
 
 val run :
   ?metrics:Dce_obs.Metrics.t ->
@@ -88,9 +92,15 @@ val run :
     [check.dedup_hits], [check.sleep_skips] and [check.frontiers]
     counters alongside the returned {!stats}.
 
-    When the scenario sets [persist], every site journals its inputs
-    through the production store stack ({!Journal}) and three more
-    oracle families run:
+    Every site is the shipped [Dce_store.Replica]: each input
+    ([generate], [admin], [receive], [absorb], [compact]) goes through
+    it, so what is recorded, checkpointed and clamped is its decision.
+    A [receive] it answers with [Error] is a violation naming the
+    event.  When the scenario sets [persist], each site's replica runs
+    over its own journal image ({!Journal}), [Crash] and [Recover]
+    become executable ([Scenario.make ~crash] weaves them into every
+    site's script, the administrator's included), and three more oracle
+    families run:
     - at {e every} explored state, no live site's compacted window may
       exceed its durable cut (durability leads, GC follows);
     - at every [Crash], a corrupted-newest-snapshot copy of the journal
@@ -115,7 +125,8 @@ type replay = {
 
 val replay : ?drain:bool -> ?mutant:mutant -> Scenario.t -> event list -> replay
 (** Execute one specific schedule (events that are not enabled are
-    skipped), then — unless [drain] is [false] — deliver every remaining
+    skipped: exactly those the search would not offer, so no delivery
+    to a crashed site), then — unless [drain] is [false] — deliver every remaining
     in-flight message in deterministic order so the final state is a
     quiescent frontier, and run the oracles on it.  In a journaled
     scenario the durability invariant is checked (and latched) after

@@ -4,6 +4,7 @@ module Io = Dce_store.Io
 module Store = Dce_store.Store
 module Snapshot = Dce_store.Snapshot
 module Persist = Dce_store.Persist
+module Replica = Dce_store.Replica
 module Proto = Dce_wire.Proto
 
 type t = {
@@ -18,60 +19,33 @@ let dir = "/j"
 let default_config =
   { Store.fsync = Dce_store.Wal.Always; snapshot_every = 2; keep_generations = 2 }
 
-(* Restore a private world from the image, open the production journal
-   over it, run [f], and hand back whatever [f] captured.  [opendir]
-   itself replays the log — that cost is the point: every operation
-   crosses the same recovery path the daemons use. *)
-let with_persist t f =
+let opendir cfg w =
+  Persist.opendir ~config:cfg ~io:(Io.Mem.io w) ~eq:Char.equal ~codec:Proto.char_codec dir
+
+(* Restore a private world from the image, reopen the production journal
+   over it and run [f] on a replica over that journal.  [opendir] itself
+   replays the log — that cost is the point: every step crosses the same
+   recovery path the daemons use, and the replica's cadence counts the
+   log it would replay. *)
+let with_replica t c f =
   let w = Io.Mem.restore t.image in
-  match
-    Persist.opendir ~config:t.cfg ~io:(Io.Mem.io w) ~eq:Char.equal
-      ~codec:Proto.char_codec dir
-  with
+  match opendir t.cfg w with
   | Error e -> failwith ("checker journal: reopen failed: " ^ e)
-  | Ok (p, r) ->
-    let x = f w p r in
+  | Ok (p, _) ->
+    let gen = Persist.generation p in
+    let r = Replica.create ~journal:p c in
+    let x = f r in
+    if Replica.journal_errors r > 0 then failwith "checker journal: a journal write failed";
+    let checkpointed = Persist.generation p <> gen in
+    let cut = Persist.checkpoint_clock p in
     Persist.close p;
-    x
+    ({ t with image = Io.Mem.snapshot w; cut }, Replica.controller r, x, checkpointed)
 
+(* the replica's base-snapshot rule takes the first checkpoint *)
 let create ?(config = default_config) c =
-  let w = Io.Mem.create () in
-  match
-    Persist.opendir ~config ~io:(Io.Mem.io w) ~eq:Char.equal ~codec:Proto.char_codec dir
-  with
-  | Error e -> failwith ("checker journal: open failed: " ^ e)
-  | Ok (p, _) -> (
-    match Persist.checkpoint p c with
-    | Error e -> failwith ("checker journal: initial checkpoint failed: " ^ e)
-    | Ok () ->
-      let cut = Persist.checkpoint_clock p in
-      Persist.close p;
-      { image = Io.Mem.snapshot w; cfg = config; cut })
-
-let record t r c =
-  with_persist t (fun w p recov ->
-      Persist.record p r;
-      (* [Persist.maybe_checkpoint] counts appends since open, which a
-         reopen-per-operation resets — drive the cadence from the log's
-         true length instead *)
-      let total = recov.Persist.replayed + 1 in
-      let checkpointed =
-        if total >= max 1 t.cfg.Store.snapshot_every then (
-          match Persist.checkpoint p c with
-          | Ok () -> true
-          | Error e -> failwith ("checker journal: checkpoint failed: " ^ e))
-        else false
-      in
-      let cut = Persist.checkpoint_clock p in
-      ({ t with image = Io.Mem.snapshot w; cut }, checkpointed))
-
-let checkpoint t c =
-  with_persist t (fun w p _ ->
-      match Persist.checkpoint p c with
-      | Error e -> failwith ("checker journal: checkpoint failed: " ^ e)
-      | Ok () ->
-        let cut = Persist.checkpoint_clock p in
-        { t with image = Io.Mem.snapshot w; cut })
+  let empty = { image = Io.Mem.snapshot (Io.Mem.create ()); cfg = config; cut = None } in
+  let t, _, (), _ = with_replica empty c ignore in
+  t
 
 let cut t = t.cut
 
@@ -93,19 +67,11 @@ let corrupt_newest_snapshot t =
       Some { t with image = Io.Mem.snapshot w }
     else None
 
-type recovery = {
-  controller : char Controller.t;
-  emitted : char Controller.message list;
-  replayed : int;
-  truncated_bytes : int;
-}
+type recovery = { controller : char Controller.t; replayed : int }
 
 let recover t =
   let w = Io.Mem.restore t.image in
-  match
-    Persist.opendir ~config:t.cfg ~io:(Io.Mem.io w) ~eq:Char.equal
-      ~codec:Proto.char_codec dir
-  with
+  match opendir t.cfg w with
   | Error e -> Error e
   | Ok (p, r) -> (
     let cut = Persist.checkpoint_clock p in
@@ -115,11 +81,6 @@ let recover t =
     | Some controller ->
       Ok
         ( { t with image = Io.Mem.snapshot w; cut },
-          {
-            controller;
-            emitted = r.Persist.emitted;
-            replayed = r.Persist.replayed;
-            truncated_bytes = r.Persist.truncated_bytes;
-          } ))
+          { controller; replayed = r.Persist.replayed } ))
 
 let fingerprint t = Io.Mem.image_fingerprint t.image

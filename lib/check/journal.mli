@@ -1,20 +1,21 @@
-(** Value-semantics controller journals for the model checker.
+(** Value-semantics journaled replicas for the model checker.
 
     The explorer's search nodes must be pure values — sibling branches
-    of the DFS may never observe each other's writes — but the real
-    persistence stack ({!Dce_store.Persist} over {!Dce_store.Store})
-    is imperative.  This module bridges the two: a {!t} holds an
-    immutable {!Dce_store.Io.Mem.image} of the site's store directory,
-    and every operation restores a private in-memory world from the
-    image, drives the {e production} store code over it ([Persist.record],
-    [Persist.checkpoint], [Persist.opendir] replay), and snapshots the
-    world back into a fresh image.  Nothing is reimplemented: crash
-    recovery inside the checker is byte-for-byte the recovery the
-    daemons run.
+    of the DFS may never observe each other's writes — but a journaled
+    site ({!Dce_store.Replica} over {!Dce_store.Persist}) is imperative.
+    This module bridges the two: a {!t} holds an immutable
+    {!Dce_store.Io.Mem.image} of the site's store directory, and every
+    step restores a private in-memory world from the image, reopens the
+    journal over it ([Persist.opendir], which replays the log), runs the
+    step on the {e shipped} [Replica] over that journal, and snapshots
+    the world back into a fresh image.  When to record, checkpoint or
+    clamp is the [Replica]'s decision, exactly as in the daemons, the
+    editor and [crashtest]; crash recovery inside the checker is
+    byte-for-byte the recovery the daemons run.
 
     Scope is bounded (a handful of records between checkpoints), so the
-    restore/reopen per operation costs microseconds — a price worth
-    paying for running the real code in a branching search. *)
+    restore/reopen per step costs microseconds — a price worth paying
+    for running the real code in a branching search. *)
 
 open Dce_ot
 open Dce_core
@@ -24,22 +25,21 @@ type t
 val default_config : Dce_store.Store.config
 (** [fsync Always], [snapshot_every 2], [keep_generations 2]. *)
 
+val with_replica :
+  t ->
+  char Controller.t ->
+  (char Dce_store.Replica.t -> 'a) ->
+  t * char Controller.t * 'a * bool
+(** [with_replica t c f] reopens the journal, runs [f] on
+    [Replica.create ~journal c], and returns the new journal, the
+    replica's controller, [f]'s result, and whether a checkpoint was
+    taken.  Raises [Failure] if a journal write failed — inside the
+    explorer that surfaces as a violation. *)
+
 val create : ?config:Dce_store.Store.config -> char Controller.t -> t
-(** A fresh journal whose initial checkpoint is [c]'s serialized state.
-    [config] defaults to [fsync Always], [snapshot_every 2],
-    [keep_generations 2] — small enough that bounded scenarios cross
-    several checkpoint generations. *)
-
-val record : t -> char Dce_store.Persist.record -> char Controller.t -> t * bool
-(** Append one input record; when the active log reaches
-    [snapshot_every] records, checkpoint [c] (the post-apply state) and
-    switch generations.  Returns the new journal and whether a
-    checkpoint was taken.  Raises [Failure] if the store misbehaves —
-    inside the explorer that surfaces as a violation. *)
-
-val checkpoint : t -> char Controller.t -> t
-(** Force a checkpoint of [c] now (the hub's pre-compaction
-    checkpoint). *)
+(** A fresh journal whose base snapshot is [c]'s serialized state.
+    [config] defaults to {!default_config} — small enough that bounded
+    scenarios cross several checkpoint generations. *)
 
 val cut : t -> Vclock.t option
 (** The durability cut: clock of the newest durable snapshot. *)
@@ -55,12 +55,7 @@ val corrupt_newest_snapshot : t -> t option
     the previous generation and {e its} log.  [None] when fewer than
     two generations exist (no fallback pair to test). *)
 
-type recovery = {
-  controller : char Controller.t;
-  emitted : char Controller.message list;
-  replayed : int;
-  truncated_bytes : int;
-}
+type recovery = { controller : char Controller.t; replayed : int }
 
 val recover : t -> (t * recovery, string) result
 (** The real [Persist.opendir] over the image: newest valid snapshot,

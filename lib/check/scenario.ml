@@ -64,10 +64,11 @@ let make ?(features = Controller.secure) ?initial ?(mixed = false) ?stability
            actions)
       @ if List.length actions mod k = 0 then [] else [ Beacon; Compact ]
   in
-  (* With [crash = k], every non-admin site dies (kill -9 over its
-     journal) and recovers through the real replay path after its k-th
-     woven action; the explorer then interleaves that crash window with
-     every delivery, beacon, and compaction order. *)
+  (* With [crash = k], every site, the administrator included, dies
+     (kill -9 over its journal) and recovers through the real replay
+     path after its k-th woven action; the explorer then interleaves
+     that crash window with every delivery, beacon, and compaction
+     order. *)
   let weave_crash actions =
     match crash with
     | None -> actions
@@ -86,9 +87,9 @@ let make ?(features = Controller.secure) ?initial ?(mixed = false) ?stability
     |> weave |> weave_crash
   in
   let admin_script =
-    weave
-      (List.init admin_ops (fun k ->
-           Policy (if k mod 2 = 0 then revoke_insert 1 else regrant_insert 1)))
+    List.init admin_ops (fun k ->
+        Policy (if k mod 2 = 0 then revoke_insert 1 else regrant_insert 1))
+    |> weave |> weave_crash
   in
   {
     sites = site_ids;

@@ -20,17 +20,19 @@ type edit =
   | Up of int * char  (** update at visible position (clamped; insert if empty) *)
 
 type action =
-  | Edit of edit  (** a cooperative operation: [Controller.generate] *)
-  | Policy of Admin_op.t  (** an administrative operation (admin site only) *)
+  | Edit of edit  (** a cooperative operation: [Replica.generate] *)
+  | Policy of Admin_op.t
+      (** an administrative operation ([Replica.admin], admin site only) *)
   | Beacon
       (** broadcast a stability beacon: the issuer's current clock and
           policy version go in flight to every other site, delivered (in
-          any order) into [Controller.receive_beacon] *)
+          any order) into [Replica.absorb] *)
   | Compact
-      (** garbage-collect the issuer's window:
-          [Controller.compact] at the causally-stable frontier *)
+      (** garbage-collect the issuer's window: [Replica.compact] at the
+          causally-stable frontier, clamped to the durable cut when the
+          site journals *)
   | Crash
-      (** kill the site's process ([kill -9] flavor): the live controller
+      (** kill the site's process ([kill -9] flavor): the live replica
           is dropped; only what its journal ({!Journal}) made durable
           survives.  Requires [persist = Some _]. *)
   | Recover
@@ -44,9 +46,9 @@ type t = {
   scripts : (Subject.user * action list) list;  (** per-site program order *)
   features : Controller.features;
   persist : Dce_store.Store.config option;
-      (** when set, every site journals its inputs through the production
-          store stack (in-memory backend) and [Crash]/[Recover] become
-          executable *)
+      (** when set, every site is a shipped [Dce_store.Replica] over its
+          own journal (production store stack, in-memory backend) and
+          [Crash]/[Recover] become executable *)
 }
 
 val make :
@@ -72,11 +74,11 @@ val make :
     [stability = k] weaves a [Beacon]; [Compact] pair into every site's
     script after each k-th action (and at script end), so exploration
     interleaves window compaction with every delivery order.
-    [crash = k] weaves a [Crash]; [Recover] pair into every non-admin
-    site's (woven) script after its k-th action and turns on journaling
-    ([persist = Some Journal.default_config]), so exploration drives the
-    crash window through every interleaving with deliveries, beacons,
-    and compaction. *)
+    [crash = k] weaves a [Crash]; [Recover] pair into every site's
+    (woven) script after its k-th action, the administrator's included,
+    and turns on journaling ([persist = Some Journal.default_config]),
+    so exploration drives the crash window through every interleaving
+    with deliveries, beacons, and compaction. *)
 
 val controllers : t -> (Subject.user * char Controller.t) list
 (** Fresh controllers for every site, in [sites] order. *)

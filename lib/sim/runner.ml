@@ -9,10 +9,7 @@ type stats = {
   messages_delivered : int;
   invalidated : int;
   validated : int;
-  crashes : int;
 }
-
-type crash = { site : int; at : int; restart_at : int }
 
 type result = {
   controllers : char Controller.t list;
@@ -39,7 +36,6 @@ let zero_stats =
     messages_delivered = 0;
     invalidated = 0;
     validated = 0;
-    crashes = 0;
   }
 
 (* Sample an operation in visible coordinates from the profile's mix.
@@ -105,7 +101,7 @@ module M = Dce_obs.Metrics
 module T = Dce_obs.Trace
 
 let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
-    ?(crashes = []) (p : Workload.profile) ~seed =
+    (p : Workload.profile) ~seed =
   let tr fmt =
     match trace with
     | None -> Format.ifprintf Format.std_formatter fmt
@@ -207,29 +203,9 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
         stats = zero_stats;
       }
   in
-  (* Crash-restart fault injection.  A crash captures the site's full
-     serialized state — the same bytes a [Dce_store] snapshot would hold
-     — and marks the site down; its restart decodes and [Controller.load]s
-     that state (so the round trip itself is under test) and re-delivers
-     the messages that arrived while it was down, the way a durable
-     relay would.  Anything wrong with the serialization surfaces as a
-     [Failure] here, never as silent divergence. *)
-  let down = Array.make nsites false in
-  let blobs = Array.make nsites None in
-  let parked : char Controller.message list array = Array.make nsites [] in
-  let pending_crashes =
-    ref (List.sort (fun a b -> compare a.at b.at) crashes)
-  in
-  let pending_restarts = ref [] in
   let deliver_one (d : _ Net.delivery) =
     let s = !st in
     let time = d.Net.at and dst = d.Net.dst and msg = d.Net.msg in
-    if down.(dst) then begin
-      (* held for redelivery at restart *)
-      parked.(dst) <- msg :: parked.(dst);
-      st := { s with time }
-    end
-    else begin
     tr "t=%d DELIVER to %d: %a@." time dst pp_msg msg;
     M.observe m_latency (d.Net.at - d.Net.sent_at);
     M.observe m_queue (Net.in_flight s.net);
@@ -241,7 +217,7 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
       match p.Workload.compact_every with
       | Some every when (s.stats.messages_delivered + 1) mod every = 0 ->
         (* a compaction round models the live protocol's cadence: first
-           absorb a stability beacon from every up site (their current
+           absorb a stability beacon from every other site (their current
            clock and policy version — what the wire's Beacon frame
            carries), then cut at the causally-stable frontier.  Without
            the beacons, sites that delivered everything but generated
@@ -249,12 +225,11 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
         let c = ref c in
         Array.iteri
           (fun peer_site peer ->
-            if peer_site <> dst && not down.(peer_site) then begin
+            if peer_site <> dst then
               let clock, version = Controller.beacon peer in
               c :=
                 Controller.receive_beacon !c ~peer:(Controller.site peer) ~clock
-                  ~version
-            end)
+                  ~version)
           s.controllers;
         Controller.compact !c
       | _ -> c
@@ -265,74 +240,6 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
     s.controllers.(dst) <- c;
     let s = { s with time; stats = { s.stats with messages_delivered = s.stats.messages_delivered + 1 } } in
     st := broadcast_from s dst emitted
-    end
-  in
-  let do_crash site =
-    let s = !st in
-    if not down.(site) then begin
-      let c = s.controllers.(site) in
-      tr "t=%d CRASH site %d@." s.time site;
-      T.emit sink ~site ~clock:(Controller.clock c)
-        ~version:(Controller.version c)
-        (T.Net { peer = site; action = "crash"; detail = "" });
-      blobs.(site) <-
-        Some (Dce_wire.Proto.encode_state Dce_wire.Proto.char_codec (Controller.dump c));
-      down.(site) <- true;
-      s.next_edit.(site) <- max_int;
-      st := { s with stats = { s.stats with crashes = s.stats.crashes + 1 } }
-    end
-  in
-  let do_restart site =
-    let s = !st in
-    if down.(site) then begin
-      let c =
-        match blobs.(site) with
-        | None -> failwith "sim restart: no state captured at crash"
-        | Some blob -> (
-          match
-            Dce_wire.Proto.decode_state Dce_wire.Proto.char_codec blob
-          with
-          | Error e -> failwith ("sim restart: state does not decode: " ^ e)
-          | Ok state -> (
-            match Controller.load ~eq:Char.equal ~trace:sink state with
-            | Error e -> failwith ("sim restart: state does not load: " ^ e)
-            | Ok c -> c))
-      in
-      down.(site) <- false;
-      blobs.(site) <- None;
-      s.controllers.(site) <- c;
-      tr "t=%d RESTART site %d@." s.time site;
-      T.emit sink ~site ~clock:(Controller.clock c)
-        ~version:(Controller.version c)
-        (T.Net { peer = site; action = "restart"; detail = "" });
-      (* redeliver what arrived while the site was down *)
-      let held = List.rev parked.(site) in
-      parked.(site) <- [];
-      List.iter
-        (fun msg ->
-          let s = !st in
-          let c, emitted = Controller.receive s.controllers.(site) msg in
-          s.controllers.(site) <- c;
-          M.incr m_delivered;
-          let s =
-            {
-              s with
-              stats =
-                {
-                  s.stats with
-                  messages_delivered = s.stats.messages_delivered + 1;
-                };
-            }
-          in
-          st := broadcast_from s site emitted)
-        held;
-      if site <> 0 then begin
-        let s = !st in
-        let t, rng = schedule s.rng p.Workload.edit_interval s.time in
-        s.next_edit.(site) <- (if t <= p.Workload.duration then t else max_int);
-        st := { s with rng }
-      end
-    end
   in
   let do_edit i =
     let s = !st in
@@ -372,9 +279,7 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
        that currently believes it holds it (possibly none, mid-handoff) *)
     let holder = ref None in
     Array.iteri
-      (fun i c ->
-        if !holder = None && (not down.(i)) && Controller.is_admin c then
-          holder := Some i)
+      (fun i c -> if !holder = None && Controller.is_admin c then holder := Some i)
       s.controllers;
     match !holder with
     | None ->
@@ -420,46 +325,14 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
     in
     st := { s with next_admin; rng }
   in
-  (* main loop: next event among edits, admin actions, deliveries,
-     crashes and restarts (restarts win ties so a site is back up before
-     anything else happens at the same instant) *)
+  (* main loop: next event among edits, admin actions and deliveries *)
   let rec loop () =
     let s = !st in
     let next_edit_time = Array.fold_left min max_int s.next_edit in
     let next_admin_time = Option.value ~default:max_int s.next_admin in
     let next_delivery = Option.value ~default:max_int (Net.peek_time s.net) in
-    let next_crash_time =
-      match !pending_crashes with [] -> max_int | c :: _ -> c.at
-    in
-    let next_restart_time =
-      match !pending_restarts with [] -> max_int | (t, _) :: _ -> t
-    in
-    let t =
-      min
-        (min (min next_edit_time next_admin_time) next_delivery)
-        (min next_crash_time next_restart_time)
-    in
+    let t = min (min next_edit_time next_admin_time) next_delivery in
     if t = max_int then ()
-    else if t = next_restart_time then begin
-      match !pending_restarts with
-      | [] -> ()
-      | (_, site) :: rest ->
-        pending_restarts := rest;
-        st := { s with time = t };
-        do_restart site;
-        loop ()
-    end
-    else if t = next_crash_time then begin
-      match !pending_crashes with
-      | [] -> ()
-      | c :: rest ->
-        pending_crashes := rest;
-        pending_restarts :=
-          List.sort compare ((c.restart_at, c.site) :: !pending_restarts);
-        st := { s with time = t };
-        do_crash c.site;
-        loop ()
-    end
     else if t = next_delivery then begin
       match Net.pop_delivery s.net with
       | None -> ()
@@ -492,6 +365,6 @@ let run ?trace ?(features = Controller.secure) ?policy ?sink ?metrics
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>edits generated: %d@ denied locally: %d@ admin requests: %d (restrictive %d)@ \
-     messages delivered: %d@ invalidated: %d@ validated: %d@ crashes: %d@]"
+     messages delivered: %d@ invalidated: %d@ validated: %d@]"
     s.edits_generated s.edits_denied_locally s.admin_requests s.restrictive_requests
-    s.messages_delivered s.invalidated s.validated s.crashes
+    s.messages_delivered s.invalidated s.validated

@@ -6,7 +6,13 @@
     local edits, administrative actions and message deliveries in
     time order, and finally flushes the network so the session reaches
     quiescence.  The result carries the final controllers plus counters;
-    feed it to {!Convergence} for the oracles. *)
+    feed it to {!Convergence} for the oracles.
+
+    No site crashes here.  A crash of any site, the administrator
+    included, is searched by the model checker ([Dce_check],
+    [Scenario.make ~crash]), whose sites are the shipped
+    [Dce_store.Replica] over its real journal, and tortured by
+    [crashtest]. *)
 
 type stats = {
   edits_generated : int;
@@ -20,18 +26,7 @@ type stats = {
           hand-incremented, so these counts cannot drift from the
           telemetry stream *)
   validated : int;  (** likewise: [validate] + born/delivered-valid events at site 0 *)
-  crashes : int;  (** fault injections that actually fired *)
 }
-
-type crash = { site : int; at : int; restart_at : int }
-(** Kill [site] at virtual time [at] and bring it back at [restart_at].
-    The crash captures the site's fully serialized state (the bytes a
-    [Dce_store] snapshot would persist); the restart decodes and reloads
-    it — putting the round trip itself under test — and re-delivers the
-    messages that arrived while the site was down, as a durable relay
-    would.  While down the site generates nothing, and the simulated
-    administrator never acts from a down site.  A serialization defect
-    raises [Failure] instead of diverging silently. *)
 
 type result = {
   controllers : char Dce_core.Controller.t list;  (** site order: admin first *)
@@ -45,7 +40,6 @@ val run :
   ?policy:Dce_core.Policy.t ->
   ?sink:Dce_obs.Trace.sink ->
   ?metrics:Dce_obs.Metrics.t ->
-  ?crashes:crash list ->
   Workload.profile ->
   seed:int ->
   result

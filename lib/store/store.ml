@@ -101,7 +101,6 @@ let checkpoint t blob =
 
 let generation t = t.generation
 let records_since_checkpoint t = Wal.records_written t.wal
-let wal_size_bytes t = Wal.size_bytes t.wal
 let dir t = t.dir
 let sync t = Wal.sync t.wal
 let close t = Wal.close t.wal

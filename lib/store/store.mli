@@ -18,7 +18,8 @@
 type config = {
   fsync : Wal.fsync_policy;  (** applied to the active log *)
   snapshot_every : int;
-      (** {!should_checkpoint} after this many appends (min 1) *)
+      (** {!should_checkpoint} once the active log holds this many
+          records, recovered ones included (min 1) *)
   keep_generations : int;  (** snapshots retained by {!checkpoint} (min 2) *)
 }
 
@@ -60,7 +61,6 @@ val checkpoint : t -> string -> (unit, string) result
 
 val generation : t -> int
 val records_since_checkpoint : t -> int
-val wal_size_bytes : t -> int
 val dir : t -> string
 
 val sync : t -> unit

@@ -9,12 +9,10 @@ type recovery = {
 }
 
 type t = {
-  path : string;
   fsync : fsync_policy;
   mutable log : Io.log option;
-  mutable written : int; (* appends since open *)
+  mutable written : int; (* records in the log, recovered ones included *)
   mutable unsynced : int; (* appends since the last fsync *)
-  mutable size : int;
 }
 
 (* Scan the whole file and keep the longest prefix of valid frames.
@@ -42,7 +40,7 @@ let openfile ?(fsync = Interval 64) ?(io = Io.fs) path =
       let truncated_bytes = String.length data - valid_bytes in
       if truncated_bytes > 0 then log.Io.log_truncate valid_bytes;
       Ok
-        ( { path; fsync; log = Some log; written = 0; unsynced = 0; size = valid_bytes },
+        ( { fsync; log = Some log; written = List.length records; unsynced = 0 },
           { records; valid_bytes; truncated_bytes } )
     with
     | Unix.Unix_error (e, _, _) ->
@@ -59,9 +57,7 @@ let live t =
 
 let append t payload =
   let log = live t in
-  let framed = Codec.frame payload in
-  log.Io.log_append framed;
-  t.size <- t.size + String.length framed;
+  log.Io.log_append (Codec.frame payload);
   t.written <- t.written + 1;
   t.unsynced <- t.unsynced + 1;
   match t.fsync with
@@ -81,8 +77,6 @@ let sync t =
     t.unsynced <- 0
 
 let records_written t = t.written
-let size_bytes t = t.size
-let path t = t.path
 
 let close t =
   match t.log with

@@ -49,12 +49,7 @@ val sync : t -> unit
 (** Force an fsync now regardless of policy (no-op on a clean log). *)
 
 val records_written : t -> int
-(** Appends since open (recovered records not included). *)
-
-val size_bytes : t -> int
-(** Current file size, valid prefix plus appends. *)
-
-val path : t -> string
+(** Records in the log: those recovered on open plus appends since. *)
 
 val close : t -> unit
 (** Sync (unless the policy is [Never]) and close.  Idempotent. *)

@@ -232,6 +232,7 @@ let shrink_tests =
 let crash_tests =
   [
     Alcotest.test_case "crash + recover exhausts green" `Quick (fun () ->
+        (* both sites, the administrator included, crash and restart *)
         let s = Scenario.make ~features:secure ~crash:1 ~sites:2 ~coop:2 ~admin_ops:1 () in
         match run s with
         | Explore.Exhausted, st ->
@@ -285,19 +286,97 @@ let crash_tests =
         Alcotest.(check bool)
           "the production cut passes the same schedule" false
           (Shrink.fails s minimal));
-    Alcotest.test_case "crash scenario weaves the pair into non-admin scripts" `Quick
+    Alcotest.test_case
+      "crash scenario weaves the pair into non-admin scripts and the admin's" `Quick
       (fun () ->
         let s = Scenario.make ~crash:1 ~sites:3 ~coop:2 ~admin_ops:1 () in
         Alcotest.(check bool) "persist set" true (s.Scenario.persist <> None);
+        Alcotest.(check int) "every site scripted" 3 (List.length s.Scenario.scripts);
         List.iter
           (fun (u, script) ->
             let crashes =
               List.length
                 (List.filter (function Scenario.Crash -> true | _ -> false) script)
             in
-            if u = 0 then Alcotest.(check int) "admin never crashes" 0 crashes
-            else Alcotest.(check int) "one crash per site" 1 crashes)
+            Alcotest.(check int) (Printf.sprintf "one crash at site %d" u) 1 crashes)
           s.Scenario.scripts);
+    Alcotest.test_case "a crashed and restarted site still converges" `Quick (fun () ->
+        (* site 1 dies with its own request unsent to anyone and site 2's
+           not yet received; it recovers through its journal, both
+           requests then cross, and the group converges *)
+        let s = Scenario.make ~features:secure ~crash:1 ~sites:3 ~coop:2 ~admin_ops:0 () in
+        let sched =
+          match
+            Explore.schedule_of_string "g1 g2 g1 g1 d1:c2.1 d2:c1.1 d0:c1.1 d0:c2.1"
+          with
+          | Ok e -> e
+          | Error e -> Alcotest.fail e
+        in
+        let r = Explore.replay s sched in
+        Alcotest.(check int) "nothing skipped" 0 r.Explore.skipped;
+        let at sub =
+          let rec go i = function
+            | [] -> Alcotest.failf "no %S in the log" sub
+            | l :: rest -> if contains l sub then i else go (i + 1) rest
+          in
+          go 0 r.Explore.log
+        in
+        Alcotest.(check (option string)) "green" None r.Explore.violation;
+        Alcotest.(check bool) "both requests are in flight across the crash" true
+          (at "-> c2.1" < at "site 1: crash"
+          && at "site 1: recover" < at "deliver c2.1 -> site 1"
+          && at "site 1: recover" < at "deliver c1.1 -> site 2");
+        let cs = List.map snd r.Explore.controllers in
+        let report = Dce_sim.Convergence.check cs in
+        if not (Dce_sim.Convergence.ok report) then
+          Alcotest.failf "diverged after crash/restart:@.%a@.%a" Dce_sim.Convergence.pp
+            report Dce_sim.Convergence.pp_diff cs;
+        List.iter
+          (fun c ->
+            Alcotest.(check int) "both insertions survive" 6
+              (String.length (Dce_ot.Tdoc.visible_string (Controller.document c))))
+          cs);
+    Alcotest.test_case "even the administrator may crash" `Quick (fun () ->
+        (* the administrator validates site 1's request, issues a
+           revocation and dies with that Validate still in flight; it
+           recovers through its journal and the group converges *)
+        let s = Scenario.make ~features:secure ~crash:1 ~sites:2 ~coop:2 ~admin_ops:1 () in
+        let sched =
+          match Explore.schedule_of_string "g1 d0:c1.1 g0 g0 g0" with
+          | Ok e -> e
+          | Error e -> Alcotest.fail e
+        in
+        let r = Explore.replay s sched in
+        Alcotest.(check int) "nothing skipped" 0 r.Explore.skipped;
+        let at sub =
+          let rec go i = function
+            | [] -> Alcotest.failf "no %S in the log" sub
+            | l :: rest -> if contains l sub then i else go (i + 1) rest
+          in
+          go 0 r.Explore.log
+        in
+        Alcotest.(check bool) "the Validate is in flight across the crash" true
+          (at "(emits a1)" < at "site 0: crash"
+          && at "site 0: crash" < at "deliver a1 -> site 1");
+        Alcotest.(check (option string)) "green" None r.Explore.violation;
+        let s = Scenario.make ~features:secure ~crash:1 ~sites:2 ~coop:2 ~admin_ops:2 () in
+        match run s with
+        | Explore.Exhausted, st ->
+          Alcotest.(check bool) "explored something" true (st.Explore.states > 50)
+        | Explore.Found v, _ -> Alcotest.failf "violation: %s" v.Explore.detail
+        | Explore.Capped, _ -> Alcotest.fail "capped");
+    Alcotest.test_case "replay never delivers to a crashed site" `Quick (fun () ->
+        (* d1:a1 names a delivery to site 1 while it is down: replay
+           must skip it, as the search never offers it *)
+        let s = Scenario.make ~features:secure ~crash:1 ~sites:2 ~coop:2 ~admin_ops:1 () in
+        let sched =
+          match Explore.schedule_of_string "g1 g1 g0 d1:a1 g1" with
+          | Ok e -> e
+          | Error e -> Alcotest.fail e
+        in
+        let r = Explore.replay s sched in
+        Alcotest.(check int) "the delivery to the down site is skipped" 1 r.Explore.skipped;
+        Alcotest.(check (option string)) "green" None r.Explore.violation);
   ]
 
 let enum_tests =

@@ -303,39 +303,6 @@ let runner_tests =
            = List.length
                (Dce_ot.Oplog.requests
                   (Dce_core.Controller.oplog (List.hd r.Runner.controllers)))));
-    Alcotest.test_case "a crashed and restarted site still converges" `Quick
-      (fun () ->
-        let p = { Workload.with_admin with duration = 600 } in
-        for seed = 0 to 9 do
-          let crashes =
-            [ { Runner.site = 2; at = 150; restart_at = 350 } ]
-          in
-          let r = Runner.run ~crashes p ~seed in
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d: injection fired" seed)
-            1 r.Runner.stats.Runner.crashes;
-          let report = Convergence.check r.Runner.controllers in
-          if not (Convergence.ok report) then
-            Alcotest.failf "seed %d diverged after crash/restart:@.%a@.%a" seed
-              Convergence.pp report Convergence.pp_diff r.Runner.controllers
-        done);
-    Alcotest.test_case "even the administrator may crash" `Quick (fun () ->
-        let p = { Workload.with_admin with duration = 800 } in
-        for seed = 20 to 27 do
-          let crashes =
-            [ { Runner.site = 0; at = 200; restart_at = 400 };
-              { Runner.site = 1; at = 300; restart_at = 500 }
-            ]
-          in
-          let r = Runner.run ~crashes p ~seed in
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d: both injections fired" seed)
-            2 r.Runner.stats.Runner.crashes;
-          let report = Convergence.check r.Runner.controllers in
-          if not (Convergence.ok report) then
-            Alcotest.failf "seed %d diverged after admin crash:@.%a@.%a" seed
-              Convergence.pp report Convergence.pp_diff r.Runner.controllers
-        done);
   ]
 
 (* ----- Convergence: degenerate groups and diagnosis ----- *)

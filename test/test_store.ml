@@ -341,6 +341,19 @@ let store_tests =
            Alcotest.(check (list string))
              "only the records since the cut" [ "d"; "e" ] r.Store.wal_records;
            Store.close s));
+    Alcotest.test_case "a reopened log counts toward the cadence" `Quick
+      (in_dir (fun dir ->
+           (* recovery replays the whole active log, so the cadence that
+              bounds that replay must count what was recovered *)
+           let config = cfg ~snapshot_every:3 () in
+           let s, _ = ok_exn "open" (Store.opendir ~config dir) in
+           List.iter (Store.append s) [ "a"; "b" ];
+           Store.close s;
+           let s, _ = ok_exn "reopen" (Store.opendir ~config dir) in
+           Alcotest.(check int) "recovered records count" 2 (Store.records_since_checkpoint s);
+           Store.append s "c";
+           Alcotest.(check bool) "due after snapshot_every" true (Store.should_checkpoint s);
+           Store.close s));
     Alcotest.test_case "corrupt newest snapshot falls back to generation g-1 and its log"
       `Quick
       (in_dir (fun dir ->

@@ -24,14 +24,14 @@
 #
 #   journal-bypass  Persist.{record,maybe_checkpoint,checkpoint,compact}
 #                 or Controller.{catch_up,apply_delta,rejoin} in lib/ or
-#                 bin/, outside lib/core, lib/store and lib/check.  The
-#                 journal rules (journal before broadcast, record after
-#                 receive accepts, checkpoint after a state transfer,
-#                 never compact past the durable cut) are written once,
-#                 in Dce_store.Replica; a daemon or editor that calls
-#                 these itself is a second copy of them.  Comments count:
-#                 point them at Replica.  Tests and bench/ are exempt —
-#                 they drive the layers directly.
+#                 bin/, outside lib/core and lib/store.  The journal
+#                 rules (journal before broadcast, record after receive
+#                 accepts, checkpoint after a state transfer, never
+#                 compact past the durable cut) are written once, in
+#                 Dce_store.Replica; a daemon, editor or the model
+#                 checker calling these itself is a second copy of them.
+#                 Comments count: point them at Replica.  Tests and
+#                 bench/ are exempt — they drive the layers directly.
 #
 #   obj-magic     Obj.magic in lib/ or bin/.  A cast turns a type error
 #                 the compiler would report into memory corruption at
@@ -90,7 +90,7 @@ set -- $(grep -rnE '(^|[^.[:alnum:]_])(Stdlib\.)?exit [0-9]' lib 2>/dev/null) ||
 report lib-exit "$@"
 
 set -- $(grep -rnE '(Persist\.(record|maybe_checkpoint|checkpoint|compact)|Controller\.(catch_up|apply_delta|rejoin))([^[:alnum:]_]|$)' lib bin 2>/dev/null \
-  | grep -vE '^lib/(core|store|check)/') || true
+  | grep -vE '^lib/(core|store)/') || true
 report journal-bypass "$@"
 
 set -- $(grep -rn 'Obj\.magic' lib bin 2>/dev/null) || true
