@@ -1,14 +1,12 @@
 (* Benchmark harness: regenerates every evaluation artifact of the paper
    (see DESIGN.md §5 for the experiment index).
 
-   E6  Fig. 7        — t1/t2/t1+t2 vs |H| at 0%/50%/100% insertions
+   E6  Fig. 7        — t1/t2/t1+t2 vs |H| at 0%/50%/100% insertions, and
+                       Canonize beside the list log's transposition walk
    E7  Fig. 7 (cmp)  — ours vs the SDT-like and ABT-like baselines
    E8  §5.2          — asymptotic scaling checks (incl. Undo O(|H|²))
    E9  §1 motivation — optimistic vs central-lock responsiveness
    E10 ablation      — security-hole rates with each mechanism disabled
-
-   A bechamel micro-benchmark section (one Test.make per experiment
-   family) closes the run with OLS per-operation estimates.
 
    Run everything: dune exec bench/main.exe
    Run one section: dune exec bench/main.exe -- fig7 *)
@@ -397,10 +395,9 @@ let build_steady_site ~n ~h =
   done;
   !a
 
-(* One timed batch of a sub-microsecond call: at least 10 ms on the
-   monotonic ns clock, in rounds of 100 calls between clock reads, so
-   timer resolution and a stray GC slice are noise next to it.  Returns
-   the per-call ns. *)
+(* One timed batch of a call: at least 10 ms on the monotonic ns clock,
+   in rounds of 100 calls between clock reads, so timer resolution and a
+   stray GC slice are noise next to it.  Returns the per-call ns. *)
 let batch_ns f =
   let t0 = Obs.Clock.now_ns () in
   let iters = ref 0 in
@@ -535,20 +532,20 @@ let run_delta_sync () =
 (* ----- the administrator's settled log -----
 
    Every point above is a user site: nobody validates its requests, so
-   each canonization bubble there moves tentative entries.  The
-   administrator's own requests are born valid, so its bubbles cross a
-   settled tail — what any site pays once validations have arrived.
+   the deletion/update tail each insertion crosses holds tentative
+   entries.  The administrator's own requests are born valid, so its
+   tail is settled — what any site holds once validations have arrived.
    These points time generate and integrate on that log, and
    core.generate_words_per_moved.h10k counts the words one insertion
-   allocates per entry its bubble transposed.  The count is exact for a
-   given compiler, so CI gates on it.  Built after every other core
+   allocates per tail entry it crosses.  The count is exact for a given
+   compiler, so CI gates on it.  Built after every other core
    site, so the random histories of those stay as they were. *)
 
 let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-(* the deletion/update tail an insertion appended now would bubble past *)
+(* the deletion/update tail an insertion appended now would cross *)
 let movable_tail c =
   let movable op = Op.is_del op || Op.is_undel op || Op.is_up op in
   let rec go k = function op :: rest when movable op -> go (k + 1) rest | _ -> k in
@@ -779,7 +776,15 @@ let run_core ~quick () =
   run_doc_memory ();
   print_newline ()
 
-(* ----- E6: Fig. 7 ----- *)
+(* ----- E6: Fig. 7 -----
+
+   One counter per point: fig7.t1_us.ins<INS%>_h<|H|> and
+   fig7.t2_us.*.  At |H|=9000 the section also appends one more
+   insertion to the site's own requests through the seed's list log
+   ([Oplog_ref], whose Canonize transposes the insertion back past the
+   deletion/update tail one entry at a time, as the paper's does) and
+   through [Oplog], and records the in-run ratio
+   fig7.canonize_ref_vs_new_x.* — machine-portable, so CI gates it. *)
 
 let fig7_checkpoints = [ 1000; 2000; 3000; 4000; 5000; 6000; 7000; 8000; 9000 ]
 
@@ -788,18 +793,48 @@ let run_fig7 () =
     "== E6 / Fig.7: processing time of insert requests (budget %.0f ms; '*' = over) ==\n"
     budget_ms;
   Printf.printf "%7s %8s %10s %10s %10s\n" "INS%" "|H|" "t1 (ms)" "t2 (ms)" "t1+t2";
+  let put k v = Obs.Metrics.add (Obs.Metrics.counter bench_metrics ("fig7." ^ k)) v in
+  let canonize =
+    List.map
+      (fun ins_pct ->
+        let snaps = build_site ~ins_pct ~checkpoints:fig7_checkpoints in
+        List.iter
+          (fun (size, c) ->
+            let t1 = measure_t1 c in
+            let t2 = measure_t2 c in
+            let point = Printf.sprintf "ins%d_h%d" ins_pct size in
+            put ("t1_us." ^ point) (int_of_float (t1 *. 1000.));
+            put ("t2_us." ^ point) (int_of_float (t2 *. 1000.));
+            Printf.printf "%7d %8d %10.3f %10.3f %9.3f%s\n" ins_pct size t1 t2 (t1 +. t2)
+              (flag (t1 +. t2)))
+          snaps;
+        print_newline ();
+        let log = C.oplog (List.assoc 9000 snaps) in
+        let reference =
+          Oplog_ref.of_entries ~compacted:(Oplog.compacted_upto log) (Oplog.entries log)
+        in
+        let q =
+          Request.make ~site:user ~serial:(Oplog.length log + 1)
+            ~op:(Op.ins ~pr:user 0 'z') ~ctx:Vclock.empty ~policy_version:0
+            ~flag:Request.Tentative ()
+        in
+        let ref_ns = batch_ns (fun () -> ignore (Oplog_ref.append_local q reference)) in
+        let new_ns = batch_ns (fun () -> ignore (Oplog.append_local q log)) in
+        let point = Printf.sprintf "ins%d_h9000" ins_pct in
+        put ("canonize_ref_ns." ^ point) ref_ns;
+        put ("canonize_new_ns." ^ point) new_ns;
+        put ("canonize_ref_vs_new_x." ^ point) (ref_ns / new_ns);
+        (ins_pct, ref_ns, new_ns))
+      [ 0; 50; 100 ]
+  in
+  Printf.printf "Canonize of one more insertion at |H|=9000 (us):\n";
+  Printf.printf "%7s %12s %12s %8s\n" "INS%" "list log" "Oplog" "ratio";
   List.iter
-    (fun ins_pct ->
-      let snaps = build_site ~ins_pct ~checkpoints:fig7_checkpoints in
-      List.iter
-        (fun (size, c) ->
-          let t1 = measure_t1 c in
-          let t2 = measure_t2 c in
-          Printf.printf "%7d %8d %10.3f %10.3f %9.3f%s\n" ins_pct size t1 t2 (t1 +. t2)
-            (flag (t1 +. t2)))
-        snaps;
-      print_newline ())
-    [ 0; 50; 100 ]
+    (fun (ins_pct, ref_ns, new_ns) ->
+      Printf.printf "%7d %12.1f %12.1f %7dx\n" ins_pct (float ref_ns /. 1e3)
+        (float new_ns /. 1e3) (ref_ns / new_ns))
+    canonize;
+  print_newline ()
 
 (* ----- E7: baseline comparison ----- *)
 
@@ -1606,68 +1641,6 @@ let run_analysis ~quick () =
     lint_ms n_err n_warn;
   print_newline ()
 
-(* ----- bechamel micro-benchmarks ----- *)
-
-let run_micro () =
-  Printf.printf "== micro (bechamel, OLS per-run estimates) ==\n";
-  let open Bechamel in
-  let c3000 = List.assoc 3000 (build_site ~ins_pct:50 ~checkpoints:[ 3000 ]) in
-  let q = remote_insert 1 in
-  let history = baseline_history 250 in
-  let sdt =
-    Dce_baseline.Sdt_like.preload (Dce_baseline.Sdt_like.create ~site:2 initial_text)
-      history
-  in
-  let abt =
-    Dce_baseline.Abt_like.preload
-      (Dce_baseline.Abt_like.create ~site:2 initial_text)
-      (List.map (fun (r : char Request.t) -> r.Request.op) history)
-  in
-  let policy_pos = Some 3 in
-  let tests =
-    [
-      Test.make ~name:"generate |H|=3000"
-        (Staged.stage (fun () ->
-             match C.generate c3000 (Op.ins 0 'z') with
-             | _, C.Accepted _ -> ()
-             | _, C.Denied r -> failwith r));
-      Test.make ~name:"receive |H|=3000"
-        (Staged.stage (fun () -> ignore (C.receive c3000 (C.Coop q))));
-      Test.make ~name:"policy check (|P|=25)"
-        (Staged.stage (fun () ->
-             ignore (Policy.check base_policy ~user ~right:Right.Insert ~pos:policy_pos)));
-      Test.make ~name:"admin interval check (|L|=40)"
-        (Staged.stage (fun () ->
-             ignore
-               (Admin_log.first_denial (C.admin_log c3000) ~from_version:0 ~user
-                  ~right:Right.Insert ~pos:policy_pos)));
-      Test.make ~name:"sdt-like receive |H|=250"
-        (Staged.stage (fun () -> ignore (Dce_baseline.Sdt_like.receive sdt q)));
-      Test.make ~name:"abt-like receive |H|=250"
-        (Staged.stage (fun () -> ignore (Dce_baseline.Abt_like.receive abt q)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name est ->
-          let ns = match Analyze.OLS.estimates est with Some [ e ] -> e | _ -> nan in
-          Printf.printf "%-32s %12.1f ns/run  (r2=%s)\n" name ns
-            (match Analyze.OLS.r_square est with
-             | Some r -> Printf.sprintf "%.3f" r
-             | None -> "-"))
-        ols)
-    tests;
-  print_newline ()
-
 (* ----- obs: the export plane itself -----
 
    What a scrape costs the scraped process: rendering the exposition,
@@ -1767,7 +1740,6 @@ let () =
     run "check" run_check;
     run "store" run_store;
     run "analysis" (run_analysis ~quick:!quick);
-    run "micro" run_micro;
     run "obs" run_obs
   in
   (match !trace_file with

@@ -13,6 +13,11 @@
      3. with some probability the victim's write-ahead-log tail is
         mangled the way a torn write would mangle it — truncated by a
         random count of bytes, or a byte near the end flipped;
+        on a seeded half of the cycles that kill a client, the
+        survivors then flush, fold every node's stability beacon (the
+        victim's as it last sent it) and compact, so the relay can cut
+        past what a torn tail lost and the victim's catch-up must take
+        its snapshot fallback;
      4. the victim restarts from its data directory alone and the
         reconnect handshake runs: a client catches up from the relay's
         session copy (the donor that, like dced, integrated and
@@ -29,7 +34,10 @@
      - recovery replays fewer than [snapshot_every] records: the
        checkpoint cadence bounds the log, across restarts too;
      - with an intact log, the recovered state fingerprints identical
-       to the pre-kill state — exact replay, not approximate;
+       to the pre-kill state — exact replay, not approximate — or,
+       after beacons or a compaction since the last checkpoint (soft
+       state the journal does not record), has the same clock and
+       content fingerprint;
      - after catch-up and the flush, the convergence oracles hold
        across every site including the relay ([Dce_sim.Convergence]).
 
@@ -98,6 +106,10 @@ type node = {
   delayed : char Controller.message Queue.t;
       (** chaos-held deliveries: released into the mailbox at the end of
           the cycle, so faults reorder but never lose (§3.3) *)
+  mutable soft_gen : int;
+      (** the journal generation of the last unjournaled change (folded
+          beacons, a compaction), [-1] if none: until the next checkpoint
+          the journal replays everything but that soft state *)
 }
 
 type session = { clients : node array; relay : node; faults : Faults.t option }
@@ -189,10 +201,10 @@ let release_delayed sess =
 (* Full quiescence: pumping can emit fresh broadcasts (the admin's
    validations) which chaos may hold back again, so release and pump
    until both queues are empty everywhere. *)
-let flush sess rng =
+let flush ?(down = -1) sess rng =
   let rec go () =
     release_delayed sess;
-    ignore (pump_some sess ~down:(-1) rng max_int);
+    ignore (pump_some sess ~down rng max_int);
     if Array.exists (fun c -> not (Queue.is_empty c.delayed)) sess.clients then go ()
   in
   go ()
@@ -273,17 +285,36 @@ let mangle_tail rng path =
 
 (* {2 Kill, mangle, restart} *)
 
+(* What recovery must reproduce when the tail survives: the whole
+   state, or, after an unjournaled change since the last checkpoint,
+   the clock and the document, policy and version (beacon tables and the
+   compacted window are soft state). *)
+type pre_kill = Exact of string | Content of string * Dce_ot.Vclock.t
+
+let pre_kill n =
+  let c = ctrl n in
+  if Persist.generation (journal n) > n.soft_gen then
+    Exact (Persist.fingerprint (journal n) c)
+  else Content (Proto.content_fingerprint Proto.char_codec c, Controller.clock c)
+
+let recovered pre j c =
+  match pre with
+  | Exact fp -> Persist.fingerprint j c = fp
+  | Content (cfp, clock) ->
+    Proto.content_fingerprint Proto.char_codec c = cfp
+    && Dce_ot.Vclock.equal (Controller.clock c) clock
+
 (* kill -9: no checkpoint, no sync beyond what the policy already did;
    returns what recovery must reproduce when the tail survives. *)
 let kill n =
   check_journal n;
   let j = journal n in
   let gen = Persist.generation j in
-  let pre_fp = Persist.fingerprint j (ctrl n) in
+  let pre = pre_kill n in
   Persist.close j;
-  (gen, pre_fp)
+  (gen, pre)
 
-let restart ~cycle ~mangled ~pre_fp n =
+let restart ~cycle ~mangled ~pre n =
   match open_journal ~cycle ~id:n.id n.dir with
   | Error e -> failf "cycle %d: recovery of %s failed: %s" cycle n.name e
   | Ok (j, r) ->
@@ -298,22 +329,54 @@ let restart ~cycle ~mangled ~pre_fp n =
         r.Persist.replayed every;
     (match mangled with
      | None ->
-       if Persist.fingerprint j ctrl <> pre_fp then
+       if not (recovered pre j ctrl) then
          failf
            "cycle %d: %s recovered from an intact log but does not \
             fingerprint-match its pre-kill state"
            cycle n.name
      | Some _ -> ());
     n.replica <- Replica.create ~journal:j ctrl;
+    n.soft_gen <- -1;
     r
 
 (* The reconnect handshake, as p2pedit runs it against a dced snapshot:
    catch up from the relay's session copy (the replica checkpoints it),
    re-broadcast what the relay cannot prove acknowledged. *)
-let reconnect ~cycle sess c =
-  match Replica.catch_up c.replica (ctrl sess.relay) with
+let reconnect ~cycle ~fallbacks sess c =
+  let donor = ctrl sess.relay in
+  if
+    Controller.delta_since donor ~clock:(Controller.clock (ctrl c))
+      ~version:(Controller.version (ctrl c))
+    = None
+  then incr fallbacks;
+  match Replica.catch_up c.replica donor with
   | Ok out -> broadcast sess ~from:c.id out
   | Error e -> failf "cycle %d: %s failed to catch up: %s" cycle c.name e
+
+(* Stability while the client [down] is dead: the survivors flush,
+   every node's beacon — the dead one's as it last sent it — is folded
+   into the live ones, and each live replica compacts.  The dead
+   client's beacon counts what it had integrated in memory, so a torn
+   tail can leave it, once restarted, behind the relay's cut, and its
+   catch-up takes the snapshot fallback. *)
+let stabilize sess rng ~down =
+  flush ~down:down.id sess rng;
+  let nodes = all_nodes sess in
+  let beacons =
+    List.map
+      (fun n ->
+        let b_clock, b_version = Controller.beacon (ctrl n) in
+        { Proto.b_site = n.id; b_clock; b_version })
+      nodes
+  in
+  List.iter
+    (fun n ->
+      if n.id <> down.id then begin
+        Replica.absorb n.replica (List.filter (fun b -> b.Proto.b_site <> n.id) beacons);
+        Replica.compact n.replica;
+        n.soft_gen <- Persist.generation (journal n)
+      end)
+    nodes
 
 (* {2 Setup, oracle, teardown} *)
 
@@ -330,7 +393,15 @@ let make_node ~root ~policy ~text ~name id =
         (Controller.create ~eq:Char.equal ~site:id ~admin:0 ~policy
            (Tdoc.of_string text))
     in
-    { id; name; dir; replica; mailbox = Queue.create (); delayed = Queue.create () }
+    {
+      id;
+      name;
+      dir;
+      replica;
+      mailbox = Queue.create ();
+      delayed = Queue.create ();
+      soft_gen = -1;
+    }
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -404,6 +475,7 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
   in
   let mangled_cycles = ref 0 in
   let replayed_total = ref 0 in
+  let fallbacks = ref 0 in
   for cycle = 1 to cycles do
     (* phase 1: traffic, under-pumped so messages are in flight *)
     for _ = 1 to events do
@@ -415,7 +487,7 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
     (* phases 2-4: kill -9, mangle, restart, reconnect *)
     let victim_relay = rand_int rng (nsites + 1) = nsites in
     let victim = if victim_relay then sess.relay else sess.clients.(rand_int rng nsites) in
-    let gen, pre_fp = kill victim in
+    let gen, pre = kill victim in
     let wal_file =
       Filename.concat victim.dir (Printf.sprintf "wal-%010d.log" gen)
     in
@@ -423,17 +495,18 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
       if rand_bool rng corrupt_prob then mangle_tail rng wal_file else None
     in
     if mangled <> None then incr mangled_cycles;
-    let r = restart ~cycle ~mangled ~pre_fp victim in
+    if (not victim_relay) && rand_bool rng 0.5 then stabilize sess rng ~down:victim;
+    let r = restart ~cycle ~mangled ~pre victim in
     replayed_total := !replayed_total + r.Persist.replayed;
     if victim_relay then
       (* the relay may have rolled back past traffic it already fanned
          out: every client reconnects, and each one's catch-up
          re-broadcasts its own requests the relay no longer proves
          acked — exactly how the group heals a forgetful dced *)
-      Array.iter (fun c -> reconnect ~cycle sess c) sess.clients
+      Array.iter (fun c -> reconnect ~cycle ~fallbacks sess c) sess.clients
     else begin
       broadcast sess ~from:victim.id r.Persist.emitted;
-      reconnect ~cycle sess victim
+      reconnect ~cycle ~fallbacks sess victim
     end;
     say "cycle %3d/%d: killed %s (fsync %s), %a -> gen %d, %d replayed%s@."
       cycle cycles victim.name
@@ -447,17 +520,18 @@ let torture ~cycles ~nsites ~events ~corrupt_prob ~seed ~chaos ~quiet root =
     check_convergence ~cycle sess
   done;
   (* final oracle, as cycle [cycles + 1]: kill every node with its log
-     intact; each must recover fingerprint-exact *)
+     intact; each must recover what its journal owes ([pre_kill]) *)
   List.iter
     (fun n ->
-       let _, pre_fp = kill n in
-       ignore (restart ~cycle:(cycles + 1) ~mangled:None ~pre_fp n);
+       let _, pre = kill n in
+       ignore (restart ~cycle:(cycles + 1) ~mangled:None ~pre n);
        Persist.close (journal n))
     (all_nodes sess);
   Format.printf
     "crashtest: %d kill/restart cycle(s), %d with a mangled tail, %d record(s) \
-     replayed; every recovery clean, every cycle convergent@."
-    cycles !mangled_cycles !replayed_total;
+     replayed, %d catch-up(s) by the snapshot fallback; every recovery clean, \
+     every cycle convergent@."
+    cycles !mangled_cycles !replayed_total !fallbacks;
   Format.printf "final doc %S (policy v%d)@."
     (Tdoc.visible_string (Controller.document (ctrl sess.relay)))
     (Controller.version (ctrl sess.relay))

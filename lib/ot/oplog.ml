@@ -27,37 +27,101 @@ module Log = Stree.Make (struct
   let weight = tentative
 end)
 
+(* The entries an appended insertion crosses: deletions and updates.
+   The tail is the longest suffix of them. *)
+let movable e =
+  let op = e.req.Request.op in
+  Op.is_del op || Op.is_undel op || Op.is_up op
+
+(* a movable entry's model position *)
+let pos_of e = match Op.pos e.req.Request.op with Some p -> p | None -> assert false
+
+(* The model positions of the tail's entries, in log order, in blocks of
+   up to [cap] ints.  A block is never written once built: every change
+   builds fresh blocks, as a tombstone document's chunks are, so log
+   versions share them, and a block of a few dozen words is a minor-heap
+   allocation where one flat array of the whole tail would not be.
+   Every block is full but the last. *)
+module Run = struct
+  type t = { blocks : int array array; len : int }
+
+  let cap = 64
+  let empty = { blocks = [||]; len = 0 }
+  let length r = r.len
+  let get r i = r.blocks.(i / cap).(i mod cap)
+
+  (* the first [keep] positions of [r], then [f 0], [f 1], ... up to
+     [len] positions; the kept prefix's whole blocks are shared *)
+  let splice r ~keep len f =
+    let block b =
+      if (b + 1) * cap <= keep then r.blocks.(b)
+      else
+        Array.init
+          (min cap (len - (b * cap)))
+          (fun j ->
+            let i = (b * cap) + j in
+            if i < keep then get r i else f (i - keep))
+    in
+    { blocks = Array.init ((len + cap - 1) / cap) block; len }
+
+  let init len f = splice empty ~keep:0 len f
+  let push r x = splice r ~keep:r.len (r.len + 1) (fun _ -> x)
+  let drop r k = init (r.len - k) (fun j -> get r (k + j))
+
+  (* every position at or after [p] gains one, in fresh copies *)
+  let shift r p =
+    let bump b =
+      let b = Array.copy b in
+      for j = 0 to Array.length b - 1 do
+        if b.(j) >= p then b.(j) <- b.(j) + 1
+      done;
+      b
+    in
+    { r with blocks = Array.map bump r.blocks }
+end
+
 (* Entries in execution order in a stat tree (measure: tentative normal
    entries, so the tentative set enumerates without scanning settled
-   entries), indexed twice over:
+   entries), with the tail's positions in a run beside it (see the .mli
+   for why an insertion crossing the tail needs no transposition).  A
+   tail entry keeps in the tree the operation it was appended with, and
+   [tail] holds where it stands now; {!current} reads the two together.
+
+   Two indexes over normal entries:
    - [ids] holds every normal entry's id, for [mem]; reorderings never
      touch it;
-   - [tpos] maps each tentative normal entry to its position.  Tentative
-     entries are the only ones the controller looks up by position
-     (validation, retroactive undo, rejection), so a reordering rewrites
-     the positions of the tentative entries it moves and of no others;
+   - a tentative entry before the tail maps to its position in [tpos],
+     a tentative tail entry to its offset from the tail start in
+     [toff]; an insertion landing at the tail start changes neither,
+     a separation re-places only the tentative entries it moves, and
      looking up a settled entry scans instead.
-   Positions are absolute — [base] counts entries dropped by compaction,
-   so the tree position of id is [tpos(id) - base], and compaction, which
-   drops no tentative entry, never rewrites [tpos].  [compacted] is the
-   per-site serial floor below which entries have been compacted away. *)
+   [tpos] positions are absolute — [base] counts entries dropped by
+   compaction, so the tree position of id is [tpos(id) - base], and
+   compaction, which drops no tentative entry, rewrites [tpos] never
+   and [toff] only when its cut reaches into the tail.  [compacted] is
+   the per-site serial floor below which entries have been compacted
+   away. *)
 type 'e t = {
   entries : 'e Log.t;
+  tail : Run.t;
   ids : Ids.t;
   tpos : int Id_map.t;
+  toff : int Id_map.t;
   base : int;
   compacted : Vclock.t;
 }
 
-(* record entry [e] at absolute position [pos] if it is tentative *)
-let place e pos tpos =
-  if is_tentative e then Id_map.add e.req.Request.id pos tpos else tpos
+(* record entry [e] under [key] if it is tentative *)
+let place e key index =
+  if is_tentative e then Id_map.add e.req.Request.id key index else index
 
 let empty =
   {
     entries = Log.empty;
+    tail = Run.empty;
     ids = Ids.empty;
     tpos = Id_map.empty;
+    toff = Id_map.empty;
     base = 0;
     compacted = Vclock.empty;
   }
@@ -66,19 +130,75 @@ let length h = Log.length h.entries
 
 let live_length = length
 
-let entries h = Log.to_list h.entries
+let tail_start h = length h - Run.length h.tail
+
+let with_op e op =
+  if op == e.req.Request.op then e else { e with req = { e.req with Request.op } }
+
+(* movable [o] at model position [pos]; [o] itself if it stands there *)
+let moved_to pos (o : _ Op.t) : _ Op.t =
+  match o with
+  | Del d -> if d.pos = pos then o else Del { d with pos }
+  | Undel d -> if d.pos = pos then o else Undel { d with pos }
+  | Up u -> if u.pos = pos then o else Up { u with pos }
+  | Ins _ | Unup _ | Nop -> assert false
+
+(* The one accessor: [e], stored at tree position [i], as the log holds
+   it — a tail entry (from [ts], the tail start) stands where the run
+   says. *)
+let read h ~ts i e =
+  if i < ts then e else with_op e (moved_to (Run.get h.tail (i - ts)) e.req.Request.op)
+
+let current h i e = read h ~ts:(tail_start h) i e
+
+let fold_range f acc h ~pos ~len =
+  let ts = tail_start h in
+  let i = ref (pos - 1) in
+  Log.fold_range
+    (fun acc e ->
+      incr i;
+      f acc (read h ~ts !i e))
+    acc h.entries ~pos ~len
+
+(* entries [pos, pos + len) as the log holds them, in a fresh array *)
+let slice h ~pos ~len =
+  let a = Array.make len (Log.get h.entries pos) in
+  let (_ : int) =
+    fold_range
+      (fun i e ->
+        a.(i) <- e;
+        i + 1)
+      0 h ~pos ~len
+  in
+  a
+
+let entries h = List.rev (fold_range (fun acc e -> e :: acc) [] h ~pos:0 ~len:(length h))
 
 let of_entries ~compacted entries =
-  let tree = Log.of_list entries in
-  let ids, tpos, _ =
-    List.fold_left
-      (fun (ids, tpos, i) e ->
-        match e.role with
-        | Normal -> (Ids.add e.req.Request.id ids, place e i tpos, i + 1)
-        | Canceller _ -> (ids, tpos, i + 1))
-      (Ids.empty, Id_map.empty, 0) entries
-  in
-  { entries = tree; ids; tpos; base = 0; compacted }
+  let a = Array.of_list entries in
+  let ts = ref (Array.length a) in
+  while !ts > 0 && movable a.(!ts - 1) do
+    decr ts
+  done;
+  let ts = !ts in
+  let ids = ref Ids.empty and tpos = ref Id_map.empty and toff = ref Id_map.empty in
+  Array.iteri
+    (fun i e ->
+      match e.role with
+      | Normal ->
+        ids := Ids.add e.req.Request.id !ids;
+        if i < ts then tpos := place e i !tpos else toff := place e (i - ts) !toff
+      | Canceller _ -> ())
+    a;
+  {
+    entries = Log.of_list entries;
+    tail = Run.init (Array.length a - ts) (fun j -> pos_of a.(ts + j));
+    ids = !ids;
+    tpos = !tpos;
+    toff = !toff;
+    base = 0;
+    compacted;
+  }
 
 let compacted_upto h = h.compacted
 
@@ -95,39 +215,54 @@ let ops h = List.map (fun e -> e.req.Request.op) (entries h)
 let position id h =
   match Id_map.find_opt id h.tpos with
   | Some pos -> Some (pos - h.base)
-  | None when not (Ids.mem id h.ids) -> None
-  | None ->
-    let other e =
-      match e.role with
-      | Normal -> Id.compare e.req.Request.id id <> 0
-      | Canceller _ -> true
-    in
-    Some (Log.length h.entries - 1 - Log.suffix_length other h.entries)
+  | None -> (
+    match Id_map.find_opt id h.toff with
+    | Some off -> Some (tail_start h + off)
+    | None when not (Ids.mem id h.ids) -> None
+    | None ->
+      let other e =
+        match e.role with
+        | Normal -> Id.compare e.req.Request.id id <> 0
+        | Canceller _ -> true
+      in
+      Some (length h - 1 - Log.suffix_length other h.entries))
 
-let find id h = Option.map (fun i -> (Log.get h.entries i).req) (position id h)
+let find id h =
+  Option.map (fun i -> (current h i (Log.get h.entries i)).req) (position id h)
 
 let mem id h =
   Vclock.dominates_event h.compacted ~site:id.Request.site ~count:id.Request.serial
   || Ids.mem id h.ids
 
+(* Flag the normal entry at tree position [i].  Only the flag changes:
+   a tail entry keeps its stored operation. *)
+let flag_at h i flag =
+  let e = Log.get h.entries i in
+  let e = { e with req = { e.req with Request.flag } } in
+  let id = e.req.Request.id in
+  let entries = Log.set h.entries i e in
+  let tpos = Id_map.remove id h.tpos and toff = Id_map.remove id h.toff in
+  let ts = tail_start h in
+  if i < ts then { h with entries; tpos = place e (h.base + i) tpos; toff }
+  else { h with entries; tpos; toff = place e (i - ts) toff }
+
 let set_flag id flag h =
-  match position id h with
-  | None -> h
-  | Some i ->
-    let e = Log.get h.entries i in
-    let e = { e with req = { e.req with Request.flag } } in
-    {
-      h with
-      entries = Log.set h.entries i e;
-      tpos = place e (h.base + i) (Id_map.remove id h.tpos);
-    }
+  match position id h with None -> h | Some i -> flag_at h i flag
 
 let validate id h =
-  if Id_map.mem id h.tpos then Some (set_flag id Request.Valid h) else None
+  if Id_map.mem id h.tpos || Id_map.mem id h.toff then Some (set_flag id Request.Valid h)
+  else None
 
 let tentative_requests h =
-  (* exactly the nonzero-measure entries, all normal by construction *)
-  List.rev (Log.fold_nonzero (fun acc e -> e.req :: acc) [] h.entries)
+  (* exactly the nonzero-measure entries, all normal by construction; a
+     tail one stands where the run says *)
+  let ts = tail_start h in
+  let read e =
+    match Id_map.find_opt e.req.Request.id h.toff with
+    | Some off -> current h (ts + off) e
+    | None -> e
+  in
+  List.rev (Log.fold_nonzero (fun acc e -> (read e).req :: acc) [] h.entries)
 
 let broadcast_form (q : 'e Request.t) h =
   let rec last_normal i =
@@ -138,10 +273,7 @@ let broadcast_form (q : 'e Request.t) h =
       | Normal -> Some e.req.Request.id
       | Canceller _ -> last_normal (i - 1)
   in
-  { q with Request.dep = last_normal (Log.length h.entries - 1) }
-
-let with_op e op =
-  if op == e.req.Request.op then e else { e with req = { e.req with Request.op } }
+  { q with Request.dep = last_normal (length h - 1) }
 
 (* Adjacent transposition: given consecutive entries [a; b], produce
    [b'; a'] with the same combined effect.  [b'] excludes [a]'s effect;
@@ -154,54 +286,51 @@ let transpose a b =
   let a_op = Transform.it a.req.Request.op b_op in
   (with_op b b_op, with_op a a_op)
 
-let movable e =
-  let op = e.req.Request.op in
-  Op.is_del op || Op.is_undel op || Op.is_up op
+(* End the tail: write its positions into the tree and index its
+   tentative entries by absolute position. *)
+let settle h =
+  let k = Run.length h.tail in
+  if k = 0 then h
+  else
+    let ts = tail_start h in
+    {
+      h with
+      entries = Log.set_range h.entries ~pos:ts (slice h ~pos:ts ~len:k);
+      tail = Run.empty;
+      tpos = Id_map.fold (fun id off tpos -> Id_map.add id (h.base + ts + off) tpos) h.toff h.tpos;
+      toff = Id_map.empty;
+    }
 
-(* Canonize: bubble the entry at the end of the log (an insertion)
-   backwards past the deletion/update entries before it, stopping at the
-   first insertion or Nop-carrying entry.  The bubble is batched: its
-   extent is found in one right-to-left walk, the movable suffix is
-   transposed in a flat array and written back with a single
-   {!Stree.Make} [set_range] walk — O(k + log H) tree work for a bubble of
-   extent [k], instead of two O(log H) tree writes per transposition.
-   [entry] is a normal entry. *)
+(* Append an entry that is not an insertion: a deletion or update joins
+   the tail; anything else (an update's undo, a Nop) ends it. *)
+let push h e =
+  if movable e then
+    {
+      h with
+      entries = Log.append h.entries e;
+      tail = Run.push h.tail (pos_of e);
+      toff = place e (Run.length h.tail) h.toff;
+    }
+  else
+    let h = settle h in
+    { h with entries = Log.append h.entries e; tpos = place e (h.base + length h) h.tpos }
+
+(* Canonize in one step: an insertion lands at the tail start as it is,
+   and every tail position at or after its own gains one — one tree
+   insert and one pass over the run, with no transposition, no fresh
+   entry and no index write for the tail.  [entry] is a normal entry. *)
 let append_entry_canonized h entry =
-  let pos = Log.length h.entries in
-  let k =
-    if Op.is_ins entry.req.Request.op then Log.suffix_length movable h.entries else 0
-  in
-  let entries = Log.append h.entries entry in
-  let ids = Ids.add entry.req.Request.id h.ids in
-  if k = 0 then { h with entries; ids; tpos = place entry (h.base + pos) h.tpos }
-  else begin
-    let lo = pos - k in
-    let window = Array.make (k + 1) entry in
-    let (_ : int) =
-      Log.fold_range
-        (fun i e ->
-          window.(i) <- e;
-          i + 1)
-        0 h.entries ~pos:lo ~len:k
-    in
-    let i = ref k in
-    while
-      !i > 0 && Op.is_ins window.(!i).req.Request.op && movable window.(!i - 1)
-    do
-      let b', a' = transpose window.(!i - 1) window.(!i) in
-      window.(!i - 1) <- b';
-      window.(!i) <- a';
-      decr i
-    done;
-    let entries = Log.set_range entries ~pos:lo window in
-    (* the new entry landed at [!i], pushing what followed one place
-       right: only the tentative ones among them have a position *)
-    let tpos = ref h.tpos in
-    for j = !i to k do
-      tpos := place window.(j) (h.base + lo + j) !tpos
-    done;
-    { h with entries; ids; tpos = !tpos }
-  end
+  let h = { h with ids = Ids.add entry.req.Request.id h.ids } in
+  match entry.req.Request.op with
+  | Op.Ins { pos; _ } ->
+    let ts = tail_start h in
+    {
+      h with
+      entries = Log.insert h.entries ts entry;
+      tail = Run.shift h.tail pos;
+      tpos = place entry (h.base + ts) h.tpos;
+    }
+  | Op.Del _ | Op.Undel _ | Op.Up _ | Op.Unup _ | Op.Nop -> push h entry
 
 let append_local q h = append_entry_canonized h { req = q; role = Normal }
 
@@ -222,6 +351,40 @@ let in_context_of (q : _ Request.t) e =
       ~count:target.Request.serial
     && q.Request.policy_version >= e.req.Request.policy_version
 
+(* Write back the window [p, length h), permuted by a separation, and
+   re-derive the tail: the window's longest movable suffix, behind the
+   old tail's entries before [p] when the window lies inside the old
+   tail (then every window entry is movable, the separation only
+   permuted them, and the whole window stays in the tail).  A window
+   that starts at or before the old tail start holds the non-movable
+   entry before it, if any, so the tail cannot reach back past [p]. *)
+let reorder h p window =
+  let w = Array.length window in
+  let s = ref w in
+  while !s > 0 && movable window.(!s - 1) do
+    decr s
+  done;
+  let s = !s in
+  let keep = max 0 (p - tail_start h) in
+  assert (keep = 0 || s = 0);
+  let tpos = ref h.tpos in
+  let toff = ref (Id_map.filter (fun _ off -> off < keep) h.toff) in
+  Array.iteri
+    (fun i e ->
+      if i < s then tpos := place e (h.base + p + i) !tpos
+      else if is_tentative e then begin
+        tpos := Id_map.remove e.req.Request.id !tpos;
+        toff := place e (keep + i - s) !toff
+      end)
+    window;
+  {
+    h with
+    entries = Log.set_range h.entries ~pos:p window;
+    tail = Run.splice h.tail ~keep (keep + w - s) (fun j -> pos_of window.(s + j));
+    tpos = !tpos;
+    toff = !toff;
+  }
+
 (* ComputeFF, window-local.  Entries in the longest all-in-context
    prefix would be left in place by SOCT2 separation (context entries
    bubble leftwards, and there is nothing concurrent before them to
@@ -231,20 +394,13 @@ let in_context_of (q : _ Request.t) e =
    concurrent with the whole suffix), separation moves nothing and the
    write-back is skipped entirely. *)
 let integrate q h =
-  let n = Log.length h.entries in
+  let n = length h in
   let p = Log.prefix_length (in_context_of q) h.entries in
-  let entries, tpos, op =
-    if p = n then (h.entries, h.tpos, q.Request.op)
+  let h, op =
+    if p = n then (h, q.Request.op)
     else begin
       let w = n - p in
-      let window = Array.make w (Log.get h.entries p) in
-      let (_ : int) =
-        Log.fold_range
-          (fun i e ->
-            window.(i) <- e;
-            i + 1)
-          0 h.entries ~pos:p ~len:w
-      in
+      let window = slice h ~pos:p ~len:w in
       (* classification is stable under transposition, so the flags can
          be computed up front instead of mid-reorder *)
       let in_ctx = Array.map (in_context_of q) window in
@@ -267,21 +423,11 @@ let integrate q h =
       for i = !boundary to w - 1 do
         op := Transform.it !op window.(i).req.Request.op
       done;
-      if !boundary = 0 then (h.entries, h.tpos, !op)
-      else begin
-        (* the window really was permuted: write it back in one walk,
-           and re-place its tentative entries *)
-        let entries = Log.set_range h.entries ~pos:p window in
-        let tpos = ref h.tpos in
-        for i = 0 to w - 1 do
-          tpos := place window.(i) (h.base + p + i) !tpos
-        done;
-        (entries, !tpos, !op)
-      end
+      ((if !boundary = 0 then h else reorder h p window), !op)
     end
   in
   let entry = { req = { q with Request.op }; role = Normal } in
-  (op, append_entry_canonized { h with entries; tpos } entry)
+  (op, append_entry_canonized h entry)
 
 let canceller_of ~cancel_version (q : 'e Request.t) op =
   {
@@ -294,23 +440,17 @@ let undo ~cancel_version id h =
   match position id h with
   | None -> None
   | Some i ->
-    let e = Log.get h.entries i in
+    let e = current h i (Log.get h.entries i) in
     if e.req.Request.flag = Request.Invalid then None
     else
-      let n = Log.length h.entries in
       let inv =
-        Log.fold_range
+        fold_range
           (fun op e' -> Transform.it op e'.req.Request.op)
           (Op.inverse e.req.Request.op)
-          h.entries ~pos:(i + 1) ~len:(n - i - 1)
+          h ~pos:(i + 1) ~len:(length h - i - 1)
       in
-      let entries =
-        Log.set h.entries i
-          { e with req = { e.req with Request.flag = Request.Invalid } }
-      in
-      let cancel = canceller_of ~cancel_version e.req inv in
-      let entries = Log.append entries cancel in
-      Some (inv, { h with entries; tpos = Id_map.remove id h.tpos })
+      let h = flag_at h i Request.Invalid in
+      Some (inv, push h (canceller_of ~cancel_version e.req inv))
 
 (* Rejecting a request = integrating it and undoing it on the spot: the
    request's cells enter the model (as tombstones, net visible effect
@@ -330,18 +470,22 @@ let causally_ready (q : _ Request.t) h =
 
 let is_canonical h =
   let ok, _ =
-    Log.fold_left
+    fold_range
       (fun (ok, seen_du) e ->
         let op = e.req.Request.op in
         if (not ok) || (Op.is_ins op && seen_du) then (false, seen_du)
         else (true, seen_du || Op.is_del op || Op.is_up op))
-      (true, false) h.entries
+      (true, false) h ~pos:0 ~len:(length h)
   in
   ok
 
 (* Compaction: drop the longest stable prefix (see the .mli for the
    soundness argument).  Only settled entries are dropped, so only [ids]
-   loses members; [base] absorbs the shift of the tentative positions. *)
+   loses members; [base] absorbs the shift of the tentative positions
+   before the tail.  A cut reaching into the tail drops the run's first
+   positions with their entries, and the tail offsets move with it.
+   Dropped entries are read for their ids only, and the tree keeps its
+   stored operations for the run to override. *)
 let compact ~stable ~stable_version h =
   let droppable e =
     match e.role with
@@ -357,7 +501,7 @@ let compact ~stable ~stable_version h =
   let k = Log.prefix_length droppable h.entries in
   if k = 0 then h
   else
-    let n = Log.length h.entries in
+    let n = length h in
     let dropped =
       List.rev (Log.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:0 ~len:k)
     in
@@ -386,23 +530,31 @@ let compact ~stable ~stable_version h =
       List.rev
         (Log.fold_range (fun acc e -> e :: acc) [] h.entries ~pos:k ~len:(n - k))
     in
+    let cut = k - tail_start h in
     {
       entries = Log.of_list rest;
+      tail = (if cut > 0 then Run.drop h.tail cut else h.tail);
       ids;
       tpos = h.tpos;
+      toff = (if cut > 0 then Id_map.map (fun off -> off - cut) h.toff else h.toff);
       base = h.base + k;
       compacted;
     }
 
 let well_formed h =
+  let ts = tail_start h in
   let indexed = List.mapi (fun i e -> (i, e)) (entries h) in
   let normal = List.filter (fun (_, e) -> e.role = Normal) indexed in
   let tentative = List.filter (fun (_, e) -> is_tentative e) normal in
+  let indexed_at (i, e) =
+    let id = e.req.Request.id in
+    if i < ts then Id_map.find_opt id h.tpos = Some (h.base + i)
+    else Id_map.find_opt id h.toff = Some (i - ts)
+  in
   Ids.equal h.ids (Ids.of_list (List.map (fun (_, e) -> e.req.Request.id) normal))
-  && Id_map.cardinal h.tpos = List.length tentative
-  && List.for_all
-       (fun (i, e) -> Id_map.find_opt e.req.Request.id h.tpos = Some (h.base + i))
-       tentative
+  && Id_map.cardinal h.tpos + Id_map.cardinal h.toff = List.length tentative
+  && List.for_all indexed_at tentative
+  && Run.length h.tail = Log.suffix_length movable h.entries
 
 let pp pp_elt ppf h =
   let pp_entry ppf e =

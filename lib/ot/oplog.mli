@@ -10,10 +10,12 @@
       the log (SOCT2-style adjacent transpositions) so that the requests
       in the remote request's causal past come first;
     - {b Canonize} ({!append_local}/{!integrate}): keep insertion requests
-      before deletion/update requests by transposing a newly appended
-      insertion backwards past the deletion/update tail — the invariant
-      the paper's convergence argument relies on, and the cost driver of
-      its Fig. 7 ([O(|Hdu|)] per insertion);
+      before deletion/update requests by moving a newly appended
+      insertion back past the deletion/update tail — the invariant the
+      paper's convergence argument relies on.  The paper transposes it
+      past one tail entry at a time, the cost behind its Fig. 7
+      ([O(|Hdu|)] transpositions per insertion); under TTF that walk is
+      pure bookkeeping, and here it is one step (see Representation);
     - {b Undo} ({!undo}): retroactively cancel a (tentative) request.
 
     {2 Undo and rejection as cancelling pairs}
@@ -40,15 +42,33 @@
 
     {2 Representation}
 
-    The log is a persistent stat tree of entries plus two indexes over
-    normal entries: the set of their ids, which reorderings never touch,
-    and a position map over the {e tentative} ones only.  Tentative
-    entries are the only ones the controller looks up by position
-    ({!validate}, retroactive {!undo}, {!append_rejected}), so a
-    reordering rewrites positions only for the tentative entries it
-    moves: a canonization bubble or a separation over settled entries
-    costs its transpositions and its tree write-back, and nothing per
-    entry in the index.
+    The log is a persistent stat tree of entries, the tail's positions
+    beside it, and two indexes over normal entries: the set of their
+    ids, which reorderings never touch, and the positions of the
+    {e tentative} ones only.
+
+    The {e tail} is the longest suffix of deletion/update entries
+    ([Del], [Undel], [Up]), the ones an appended insertion moves back
+    past.  Under TTF the insertion crosses each of them unchanged
+    ([Transform.et]) and moves each one standing at or after its
+    position one cell right ([Transform.it]).  So no transposition is
+    needed: the insertion goes in at the tail start as it is, and one
+    pass adds one to every tail position at or after its own.  A tail
+    entry keeps in the tree the operation it was appended with; the
+    tail's current positions live beside it in an immutable run of
+    unboxed ints in log order (64-int blocks, fresh on write), and every
+    reader sees a tail entry through that run.  An entry that is neither
+    an insertion nor movable (an update's [Unup] canceller, a [Nop])
+    ends the tail, writing the run back into the tree.
+
+    Tentative entries are the only ones the controller looks up by
+    position ({!validate}, retroactive {!undo}, {!append_rejected}).  One
+    before the tail is indexed by its position, a tail one by its offset
+    from the tail start, which an insertion landing there does not
+    change.  An appended insertion therefore costs one O(log H) tree
+    insert plus one O(|Hdu|) pass over the run, allocating about a word
+    per tail entry, with no transposition, no fresh entry and no index
+    write; a separation re-places only the tentative entries it moves.
 
     {!length} is O(1); {!mem} and {!validate} are O(log H);
     {!find}/{!set_flag}/{!undo} are O(log H) on a tentative entry and
@@ -57,11 +77,7 @@
     transform work touches only the {e concurrency window} — the log
     suffix after the longest prefix lying entirely in the remote
     request's causal context, which SOCT2 separation would leave in
-    place anyway — but finding that prefix walks it, O(|H| - window).
-    Canonization's [O(|Hdu|)] transposition count is inherent (Fig. 7);
-    the bubble's extent is found in one right-to-left walk, and the
-    movable suffix is reordered in a flat array and written back in one
-    [O(|Hdu| + log H)] range walk rather than per-swap tree writes. *)
+    place anyway — but finding that prefix walks it, O(|H| - window). *)
 
 type role = Normal | Canceller of Request.id
 

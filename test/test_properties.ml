@@ -149,8 +149,166 @@ let gen_local_history =
   gen_tdoc >>= fun doc ->
   int_range 0 10 >>= fun n -> steps doc Oplog.empty Vclock.empty 1 n
 
+(* ----- Oplog against the list reference -----
+
+   A random history at site 1 is replayed into the shipped log and into
+   [Oplog_ref] side by side.  A step is a pair [(kind, k)] decoded
+   against the current state, so a shrunk history still decodes.
+   Sites 2 and 3 (3 only in a 3-site history) generate on views that
+   only grow, each the union of clocks the log held after earlier
+   steps, so every context is causally closed; their positions are
+   valid on the document of the oldest such clock. *)
+
+type lockstep = {
+  h : char Oplog.t;
+  r : char Oplog_ref.t;
+  past : (Vclock.t * int) list;
+      (* the log's clock and model length after each step, newest first *)
+  views : Vclock.t array;  (* indexed by site *)
+}
+
+let op_of ~site k len =
+  match k mod 3 with
+  | 1 when len > 0 -> Op.del (k / 3 mod len) 'x'
+  | 2 when len > 0 -> Op.up ~tag:{ Op.stamp = k; site } (k / 3 mod len) 'x' 'y'
+  | _ -> Op.ins ~pr:site (k / 3 mod (len + 1)) 'a'
+
+let show_step (kind, k) =
+  match kind with
+  | 0 | 1 | 2 -> Printf.sprintf "local %d" k
+  | 3 | 4 -> Printf.sprintf "remote %d" k
+  | 5 -> Printf.sprintf "reject %d" k
+  | 6 -> Printf.sprintf "validate %d" k
+  | 7 -> Printf.sprintf "undo %d" k
+  | 8 -> Printf.sprintf "compact %d" k
+  | _ -> "reload"
+
+let entry_key (e : char Oplog.entry) =
+  let q = e.Oplog.req in
+  (q.Request.id, e.Oplog.role, q.Request.flag, q.Request.op, q.Request.policy_version)
+
+let request_key (q : char Request.t) = (q.Request.id, q.Request.flag, q.Request.op)
+
+(* both logs return the same entries and answers, and the shipped one's
+   indexes agree with its entries *)
+let logs_agree { h; r; _ } =
+  Oplog.well_formed h
+  && List.map entry_key (Oplog.entries h) = List.map entry_key (Oplog_ref.entries r)
+  && Oplog.ops h = Oplog_ref.ops r
+  && Oplog.length h = Oplog_ref.length r
+  && Vclock.equal (Oplog.compacted_upto h) (Oplog_ref.compacted_upto r)
+  && Oplog.is_canonical h = Oplog_ref.is_canonical r
+  && List.map request_key (Oplog.tentative_requests h)
+     = List.map request_key (Oplog_ref.tentative_requests r)
+  && List.for_all
+       (fun (q : char Request.t) ->
+         Option.map request_key (Oplog.find q.Request.id h) = Some (request_key q)
+         && Oplog.mem q.Request.id h)
+       (Oplog_ref.requests r)
+
+(* one step applied to both logs; [None] once their answers differ *)
+let lockstep_step ~sites st (kind, k) =
+  let clock, len = List.hd st.past in
+  let next h r ~clock ~len = Some { st with h; r; past = (clock, len) :: st.past } in
+  let pick_id () =
+    match Oplog_ref.requests st.r with
+    | rs when rs <> [] && k mod 5 <> 0 -> (List.nth rs (k / 5 mod List.length rs)).Request.id
+    | _ -> { Request.site = 1 + (k mod sites); serial = 1 + (k / 5 mod 40) }
+  in
+  let grows op = if Op.is_ins op then len + 1 else len in
+  match kind with
+  | 0 | 1 | 2 ->
+    let op = op_of ~site:1 k len in
+    let flag = if k mod 4 = 0 then Request.Tentative else Request.Valid in
+    let q =
+      Request.make ~site:1 ~serial:(Vclock.get clock 1 + 1) ~op ~ctx:clock
+        ~policy_version:0 ~flag ()
+    in
+    let qh = Oplog.broadcast_form q st.h and qr = Oplog_ref.broadcast_form q st.r in
+    if qh.Request.dep <> qr.Request.dep then None
+    else
+      next (Oplog.append_local qh st.h) (Oplog_ref.append_local qr st.r)
+        ~clock:(Vclock.tick clock 1) ~len:(grows op)
+  | 3 | 4 | 5 ->
+    let site = 2 + (k mod (sites - 1)) in
+    let seen, seen_len = List.nth st.past (k / 3 mod List.length st.past) in
+    let view =
+      Vclock.merge (Vclock.merge st.views.(site) seen)
+        (Vclock.of_list [ (site, Vclock.get clock site) ])
+    in
+    st.views.(site) <- view;
+    let q =
+      Request.make ~site ~serial:(Vclock.get clock site + 1)
+        ~op:(op_of ~site (k / 7) seen_len) ~ctx:view
+        ~policy_version:(if k mod 2 = 0 then 0 else 2)
+        ~flag:(if k mod 4 = 1 then Request.Tentative else Request.Valid)
+        ()
+    in
+    let clock = Vclock.tick clock site and len = grows q.Request.op in
+    if kind = 5 then
+      let ops_h, h = Oplog.append_rejected ~cancel_version:1 q st.h in
+      let ops_r, r = Oplog_ref.append_rejected ~cancel_version:1 q st.r in
+      if ops_h <> ops_r then None else next h r ~clock ~len
+    else
+      let op_h, h = Oplog.integrate q st.h in
+      let op_r, r = Oplog_ref.integrate q st.r in
+      if op_h <> op_r then None else next h r ~clock ~len
+  | 6 -> (
+    let id = pick_id () in
+    match (Oplog.validate id st.h, Oplog_ref.validate id st.r) with
+    | Some h, Some r -> next h r ~clock ~len
+    | None, None -> next st.h st.r ~clock ~len
+    | _ -> None)
+  | 7 -> (
+    let id = pick_id () in
+    match (Oplog.undo ~cancel_version:1 id st.h, Oplog_ref.undo ~cancel_version:1 id st.r) with
+    | Some (op_h, h), Some (op_r, r) when op_h = op_r -> next h r ~clock ~len
+    | None, None -> next st.h st.r ~clock ~len
+    | _ -> None)
+  | 8 ->
+    let stable, _ = List.nth st.past (k mod List.length st.past) in
+    let stable_version = k / 7 mod 3 in
+    next
+      (Oplog.compact ~stable ~stable_version st.h)
+      (Oplog_ref.compact ~stable ~stable_version st.r)
+      ~clock ~len
+  | _ ->
+    let compacted = Oplog.compacted_upto st.h in
+    next
+      (Oplog.of_entries ~compacted (Oplog.entries st.h))
+      (Oplog_ref.of_entries ~compacted (Oplog_ref.entries st.r))
+      ~clock ~len
+
+let lockstep_agrees (three, steps) =
+  let sites = if three then 3 else 2 in
+  let rec run st = function
+    | [] -> true
+    | s :: rest -> (
+      match lockstep_step ~sites st s with
+      | Some st -> logs_agree st && run st rest
+      | None -> false)
+  in
+  run
+    {
+      h = Oplog.empty;
+      r = Oplog_ref.empty;
+      past = [ (Vclock.empty, 0) ];
+      views = Array.make 4 Vclock.empty;
+    }
+    steps
+
+let gen_lockstep =
+  QCheck2.Gen.(
+    pair bool (list_size (int_range 1 60) (pair (int_range 0 9) (int_range 0 1_000_000))))
+
+let show_lockstep (three, steps) =
+  Printf.sprintf "%d sites: %s" (if three then 3 else 2)
+    (String.concat "; " (List.map show_step steps))
+
 let oplog_properties =
   [
+    qtest "the log matches the list reference step for step" ~count:500 gen_lockstep
+      show_lockstep lockstep_agrees;
     qtest "append-only histories stay canonical" ~count:500 gen_local_history
       (fun (d, h) -> Format.asprintf "%s |H|=%d" (show_tdoc d) (Oplog.length h))
       (fun (_, h) -> Oplog.is_canonical h);
