@@ -30,7 +30,10 @@
    skipping the clamp, as a sanity check that the checker catches it.
    --mutant cut-unstable cuts the administrative log at each site's own
    version instead of its stable version; the per-state cut oracle (no
-   cut above any member's version) must catch it.
+   cut above any member's version) must catch it.  --mutant
+   collapse-live collapses every touched document cell after each
+   compaction, the ones live log entries touch included; the
+   convergence oracles must catch it.
 
    Exit status: 0 all green, 1 a violation was found, 2 state cap hit. *)
 
@@ -190,10 +193,11 @@ let main sites coop admin_ops mixed initial stability crash mutant no_retro no_i
     | None -> Ok None
     | Some "no-clamp" -> Ok (Some Explore.No_clamp)
     | Some "cut-unstable" -> Ok (Some Explore.Cut_unstable)
+    | Some "collapse-live" -> Ok (Some Explore.Collapse_live)
     | Some m -> Error m
   with
   | Error m ->
-    Format.eprintf "unknown --mutant %S (known: no-clamp, cut-unstable)@." m;
+    Format.eprintf "unknown --mutant %S (known: no-clamp, cut-unstable, collapse-live)@." m;
     2
   | Ok mutant ->
     if smoke then run_smoke max_states
@@ -256,8 +260,10 @@ let mutant =
        & info [ "mutant" ] ~docv:"NAME"
            ~doc:"Run with a deliberately seeded bug (known: no-clamp, which compacts \
                  past the durable cut; cut-unstable, which cuts the administrative \
-                 log above the stable version) — the checker must find a violation, \
-                 proving the crash and cut oracles have teeth.")
+                 log above the stable version; collapse-live, which collapses the \
+                 document cells live log entries still touch) — the checker must \
+                 find a violation, proving the crash, cut and convergence oracles \
+                 have teeth.")
 
 let no_retro =
   Arg.(value & flag & info [ "no-retro"; "no-undo" ] ~doc:"Disable retroactive undo (Fig. 2 hole).")

@@ -28,7 +28,7 @@ type violation = {
 
 type outcome = Exhausted | Found of violation | Capped
 
-type mutant = No_clamp | Cut_unstable
+type mutant = No_clamp | Cut_unstable | Collapse_live
 
 (* ----- the transition system ----- *)
 
@@ -245,6 +245,17 @@ let cut_unstable c =
     | Ok c -> c
     | Error e -> failwith e)
 
+(* The [Collapse_live] mutant: the shipped collapse, told to keep no
+   cell, so the cells live log entries touch collapse too. *)
+let collapse_live c =
+  let st = Controller.dump c in
+  match
+    Controller.load ~eq:Char.equal
+      { st with Controller.st_doc = Tdoc.collapse ~keep:[||] st.Controller.st_doc }
+  with
+  | Ok c -> c
+  | Error e -> failwith e
+
 (* Execute one event.  Every step is a deterministic function of the
    node, so a schedule identifies a unique run.  Returns the successor
    and a human-readable line describing what happened.  Every input
@@ -254,7 +265,8 @@ let cut_unstable c =
    [No_clamp] compacts with [Controller.compact] instead of the
    replica, skipping the durability clamp and the pre-compaction
    checkpoint; [Cut_unstable] re-cuts L at the site's own version after
-   the replica compacts. *)
+   the replica compacts; [Collapse_live] re-collapses the document with
+   nothing kept after the replica compacts. *)
 let exec ?mutant node = function
   | Act u ->
     let action, rest =
@@ -313,6 +325,9 @@ let exec ?mutant node = function
          | Some Cut_unstable ->
            let node, () = on_replica node u Replica.compact in
            (set_ctrl u (cut_unstable (List.assoc u node.ctrls)) node, "")
+         | Some Collapse_live ->
+           let node, () = on_replica node u Replica.compact in
+           (set_ctrl u (collapse_live (List.assoc u node.ctrls)) node, "")
          | None -> (fst (on_replica node u Replica.compact), "")
        in
        ( dirty_journal node u,

@@ -81,6 +81,14 @@ type mutant =
           instead of its stable version (the shipped
           {!Dce_core.Admin_log.compact} with the wrong bound).  Any
           stability run must catch it. *)
+  | Collapse_live
+      (** checker-sanity seeded bug: after [Replica.compact], [Compact]
+          re-collapses the site's document with an empty keep set
+          (the shipped {!Dce_ot.Tdoc.collapse}, through a dump and a
+          load), so cells that live log entries still touch lose their
+          writes and hide counts.  A stability run in which such an
+          entry is later undone, or meets a concurrent write, must
+          catch it. *)
 
 val run :
   ?metrics:Dce_obs.Metrics.t ->

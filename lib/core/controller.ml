@@ -278,7 +278,13 @@ let stable_lag t =
    the WAL — an entry dropped below the snapshot cut satisfies that, one
    dropped above it would not).  The cut of L needs no clamp: replay
    only appends to L and never reads a dropped Validate, and the
-   snapshot's own L is complete above that snapshot's cut. *)
+   snapshot's own L is complete above that snapshot's cut.
+
+   A cell that only dropped entries touched can never change again:
+   those requests are settled, so nothing undoes them, and stable, so
+   every request still to arrive saw their effect.  When the cut drops
+   anything, every such cell collapses in place; a cut that drops
+   nothing collapses nothing. *)
 let compact ?limit t =
   let stable = stable_frontier t in
   let stable =
@@ -286,12 +292,13 @@ let compact ?limit t =
   in
   let stable_version = stable_version t in
   M.set t.m.g_stable_lag (Vclock.sum t.clock - Vclock.sum stable);
+  let oplog = Oplog.compact ~stable ~stable_version t.oplog in
+  let doc =
+    if Oplog.length oplog = Oplog.length t.oplog then t.doc
+    else Tdoc.collapse ~keep:(Oplog.touched_positions oplog) t.doc
+  in
   note_levels
-    {
-      t with
-      oplog = Oplog.compact ~stable ~stable_version t.oplog;
-      admin_log = Admin_log.compact t.admin_log ~upto:stable_version;
-    }
+    { t with oplog; doc; admin_log = Admin_log.compact t.admin_log ~upto:stable_version }
 
 (* ----- Algorithm 2: local generation ----- *)
 

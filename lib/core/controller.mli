@@ -312,8 +312,12 @@ val compact : ?limit:Dce_ot.Vclock.t -> 'e t -> 'e t
 (** Drop the stable prefix of the cooperative log, and the [Validate]
     entries of the administrative log at or below {!stable_version}
     ({!Admin_log.compact}).  Safe to call at any time; typically after
-    {!receive}.  The document (including tombstones) is untouched.
-    [limit] clamps the cooperative cut (pointwise meet): journaled
+    {!receive}.  When the cooperative cut drops anything, every
+    document cell that no entry left in the log touches collapses in
+    place ([Dce_ot.Tdoc.collapse]): its content becomes its element, a
+    hidden one keeps one hide, and no position moves, so no other site
+    needs to know.  A cut that drops nothing leaves the document as it
+    is.  [limit] clamps the cooperative cut (pointwise meet): journaled
     sessions pass their last durable snapshot's clock so the compaction
     cut never outruns the durability cut — crash replay must find every
     entry it needs either in the snapshot or the WAL.  The

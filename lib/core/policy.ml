@@ -116,28 +116,29 @@ let del_obj t n =
   if not (SMap.mem n t.objects) then Error (Printf.sprintf "no object %s" n)
   else Ok { t with objects = SMap.remove n t.objects }
 
+(* Both edits walk the list once, to the index: the length is computed
+   only to word an out-of-range error. *)
 let add_auth t p a =
-  let n = List.length t.auths in
-  if p < 0 || p > n then Error (Printf.sprintf "authorization index %d out of [0,%d]" p n)
-  else
-    let rec insert i = function
-      | rest when i = 0 -> a :: rest
-      | x :: rest -> x :: insert (i - 1) rest
-      | [] -> assert false
-    in
-    Ok { t with auths = insert p t.auths }
+  let rec insert i prefix = function
+    | rest when i = 0 -> Ok { t with auths = List.rev_append prefix (a :: rest) }
+    | x :: rest -> insert (i - 1) (x :: prefix) rest
+    | [] -> Error ()
+  in
+  match if p < 0 then Error () else insert p [] t.auths with
+  | Ok t -> Ok t
+  | Error () ->
+    Error (Printf.sprintf "authorization index %d out of [0,%d]" p (List.length t.auths))
 
 let del_auth t p =
-  let n = List.length t.auths in
-  if p < 0 || p >= n then
-    Error (Printf.sprintf "authorization index %d out of [0,%d)" p n)
-  else
-    let rec remove i = function
-      | _ :: rest when i = 0 -> rest
-      | x :: rest -> x :: remove (i - 1) rest
-      | [] -> assert false
-    in
-    Ok { t with auths = remove p t.auths }
+  let rec remove i prefix = function
+    | _ :: rest when i = 0 -> Ok { t with auths = List.rev_append prefix rest }
+    | x :: rest -> remove (i - 1) (x :: prefix) rest
+    | [] -> Error ()
+  in
+  match if p < 0 then Error () else remove p [] t.auths with
+  | Ok t -> Ok t
+  | Error () ->
+    Error (Printf.sprintf "authorization index %d out of [0,%d)" p (List.length t.auths))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>users: {%a}@ "

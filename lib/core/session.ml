@@ -56,7 +56,7 @@ let converged t =
     let d0 = Controller.document c0 in
     List.for_all
       (fun (_, c) ->
-        Tdoc.equal_model t.eq d0 (Controller.document c)
+        Tdoc.equal_modulo_collapse t.eq d0 (Controller.document c)
         && Controller.pending_coop c = 0
         && Controller.pending_admin c = 0)
       rest

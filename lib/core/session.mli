@@ -31,7 +31,8 @@ val generate : 'e t -> Subject.user -> 'e Op.t -> ('e t, string) result
 val admin_update : 'e t -> Admin_op.t -> ('e t, string) result
 
 val converged : 'e t -> bool
-(** All documents have equal models (hence equal visible states), all
+(** All documents have equal models modulo collapse
+    ([Tdoc.equal_modulo_collapse], hence equal visible states), all
     queues are empty. *)
 
 val document : 'e t -> Subject.user -> 'e Tdoc.t

@@ -541,6 +541,41 @@ let compact ~stable ~stable_version h =
       compacted;
     }
 
+(* The cells no later insertion created, as runs over the current
+   model: a free run of [n > 0] cells weighs [n], a created cell is [0]
+   and weighs nothing.  [select] on the weight finds the [p]-th free
+   cell. *)
+module Gaps = Stree.Make (struct
+  type 'a t = int
+
+  let size n = max n 1
+  let weight n = n
+end)
+
+(* Walking the log backwards, an entry's position [p] is the [p]-th
+   cell among those no later insertion created: the cells of its own
+   context are the current ones less those.  The free run starts
+   unbounded, so the model length is not needed. *)
+let touched_positions h =
+  let n = length h in
+  let entries = if n = 0 then [||] else slice h ~pos:0 ~len:n in
+  let free = ref (Gaps.of_list [ max_int / 2 ]) and out = ref [] in
+  for i = n - 1 downto 0 do
+    let op = entries.(i).req.Request.op in
+    match Op.pos op with
+    | None -> ()
+    | Some p ->
+      let x = Gaps.select !free p (fun _ k -> k) in
+      if Op.is_ins op then begin
+        let run, off = Gaps.find !free x in
+        let t = Gaps.update !free x (fun _ _ -> 0) in
+        let t = if off > 0 then Gaps.insert t (x - off) off else t in
+        free := if run - off > 1 then Gaps.insert t (x + 1) (run - off - 1) else t
+      end
+      else out := x :: !out
+  done;
+  Array.of_list (List.sort_uniq Int.compare !out)
+
 let well_formed h =
   let ts = tail_start h in
   let indexed = List.mapi (fun i e -> (i, e)) (entries h) in

@@ -174,11 +174,21 @@ val compact : stable:Vclock.t -> stable_version:int -> 'e t -> 'e t
     untouched — dropping them changes nothing.  Only a prefix is
     dropped: a stable entry sitting {e behind} a live entry still takes
     part in transposition rewrites and must stay.  Tentative entries are
-    never dropped (they may still be undone).  Cells in the tombstone
-    document are untouched (positions must stay aligned).
+    never dropped (they may still be undone).  No cell of the tombstone
+    document moves (positions must stay aligned); the controller
+    collapses the cells only dropped entries touched, in place (see
+    {!touched_positions}).
 
     The log remembers how much was dropped per site, so
     {!causally_ready} and {!mem} keep answering correctly. *)
+
+val touched_positions : 'e t -> int array
+(** The current model positions, strictly increasing, of the cells the
+    stored entries' deletions, updates and their undos touch: each
+    entry's position mapped past every insertion stored after it.  With
+    {!compact} having dropped every entry that touched the other cells,
+    those can never change again, which is what lets the controller
+    [Tdoc.collapse] them.  O(H log H). *)
 
 val compacted_upto : 'e t -> Vclock.t
 (** Per-site serial floor below which entries have been dropped. *)

@@ -31,9 +31,13 @@
     {b Representation.}  Cells are stored in {e chunks} of at most 64
     consecutive cells, indexed by a persistent stat tree ({!Stree}) in
     which a chunk spans as many positions as it has cells and weighs its
-    visible cells.  A chunk keeps every cell's element in a {!run} and,
-    in a sparse overlay sorted by offset, the record of each {e touched}
-    cell (one with a write or a hide count).  A run is {e packed}, one
+    visible cells.  A chunk keeps every cell's element in a {!run}; one
+    bit of a 64-bit {e dead mask} for each cell {!collapse} made dead,
+    with no write and exactly one hide; and, in a sparse overlay sorted
+    by offset, the record of every other {e touched} cell (one with a
+    write or a hide count).  A masked cell reads, folds and encodes as
+    the record it stands for; only {!collapse} sets mask bits, so a
+    document that never collapses holds none.  A run is {e packed}, one
     byte a cell in an immutable string, in a character document built by
     {!of_string} (the empty string included) or decoded from a state;
     it is an array, one slot a cell, in a document built by {!of_list},
@@ -41,20 +45,23 @@
     can have.  Every chunk an insertion or a split creates inherits its
     document's kind, which never shows in the document's cells.  An
     insertion into a full chunk splits it into two halves, so every
-    chunk but a document's first holds at least 32 cells.  Where the
+    chunk but a document's first holds at least 32 cells, as does
+    every chunk {!collapse} repacks.  Where the
     chunks split depends on the edit history, never on the cells
     alone: two documents with equal cells may be chunked differently,
     so nothing canonical (an encoding, a fingerprint) may depend on the
     split.
 
     {b Memory.}  An untouched cell of a packed run costs one byte:
-    about 0.37 words per cell in full chunks (the 64-byte string, the
+    about 0.39 words per cell in full chunks (the 64-byte string, the
     tree node and the chunk header amortized over 64 cells), about 0.6
     in half-full ones.  In an array run it costs one slot: about 1.2
-    words per cell in full chunks, 1.4 in half-full ones.  A touched
-    cell costs its byte or slot plus an overlay entry and its record,
-    7 words, plus its writes.  The one-node-per-cell layout chunks
-    replaced cost 11 words for every cell.
+    words per cell in full chunks, 1.4 in half-full ones.  A masked cell
+    costs its byte or slot and one bit; a chunk with a masked cell pays
+    3 words for its mask.  Any other touched cell costs its byte or slot
+    plus an overlay entry and its record, 7 words, plus its writes.  The
+    one-node-per-cell layout chunks replaced cost 11 words for every
+    cell.
 
     {b Cost.}  {!model_length} and {!visible_length} are O(1); {!cell},
     {!apply} and the visible<->model coordinate translations are
@@ -120,9 +127,10 @@ val iter_runs : ('e run -> unit) -> 'e t -> unit
 
 val fold_touched : ('acc -> int -> 'e cell -> 'acc) -> 'acc -> 'e t -> 'acc
 (** Fold over the touched cells (a write or a hide count) in model
-    order, with their model positions: the chunks' overlays, walked in
-    place.  Every other cell is [{ elt; writes = []; hidden = 0 }] with
-    its element from {!iter_runs}. *)
+    order, with their model positions: the chunks' overlays and dead
+    masks, walked in place, a dead cell as [{ elt; writes = [];
+    hidden = 1 }].  Every other cell is [{ elt; writes = []; hidden = 0 }]
+    with its element from {!iter_runs}. *)
 
 val of_overlay : 'e run -> (int * 'e write list * int) list -> ('e t, string) result
 (** [of_overlay elts overlay] is the document whose cell [i] has
@@ -160,6 +168,24 @@ val apply : ?eq:('e -> 'e -> bool) -> 'e t -> 'e Op.t -> 'e t
 
 val apply_all : ?eq:('e -> 'e -> bool) -> 'e t -> 'e Op.t list -> 'e t
 
+val collapse : keep:int array -> 'e t -> 'e t
+(** [collapse ~keep d] collapses every touched cell of [d] whose model
+    position is not in [keep] (strictly increasing positions): its
+    content becomes its element and its writes go, and a hidden one
+    becomes a dead mask bit, with one hide whatever its count.  In the
+    same pass, each run of adjacent chunks that are not full and whose
+    cells fit in fewer chunks is repacked into full ones.  No position moves and no
+    cell changes its content or visibility; [d] itself when nothing
+    collapses and nothing is repacked.  O(chunks + touched cells +
+    |keep| + repacked cells).
+
+    Only sound for cells no operation can reach again but through the
+    collapsed content: the controller passes the cells its live log
+    entries touch, after compaction has dropped every request that
+    touched the others (see [Dce_ot.Oplog.touched_positions]).  A
+    collapsed document is equal to the uncollapsed one under
+    {!equal_modulo_collapse}, not {!equal_model}. *)
+
 val ins_visible : ?pr:int -> 'e t -> int -> 'e -> 'e Op.t
 val del_visible : 'e t -> int -> 'e Op.t
 val up_visible : ?tag:Op.tag -> 'e t -> int -> 'e -> 'e Op.t
@@ -176,6 +202,19 @@ val equal_cell : ('e -> 'e -> bool) -> 'e cell -> 'e cell -> bool
 
 val equal_model : ('e -> 'e -> bool) -> 'e t -> 'e t -> bool
 (** Cell-wise equality: contents, hide counts, and write sets. *)
+
+val equal_cell_modulo_collapse : ('e -> 'e -> bool) -> 'e cell -> 'e cell -> bool
+(** Cell equality up to {!collapse}: equal contents and visibility;
+    equal hide counts when both exceed one; and every write both cells
+    hold (by tag) with the same value and retraction count.  A write
+    only one cell holds is one the other collapsed: a collapsed cell
+    can take new writes afterwards, so the two write sets can differ
+    while both cells hold records. *)
+
+val equal_modulo_collapse : ('e -> 'e -> bool) -> 'e t -> 'e t -> bool
+(** Equal model lengths and {!equal_cell_modulo_collapse} cell by cell:
+    the comparison for replicas that may have collapsed at different
+    points.  {!equal_model} stays strict. *)
 
 val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit
 (** Prints the model; tombstoned cells are bracketed. *)

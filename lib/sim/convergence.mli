@@ -8,8 +8,25 @@
 
 open Dce_core
 
+(** {b Documents are compared modulo collapse.}  A site collapses the
+    cells only compacted requests touched ([Controller.compact]), at
+    its own compaction points, so two converged sites may hold the
+    same cell collapsed at one and not at the other.  Two documents
+    agree when ([Dce_ot.Tdoc.equal_modulo_collapse]):
+    - their model lengths are equal;
+    - every cell has the same content and visibility;
+    - hide counts are equal where both cells count more than one;
+    - every write both cells still hold (by tag) has the same value
+      and retraction count.
+
+    A cell collapsed at one site can take new writes afterwards, so
+    two cells that both hold overlay records need not hold the same
+    writes; what they share must agree.  [Dce_ot.Tdoc.equal_model]
+    stays strict for the transformation sweeps, which never collapse. *)
+
 type report = {
-  documents_agree : bool;  (** equal models (hence equal visible texts) *)
+  documents_agree : bool;
+      (** equal models modulo collapse (hence equal visible texts) *)
   versions_agree : bool;
   policies_agree : bool;  (** same decisions: compared structurally *)
   queues_empty : bool;

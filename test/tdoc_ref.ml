@@ -145,3 +145,13 @@ let del_visible (d : 'e t) v =
 let up_visible ?tag (d : 'e t) v after =
   let m = visible_cell_pos d v in
   Op.up ?tag m (content d.(m)) after
+
+(* Every touched cell whose position is not in [keep] (sorted) takes its
+   content as its element and loses its writes; a hidden one keeps one
+   hide.  The cell-by-cell statement of [Tdoc.collapse]. *)
+let collapse ~keep (d : 'e t) =
+  Array.mapi
+    (fun i (c : _ Tdoc.cell) ->
+      if (c.Tdoc.writes = [] && c.Tdoc.hidden = 0) || Array.mem i keep then c
+      else { Tdoc.elt = content c; writes = []; hidden = min c.Tdoc.hidden 1 })
+    d

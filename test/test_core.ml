@@ -886,6 +886,60 @@ let cut_tests =
       (backlog_validated_once ~behind:true);
   ]
 
+(* ----- authorization edits against a plain-list reference -----
+
+   Every authorization is a distinct grant to its own user, so list
+   equality shows order.  Indexes run one past each end, so both edits
+   see out-of-range indexes, whose errors must leave nothing changed. *)
+let ref_insert l p a =
+  if p < 0 || p > List.length l then None
+  else Some (List.filteri (fun i _ -> i < p) l @ (a :: List.filteri (fun i _ -> i >= p) l))
+
+let ref_remove l p =
+  if p < 0 || p >= List.length l then None else Some (List.filteri (fun i _ -> i <> p) l)
+
+let auth_edit_tests =
+  let auth u = Auth.grant [ Subject.User u ] [ Docobj.Whole ] [ Right.Insert ] in
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 0 12) (list_size (int_range 0 30) (pair bool (int_range (-2) 14))))
+  in
+  let print (n, edits) =
+    Printf.sprintf "%d auths, edits %s" n
+      (String.concat ";"
+         (List.map (fun (add, p) -> Printf.sprintf "%s %d" (if add then "add" else "del") p) edits))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"add_auth and del_auth agree with a plain list"
+         ~print gen (fun (n, edits) ->
+           let start = List.init n auth in
+           let _, _, ok =
+             List.fold_left
+               (fun (p, l, ok) (add, i) ->
+                 let got =
+                   if add then Policy.add_auth p i (auth (100 + i)) else Policy.del_auth p i
+                 in
+                 let want = if add then ref_insert l i (auth (100 + i)) else ref_remove l i in
+                 match (got, want) with
+                 | Ok p', Some l' -> (p', l', ok && Policy.auths p' = l')
+                 | Error _, None -> (p, l, ok && Policy.auths p = l)
+                 | Ok _, None | Error _, Some _ -> (p, l, false))
+               (Policy.make ~users:[] start, start, true)
+               edits
+           in
+           ok));
+    Alcotest.test_case "out-of-range edits name the list's bounds" `Quick (fun () ->
+        let p = Policy.make ~users:[] [ auth 1; auth 2 ] in
+        let err = function Error e -> e | Ok _ -> "ok" in
+        Alcotest.(check string) "add" "authorization index 3 out of [0,2]"
+          (err (Policy.add_auth p 3 (auth 3)));
+        Alcotest.(check string) "add negative" "authorization index -1 out of [0,2]"
+          (err (Policy.add_auth p (-1) (auth 3)));
+        Alcotest.(check string) "del" "authorization index 2 out of [0,2)"
+          (err (Policy.del_auth p 2)));
+  ]
+
 let () =
   Alcotest.run "dce_core"
     [
@@ -893,7 +947,7 @@ let () =
       ("subject", subject_tests);
       ("docobj", docobj_tests);
       ("auth", auth_tests);
-      ("policy", policy_tests);
+      ("policy", policy_tests @ auth_edit_tests);
       ("admin_log", admin_log_tests);
       ( "scenarios",
         [

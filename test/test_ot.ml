@@ -150,11 +150,13 @@ let tdoc_boundary_tests =
 
 (* ----- the packed run's footprint ----- *)
 
-(* Words per 100 model cells of a character document whose chunks are
-   all half full, the fewest cells a split leaves: a 32-byte string is 6
-   words, its run 2, the chunk record 5 and its tree node 7, so 20 words
-   for 32 cells.  Array runs cost 33 + 2 + 5 + 7 words for the same
-   cells, 147 per 100. *)
+(* Words per 100 model cells of a character document grown by
+   insertions.  A chunk half full, the fewest cells a split leaves,
+   costs a 32-byte string (6 words), its run (2), the chunk record (6,
+   its dead mask included) and its tree node (7): 21 words for 32 cells,
+   66 per 100.  Splits leave chunks about two thirds full on average,
+   so the 2,000 random insertions below read 49.  Array runs cost
+   33 + 2 + 6 + 7 words for 32 cells, 150 per 100, and read 135. *)
 let packed_words_per_100_cells = 63
 
 (* [d] grown by [n] seeded insertions at random positions, checked
@@ -551,6 +553,152 @@ let chunk_tests_of ~prefix ~built lift build =
         List.for_all2
           (fun tree arr -> Tdoc.model_list tree = Tdoc_ref.model_list arr)
           trees arrs);
+  ]
+
+(* ----- collapse: Tdoc vs the reference, with collapse steps -----
+
+   A step is an edge op or a collapse keeping a random subset of the
+   touched cells, each drawn on the reference's current state, so every
+   op is legal after the collapses before it. *)
+
+type step = Apply of char Op.t | Collapse of int array
+
+let gen_collapse_step d =
+  let open QCheck2.Gen in
+  let touched =
+    List.filter
+      (fun i ->
+        let c = Tdoc_ref.cell d i in
+        c.Tdoc.writes <> [] || c.Tdoc.hidden <> 0)
+      (List.init (Tdoc_ref.model_length d) Fun.id)
+  in
+  let keep =
+    flatten_l (List.map (fun i -> map (fun b -> if b then [ i ] else []) bool) touched)
+    >|= fun l -> Collapse (Array.of_list (List.concat l))
+  in
+  frequency [ (4, map (fun op -> Apply op) (gen_edge_op d)); (1, keep) ]
+
+let gen_collapse_seq =
+  let open QCheck2.Gen in
+  gen_chunked_cells >>= fun cells ->
+  int_range 1 40 >>= fun k ->
+  let rec steps d acc k =
+    if k = 0 then return (cells, List.rev acc)
+    else
+      gen_collapse_step d >>= fun step ->
+      let d =
+        match step with
+        | Apply op -> Tdoc_ref.apply d op
+        | Collapse keep -> Tdoc_ref.collapse ~keep d
+      in
+      steps d (step :: acc) (k - 1)
+  in
+  steps (Tdoc_ref.of_cells cells) [] k
+
+let print_collapse_seq (cells, steps) =
+  Format.asprintf "%a then @[%a@]" pp_cells cells
+    Fmt.(
+      list ~sep:semi (fun ppf -> function
+        | Apply op -> pp_char_op ppf op
+        | Collapse keep -> pf ppf "collapse keep [%a]" (array ~sep:comma int) keep))
+    steps
+
+(* [build] and [lift] as for [chunk_tests_of] *)
+let collapse_tests_of ~prefix lift build =
+  [
+    qtest (prefix ^ "collapse steps: chunked and array documents agree cell for cell")
+      ~count:100 gen_collapse_seq print_collapse_seq (fun (cells, steps) ->
+        let cells = List.map (lift_cell lift) cells in
+        let _, _, ok =
+          List.fold_left
+            (fun (tree, arr, ok) step ->
+              let tree', arr' =
+                match step with
+                | Apply op ->
+                  let op = lift_op lift op in
+                  (Tdoc.apply tree op, Tdoc_ref.apply arr op)
+                | Collapse keep -> (Tdoc.collapse ~keep tree, Tdoc_ref.collapse ~keep arr)
+              in
+              (* the earlier version is unchanged by the step *)
+              let kept = Tdoc.model_list tree = Tdoc_ref.model_list arr in
+              (tree', arr', ok && kept && agrees lift tree' arr'))
+            (build cells, Tdoc_ref.of_cells cells, true)
+            steps
+        in
+        ok);
+  ]
+
+let collapse_tests =
+  collapse_tests_of ~prefix:"packed: " Fun.id packed_of_cells
+  @ collapse_tests_of ~prefix:"" (String.make 1) Tdoc.of_cells
+  @ [
+      Alcotest.test_case "collapse repacks a split document and keeps its text" `Quick
+        (fun () ->
+          let d = grown_by_insertions 2_000 (Tdoc.of_string "") in
+          let d' = Tdoc.collapse ~keep:[||] d in
+          Alcotest.(check string) "text" (Tdoc.visible_string d) (Tdoc.visible_string d');
+          let fresh = Tdoc.of_string (String.make (Tdoc.model_length d) 'a') in
+          let words x = Obj.reachable_words (Obj.repr x) in
+          (* split halves fill chunks about two thirds; repacked ones
+             are full but for the last two *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%d words, fresh %d" (words d') (words fresh))
+            true
+            (words d' * 100 <= words fresh * 105 && words d > words d'));
+      Alcotest.test_case "collapse keeps what it is told to and drops the rest" `Quick
+        (fun () ->
+          let d = Tdoc.of_string "abcd" in
+          let up pos tag after =
+            Op.up ~tag:{ Op.stamp = tag; site = 1 } pos (Tdoc.content (Tdoc.cell d pos)) after
+          in
+          let d = Tdoc.apply_all d [ up 0 1 'x'; Op.del 1 'b'; Op.del 1 'b'; up 3 2 'y' ] in
+          let d' = Tdoc.collapse ~keep:[| 3 |] d in
+          let cell = Tdoc.cell d' in
+          Alcotest.(check char) "written cell takes its content" 'x' (cell 0).Tdoc.elt;
+          Alcotest.(check bool) "and loses its writes" true ((cell 0).Tdoc.writes = []);
+          Alcotest.(check int) "a twice hidden cell keeps one hide" 1 (cell 1).Tdoc.hidden;
+          Alcotest.(check int) "a kept cell keeps its writes" 1
+            (List.length (cell 3).Tdoc.writes);
+          Alcotest.(check bool) "equal modulo collapse" true
+            (Tdoc.equal_modulo_collapse Char.equal d d');
+          Alcotest.(check bool) "not equal as models" false (Tdoc.equal_model Char.equal d d');
+          Alcotest.(check bool) "nothing to collapse, nothing to repack: the same value"
+            true
+            (Tdoc.collapse ~keep:[| 3 |] d' == d'));
+    ]
+
+(* the comparison modulo collapse still tells apart what no collapse
+   can explain *)
+let modulo_collapse_tests =
+  let w stamp value = { Tdoc.wtag = { Op.stamp; site = 1 }; value; retracted = 0 } in
+  let cell ?(writes = []) ?(hidden = 0) elt = { Tdoc.elt; writes; hidden } in
+  let differ what a b =
+    Alcotest.test_case ("modulo collapse flags " ^ what) `Quick (fun () ->
+        Alcotest.(check bool) "cells" false (Tdoc.equal_cell_modulo_collapse Char.equal a b);
+        Alcotest.(check bool) "documents" false
+          (Tdoc.equal_modulo_collapse Char.equal
+             (Tdoc.of_cells [ cell 'p'; a ])
+             (Tdoc.of_cells [ cell 'p'; b ])))
+  in
+  [
+    differ "a visibility difference" (cell 'a') (cell ~hidden:1 'a');
+    differ "a content difference" (cell ~writes:[ w 5 'x' ] 'a') (cell 'a');
+    differ "two overlay cells with different writes"
+      (cell ~writes:[ w 5 'x'; w 3 'y' ] 'a')
+      (cell ~writes:[ w 5 'x'; w 3 'z' ] 'a');
+    differ "different hide counts above one" (cell ~hidden:2 'a') (cell ~hidden:3 'a');
+    Alcotest.test_case "modulo collapse flags different model lengths" `Quick (fun () ->
+        Alcotest.(check bool) "documents" false
+          (Tdoc.equal_modulo_collapse Char.equal (Tdoc.of_string "ab") (Tdoc.of_string "abc")));
+    Alcotest.test_case "a cell collapsed and then written equals its uncollapsed twin"
+      `Quick (fun () ->
+        Alcotest.(check bool) "cells" true
+          (Tdoc.equal_cell_modulo_collapse Char.equal
+             (cell ~writes:[ w 7 'q' ] 'x')
+             (cell ~writes:[ w 7 'q'; w 5 'x' ] 'a'));
+        Alcotest.(check bool) "dead" true
+          (Tdoc.equal_cell_modulo_collapse Char.equal (cell ~hidden:1 'x')
+             (cell ~writes:[ w 5 'x' ] ~hidden:2 'a')));
   ]
 
 (* Packed runs, as the editors' character documents are built, and
@@ -1120,13 +1268,68 @@ let oplog_tests =
           (List.length (Oplog.tentative_requests h)));
   ]
 
+(* ----- Oplog.touched_positions against a replay of the log -----
+
+   A seeded local log of user ops, undos among them (their cancellers
+   are deletions, undeletions and write retractions), appended through
+   Canonize.  The reference replays the log's ops from the initial
+   document over cell identities and reads off where the cells its
+   non-insertions touched stand at the end. *)
+let touched_by_replay n0 ops =
+  let cells = ref (Array.init n0 Fun.id) and next = ref n0 and touched = ref [] in
+  List.iter
+    (fun op ->
+      match op with
+      | Op.Ins { pos; _ } ->
+        let a = !cells in
+        cells :=
+          Array.init (Array.length a + 1) (fun i ->
+              if i < pos then a.(i) else if i = pos then !next else a.(i - 1));
+        incr next
+      | _ -> Option.iter (fun p -> touched := !cells.(p) :: !touched) (Op.pos op))
+    ops;
+  let at = Hashtbl.create 64 in
+  Array.iteri (fun i id -> Hashtbl.replace at id i) !cells;
+  Array.of_list (List.sort_uniq Int.compare (List.map (Hashtbl.find at) !touched))
+
+let test_touched_positions =
+  qtest "touched_positions is where a replay of the log leaves the touched cells"
+    ~count:300 QCheck2.Gen.int string_of_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n0 = Random.State.int rng 12 in
+      let doc = ref (Tdoc.of_string (String.init n0 (fun i -> Char.chr (97 + i)))) in
+      let h = ref Oplog.empty and live = ref [] in
+      for serial = 1 to 1 + Random.State.int rng 40 do
+        let undo =
+          match !live with
+          | id :: _ when Random.State.int rng 4 = 0 -> (
+            match Oplog.undo ~cancel_version:1 id !h with
+            | Some (inv, h') ->
+              doc := Tdoc.apply !doc inv;
+              h := h';
+              live := List.tl !live;
+              true
+            | None -> false)
+          | _ -> false
+        in
+        if not undo then begin
+          let op = QCheck2.Gen.generate1 ~rand:rng (gen_user_op ~pr:1 !doc) in
+          let q = mk_req ~serial ~flag:Request.Tentative ~ctx:Vclock.empty op in
+          doc := Tdoc.apply !doc op;
+          h := Oplog.append_local q !h;
+          live := q.Request.id :: !live
+        end
+      done;
+      Oplog.touched_positions !h = touched_by_replay n0 (Oplog.ops !h))
+
 let () =
   Alcotest.run "dce_ot"
     [
       ("op", op_unit_tests @ [ test_inverse_cancels ]);
       ("stree", stree_tests);
       ("tdoc", tdoc_unit_tests @ tdoc_boundary_tests @ tdoc_memory_tests);
-      ("tdoc-differential", differential_tests @ chunk_tests);
+      ("tdoc-differential", differential_tests @ chunk_tests @ collapse_tests);
+      ("tdoc-collapse", modulo_collapse_tests);
       ("document", doc_unit_tests @ [ test_doc_impl_equivalence ]);
       ( "transform",
         transform_unit_tests
@@ -1139,7 +1342,7 @@ let () =
           ] );
       ("vclock", vclock_tests);
       ("cursor", cursor_tests);
-      ("oplog", oplog_tests);
+      ("oplog", oplog_tests @ [ test_touched_positions ]);
       ( "engine",
         engine_unit_tests @ [ test_engine_convergence 2; test_engine_convergence 3 ] );
     ]

@@ -773,6 +773,114 @@ let admin_log_properties =
 
 (* ----- Controller invariants ----- *)
 
+(* Two fleets run the SAME session in lockstep — same generations,
+   same delivery schedule.  The [twin] fleet additionally absorbs
+   beacons and compacts its window (and its administrative log) at
+   points chosen by the random stream; [plain] never compacts.  Sites
+   generate insertions, and with [mixed] deletions and updates too.
+   Returns both fleets after a drain to quiescence and a final full
+   beacon exchange, with which every twin compacts to zero. *)
+let twin_fleets ~mixed choices =
+  let nsites = 3 in
+  let policy =
+    Policy.make ~users:[ 0; 1; 2 ]
+      [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+  in
+  let mk site =
+    Controller.create ~eq:Char.equal ~site ~admin:0 ~policy (Tdoc.of_string "seed")
+  in
+  let plain = Array.init nsites mk in
+  let twin = Array.init nsites mk in
+  (* pending.(dst): messages awaiting delivery at dst, oldest first *)
+  let pending = Array.make nsites [] in
+  let enqueue src msgs =
+    List.iter
+      (fun m ->
+        for dst = 0 to nsites - 1 do
+          if dst <> src then pending.(dst) <- pending.(dst) @ [ m ]
+        done)
+      msgs
+  in
+  let deliver dst =
+    match pending.(dst) with
+    | [] -> ()
+    | m :: rest ->
+      pending.(dst) <- rest;
+      let p, out = Controller.receive plain.(dst) m in
+      let t, _ = Controller.receive twin.(dst) m in
+      plain.(dst) <- p;
+      twin.(dst) <- t;
+      enqueue dst out
+  in
+  let generate site k =
+    let d = Controller.document plain.(site) in
+    let n = Tdoc.visible_length d in
+    let c = Char.chr (Char.code 'a' + (k mod 26)) in
+    let op =
+      match if mixed && n > 0 then k mod 4 else 0 with
+      | 2 -> Tdoc.del_visible d (k mod n)
+      | 3 -> Tdoc.up_visible d (k mod n) c
+      | _ -> Tdoc.ins_visible d (k mod (n + 1)) c
+    in
+    match Controller.generate plain.(site) op with
+    | p, Controller.Accepted m ->
+      (* the twin holds the same state, so the same op is accepted
+         there and produces the same request *)
+      let t, _ = Controller.generate twin.(site) op in
+      plain.(site) <- p;
+      twin.(site) <- t;
+      enqueue site [ m ]
+    | _, Controller.Denied _ -> ()
+  in
+  (* a policy change, so L holds entries besides the Validates that
+     no cut may drop *)
+  let administer k =
+    let name = Printf.sprintf "o%d" (Controller.version plain.(0)) in
+    let op = Admin_op.Add_obj (name, Docobj.Zone { lo = 0; hi = k mod 5 }) in
+    match (Controller.admin_update plain.(0) op, Controller.admin_update twin.(0) op) with
+    | Ok (p, m), Ok (t, _) ->
+      plain.(0) <- p;
+      twin.(0) <- t;
+      enqueue 0 [ m ]
+    | _ -> ()
+  in
+  let beacon_and_compact site =
+    for peer = 0 to nsites - 1 do
+      if peer <> site then begin
+        let clock, version = Controller.beacon twin.(peer) in
+        twin.(site) <-
+          Controller.receive_beacon twin.(site)
+            ~peer:(Controller.site twin.(peer))
+            ~clock ~version
+      end
+    done;
+    twin.(site) <- Controller.compact twin.(site)
+  in
+  List.iter
+    (fun k ->
+      let site = k mod nsites in
+      match (k / nsites) mod 3 with
+      | 0 when site = 0 && (k / 9) mod 4 = 0 -> administer (k / 9)
+      | 0 -> generate site (k / 9)
+      | 1 -> deliver site
+      | _ -> beacon_and_compact site)
+    choices;
+  (* drain to quiescence: everyone delivers everything *)
+  let rec drain () =
+    if Array.exists (fun q -> q <> []) pending then begin
+      for dst = 0 to nsites - 1 do
+        deliver dst
+      done;
+      drain ()
+    end
+  in
+  drain ();
+  (* a final full beacon exchange lets every twin compact to zero *)
+  for site = 0 to nsites - 1 do
+    beacon_and_compact site
+  done;
+  (plain, twin)
+
 let controller_properties =
   [
     qtest "a denied generation leaves the controller untouched" ~count:300
@@ -830,107 +938,14 @@ let controller_properties =
       QCheck2.Gen.(list_size (int_range 8 60) (int_range 0 100_000))
       (fun l -> Printf.sprintf "%d choices" (List.length l))
       (fun choices ->
-        (* Two fleets run the SAME session in lockstep — same generations,
-           same delivery schedule.  The [twin] fleet additionally absorbs
-           beacons and compacts its window (and its administrative log) at
-           points chosen by the random stream; [plain] never compacts.
-           Compaction is pure garbage collection, so at quiescence every
+        (* Compaction is pure garbage collection, so at quiescence every
            twin must be content-fingerprint-identical to its plain double,
            answer the same policy and administrator at every version, and,
            with every peer's beacon in hand, must compact its window to
-           zero. *)
-        let nsites = 3 in
-        let policy =
-          Policy.make ~users:[ 0; 1; 2 ]
-            [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
-        in
-        let mk site =
-          Controller.create ~eq:Char.equal ~site ~admin:0 ~policy (Tdoc.of_string "seed")
-        in
-        let plain = Array.init nsites mk in
-        let twin = Array.init nsites mk in
-        (* pending.(dst): messages awaiting delivery at dst, oldest first *)
-        let pending = Array.make nsites [] in
-        let enqueue src msgs =
-          List.iter
-            (fun m ->
-              for dst = 0 to nsites - 1 do
-                if dst <> src then pending.(dst) <- pending.(dst) @ [ m ]
-              done)
-            msgs
-        in
-        let deliver dst =
-          match pending.(dst) with
-          | [] -> ()
-          | m :: rest ->
-            pending.(dst) <- rest;
-            let p, out = Controller.receive plain.(dst) m in
-            let t, _ = Controller.receive twin.(dst) m in
-            plain.(dst) <- p;
-            twin.(dst) <- t;
-            enqueue dst out
-        in
-        let generate site k =
-          let d = Controller.document plain.(site) in
-          let pos = k mod (Tdoc.visible_length d + 1) in
-          let op = Tdoc.ins_visible d pos (Char.chr (Char.code 'a' + (k mod 26))) in
-          match Controller.generate plain.(site) op with
-          | p, Controller.Accepted m ->
-            (* the twin holds the same state, so the same op is accepted
-               there and produces the same request *)
-            let t, _ = Controller.generate twin.(site) op in
-            plain.(site) <- p;
-            twin.(site) <- t;
-            enqueue site [ m ]
-          | _, Controller.Denied _ -> ()
-        in
-        (* a policy change, so L holds entries besides the Validates that
-           no cut may drop *)
-        let administer k =
-          let name = Printf.sprintf "o%d" (Controller.version plain.(0)) in
-          let op = Admin_op.Add_obj (name, Docobj.Zone { lo = 0; hi = k mod 5 }) in
-          match (Controller.admin_update plain.(0) op, Controller.admin_update twin.(0) op) with
-          | Ok (p, m), Ok (t, _) ->
-            plain.(0) <- p;
-            twin.(0) <- t;
-            enqueue 0 [ m ]
-          | _ -> ()
-        in
-        let beacon_and_compact site =
-          for peer = 0 to nsites - 1 do
-            if peer <> site then begin
-              let clock, version = Controller.beacon twin.(peer) in
-              twin.(site) <-
-                Controller.receive_beacon twin.(site)
-                  ~peer:(Controller.site twin.(peer))
-                  ~clock ~version
-            end
-          done;
-          twin.(site) <- Controller.compact twin.(site)
-        in
-        List.iter
-          (fun k ->
-            let site = k mod nsites in
-            match (k / nsites) mod 3 with
-            | 0 when site = 0 && (k / 9) mod 4 = 0 -> administer (k / 9)
-            | 0 -> generate site (k / 9)
-            | 1 -> deliver site
-            | _ -> beacon_and_compact site)
-          choices;
-        (* drain to quiescence: everyone delivers everything *)
-        let rec drain () =
-          if Array.exists (fun q -> q <> []) pending then begin
-            for dst = 0 to nsites - 1 do
-              deliver dst
-            done;
-            drain ()
-          end
-        in
-        drain ();
-        (* a final full beacon exchange lets every twin compact to zero *)
-        for site = 0 to nsites - 1 do
-          beacon_and_compact site
-        done;
+           zero.  Insertions touch no cell, so nothing collapses and the
+           models are equal outright. *)
+        let plain, twin = twin_fleets ~mixed:false choices in
+        let nsites = Array.length plain in
         let fp c = Dce_wire.Proto.content_fingerprint Dce_wire.Proto.char_codec c in
         Array.for_all Fun.id
           (Array.init nsites (fun i ->
@@ -950,6 +965,35 @@ let controller_properties =
                    = Option.map policy_key (Admin_log.policy_at lt v)
                    && Admin_log.admin_at lp v = Admin_log.admin_at lt v)
                  (List.init (Admin_log.version lp + 1) Fun.id))));
+    qtest "collapse at arbitrary points is invisible to a never-compacted twin"
+      ~count:150
+      QCheck2.Gen.(list_size (int_range 8 80) (int_range 0 100_000))
+      (fun l -> Printf.sprintf "%d choices" (List.length l))
+      (fun choices ->
+        (* With deletions and updates, every twin compaction that drops
+           requests collapses the cells they alone touched.  What every
+           replica owes the group is unchanged: the visible text, the
+           model length, each cell's visibility and the content
+           fingerprint, and the two documents are equal modulo
+           collapse. *)
+        let plain, twin = twin_fleets ~mixed:true choices in
+        let fp c = Dce_wire.Proto.content_fingerprint Dce_wire.Proto.char_codec c in
+        let visibility c =
+          List.map (fun (x : char Tdoc.cell) -> x.Tdoc.hidden = 0)
+            (Tdoc.model_list (Controller.document c))
+        in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i p ->
+               let t = twin.(i) in
+               let dp = Controller.document p and dt = Controller.document t in
+               String.equal (Tdoc.visible_string dp) (Tdoc.visible_string dt)
+               && Tdoc.model_length dp = Tdoc.model_length dt
+               && visibility p = visibility t
+               && String.equal (fp p) (fp t)
+               && Tdoc.equal_modulo_collapse Char.equal dp dt
+               && Controller.window_len t = 0)
+             plain));
   ]
 
 (* ----- snapshot and delta catch-up leave the same group -----
