@@ -93,10 +93,11 @@ let time_once f =
   ignore (Sys.opaque_identity (f ()));
   (now () -. t0) *. 1_000. (* ms *)
 
-let median_ms ?(reps = 5) ?hist f =
+(* the median over [reps] runs of [f], per call when [f] makes [calls] *)
+let median_ms ?(reps = 5) ?(calls = 1) ?hist f =
   let xs =
     List.init reps (fun _ ->
-        let ms = time_once f in
+        let ms = time_once f /. float_of_int calls in
         (match hist with
          | Some h -> Obs.Metrics.observe h (int_of_float (ms *. 1e6))
          | None -> ());
@@ -257,6 +258,25 @@ let build_core_site ~site ~n ~h =
   in
   go c 0
 
+(* A timed call repeated from one persistent state inserts into the same
+   state every time, so at one fixed position it reads whatever that
+   position's chunk makes of an insertion, a split or none.  Timed
+   insertions cycle instead over [spread_points] visible positions
+   spread evenly across the document, which reads the average over its
+   chunks. *)
+let spread_points = 64
+
+(* one local insertion per call, at the next of the spread positions *)
+let cycling_generate c =
+  let n = Tdoc.visible_length (C.document c) in
+  let i = ref 0 in
+  fun () ->
+    let pos = !i * (n + 1) / spread_points in
+    i := (!i + 1) mod spread_points;
+    match C.generate c (Tdoc.ins_visible (C.document c) pos 'z') with
+    | _, C.Accepted _ -> ()
+    | _, C.Denied r -> failwith r
+
 let size_label n =
   if n >= 1000 && n mod 1000 = 0 then string_of_int (n / 1000) ^ "k"
   else string_of_int n
@@ -271,11 +291,13 @@ let core_point ~n ~h c =
       (Obs.Metrics.counter bench_metrics (Printf.sprintf "core.%s_per_s.%s" what point))
       (int_of_float (1000. /. Float.max ms 1e-9))
   in
+  (* each repeat times one whole cycle of the spread insertions *)
   let t_gen =
-    median_ms ~hist:(hist "generate") (fun () ->
-        match C.generate c (Tdoc.ins_visible (C.document c) 0 'z') with
-        | _, C.Accepted _ -> ()
-        | _, C.Denied r -> failwith r)
+    let gen = cycling_generate c in
+    median_ms ~calls:spread_points ~hist:(hist "generate") (fun () ->
+        for _ = 1 to spread_points do
+          gen ()
+        done)
   in
   per_s "generate" t_gen;
   let t_recv =
@@ -435,18 +457,14 @@ let run_steady () =
      shared CPU outlasts one point's batches, and interleaving spreads it
      over every point instead of skewing the |H| ratio gated in CI. *)
   let best = Array.make (List.length points) max_int in
+  let gens = List.map cycling_generate sites in
   for _ = 1 to 5 do
     List.iteri
-      (fun i (c, hist) ->
-        let ns =
-          batch_ns (fun () ->
-              match C.generate c (Tdoc.ins_visible (C.document c) 0 'z') with
-              | _, C.Accepted _ -> ()
-              | _, C.Denied r -> failwith r)
-        in
+      (fun i (gen, hist) ->
+        let ns = batch_ns gen in
         Obs.Metrics.observe hist ns;
         best.(i) <- min best.(i) ns)
-      (List.combine sites hists)
+      (List.combine gens hists)
   done;
   let rates =
     List.mapi
@@ -618,26 +636,38 @@ let run_core_admin () =
    stable version stays 0 and nothing is cut, while its clock — and so
    the administrator's cooperative window — stays current.  Every
    recheck then spans all of L, and only L's version index keeps it
-   flat.  (A registered member that never speaks would pin the window
-   too, and the administrator's receive would then pay integration
-   against the whole log, which says nothing about L.)  CI gates on the
-   ratios against the 1k point, which are machine-portable. *)
+   flat.  CI gates on the ratios against the 1k point, which are
+   machine-portable.
 
-let build_session ~validated ~pinned =
+   The silent session registers a third member, [remote], who never
+   speaks nor beacons (ROADMAP item 2, e2e offline_peer): the stable
+   frontier stays at zero, so the administrator's cooperative log keeps
+   every entry and its receive pays integration against the whole log.
+   There core.log_words_per_entry counts the words the administrator's
+   log holds per live entry ([Obj.reachable_words], exact for a given
+   compiler), which CI gates.
+
+   Every message crosses the wire codec, so the logs hold decoded
+   requests as a live site's do. *)
+
+let build_session ~validated ~pinned ~silent =
   let text = String.init 1_000 (fun i -> Char.chr (97 + (i mod 26))) in
-  let mk site =
-    C.create ~eq:Char.equal ~site ~admin:adm ~policy:steady_policy (Tdoc.of_string text)
+  let policy = if silent then core_policy else steady_policy in
+  let mk site = C.create ~eq:Char.equal ~site ~admin:adm ~policy (Tdoc.of_string text) in
+  let wire m =
+    let module P = Dce_wire.Proto.Char_proto in
+    match P.decode_message (P.encode_message m) with Ok m -> m | Error e -> failwith e
   in
   let a = ref (mk adm) in
   let u = ref (mk user) in
   for i = 1 to validated do
     (match C.generate !u (random_op ~ins_pct:50 (C.document !u)) with
      | u', C.Accepted m ->
-       let a', validations = C.receive !a m in
+       let a', validations = C.receive !a (wire m) in
        a := a';
        u :=
          if pinned then u'
-         else List.fold_left (fun u v -> fst (C.receive u v)) u' validations
+         else List.fold_left (fun u v -> fst (C.receive u (wire v))) u' validations
      | _, C.Denied r -> failwith ("session bench build: denied: " ^ r));
     if i mod steady_compact_every = 0 then begin
       let clock, version = C.beacon !u in
@@ -655,13 +685,18 @@ let run_session_length ~quick () =
   Printf.printf "%12s %10s %7s %7s %7s %10s %10s %10s\n" "point" "validated" "|L|" "cut"
     "window" "recv/s" "state(B)" "logs(B)";
   let points =
-    [ ("l1k", 1_000, false); ("l20k", 20_000, false); ("l20k_pinned", 20_000, true) ]
-    @ if quick then [] else [ ("l100k", 100_000, false) ]
+    [
+      ("l1k", 1_000, false, false);
+      ("l20k", 20_000, false, false);
+      ("l20k_pinned", 20_000, true, false);
+      ("l5k_silent", 5_000, false, true);
+    ]
+    @ if quick then [] else [ ("l100k", 100_000, false, false) ]
   in
   let sessions =
     List.map
-      (fun (_, validated, pinned) ->
-        let a, u = build_session ~validated ~pinned in
+      (fun (_, validated, pinned, silent) ->
+        let a, u = build_session ~validated ~pinned ~silent in
         (* one more user request, received (never kept) by every call *)
         match C.generate u (Tdoc.ins_visible (C.document u) 0 'z') with
         | _, C.Accepted m -> (a, m)
@@ -680,7 +715,7 @@ let run_session_length ~quick () =
   let encoded st = String.length (Dce_wire.Proto.Char_proto.encode_state st) in
   let rows =
     List.mapi
-      (fun i ((name, validated, _), (a, _)) ->
+      (fun i ((name, validated, _, _), (a, _)) ->
         let per_s = 1_000_000_000 / best.(i) in
         let st = C.dump a in
         let state = encoded st and logs = encoded { st with C.st_doc = Tdoc.empty } in
@@ -697,23 +732,27 @@ let run_session_length ~quick () =
   let recv = pct fst and logs = pct snd in
   (* the l20k administrator's document against a fresh one of the same
      model length: what collapse and repacking leave of the tombstones *)
+  let admin name =
+    fst (List.assoc name (List.map2 (fun (name, _, _, _) s -> (name, s)) points sessions))
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
   let doc_pct =
-    let _, (a, _) =
-      List.find (fun ((name, _, _), _) -> name = "l20k") (List.combine points sessions)
-    in
-    let doc = C.document a in
-    let words d = Obj.reachable_words (Obj.repr d) in
+    let doc = C.document (admin "l20k") in
     100 * words doc / words (Tdoc.of_string (String.make (Tdoc.model_length doc) 'a'))
   in
   put "core.doc_words_vs_fresh_pct.l20k" doc_pct;
+  let log = C.oplog (admin "l5k_silent") in
+  let per_entry = words log / max 1 (Oplog.live_length log) in
+  put "core.log_words_per_entry.l5k_silent" per_entry;
   put "core.receive_l20k_vs_l1k_pct" (recv "l20k" "l1k");
   put "core.receive_l20k_pinned_vs_l1k_pct" (recv "l20k_pinned" "l1k");
   put "core.log_bytes_l20k_vs_l1k_pct" (logs "l20k" "l1k");
   Printf.printf
     "receive at l20k holds %d%% of the l1k rate, %d%% pinned (gates: >= 50); state \
      without the document is %d%% of l1k's at l20k (gate: <= 150); the l20k \
-     document holds %d%% of a fresh one's words (gate: <= 150)\n"
-    (recv "l20k" "l1k") (recv "l20k_pinned" "l1k") (logs "l20k" "l1k") doc_pct
+     document holds %d%% of a fresh one's words (gate: <= 150); the silent \
+     administrator's log holds %d words per entry (gate: <= 40)\n"
+    (recv "l20k" "l1k") (recv "l20k_pinned" "l1k") (logs "l20k" "l1k") doc_pct per_entry
 
 (* ----- the document's footprint -----
 

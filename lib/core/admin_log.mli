@@ -14,11 +14,11 @@
     neither, so it stores no snapshot); and the versions of the
     restrictive requests.  [append], {!policy_at} and {!admin_at} cost
     O(log |L|).  A [Validate] entry costs one map node (6 words) on top
-    of the request itself: 22 words in all on a two-site session, where
-    the list this replaced paid a cons and a triple (7 words), 23 in
-    all (29 on the three-replica e2e [steady] session, whose clocks are
-    larger).  Any other entry pays a node and a triple (10 words), and
-    a set node (5) more when it is restrictive.
+    of the request itself, whose context is an array clock: 19 words in
+    all on a two-site session (22 while contexts were [Map] clocks),
+    where the list this replaced paid a cons and a triple (7 words)
+    instead of the node.  Any other entry pays a node and a triple (10
+    words), and a set node (5) more when it is restrictive.
 
     {2 The cut}
 

@@ -625,11 +625,15 @@ let dump t =
   }
 
 let load ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ?metrics s =
+  let oplog = Oplog.of_entries ~compacted:s.st_compacted s.st_oplog in
   match
     Admin_log.of_requests ~admin:s.st_initial_admin s.st_initial_policy
       s.st_admin_requests
   with
   | Error e -> Error ("corrupt administrative history: " ^ e)
+  | Ok _ when not (Oplog.serials_complete oplog) ->
+    (* the log's clock would read the missing serial as present *)
+    Error "corrupt cooperative log: a site's serials skip one"
   | Ok admin_log ->
     Ok
       {
@@ -638,7 +642,7 @@ let load ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ?metrics s =
         eq;
         trace;
         doc = s.st_doc;
-        oplog = Oplog.of_entries ~compacted:s.st_compacted s.st_oplog;
+        oplog;
         clock = s.st_clock;
         serial = s.st_serial;
         admin_log;

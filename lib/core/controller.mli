@@ -227,6 +227,10 @@ val load :
   ?metrics:Dce_obs.Metrics.t ->
   'e state ->
   ('e t, string) result
+(** Adopt a state.  A state is outside input, so it is refused when its
+    administrative history does not replay or when its log skips a
+    serial of some site above that site's compacted floor
+    ({!Dce_ot.Oplog.serials_complete}). *)
 
 val catch_up : 'e t -> 'e t -> 'e t * 'e message list
 (** [catch_up t donor]: bring a recovered site up to date from a peer's

@@ -10,7 +10,6 @@ module Id = struct
     if c <> 0 then c else Int.compare a.Request.serial b.Request.serial
 end
 
-module Ids = Set.Make (Id)
 module Id_map = Map.Make (Id)
 
 let is_tentative e =
@@ -87,24 +86,26 @@ end
    tail entry keeps in the tree the operation it was appended with, and
    [tail] holds where it stands now; {!current} reads the two together.
 
-   Two indexes over normal entries:
-   - [ids] holds every normal entry's id, for [mem]; reorderings never
-     touch it;
-   - a tentative entry before the tail maps to its position in [tpos],
-     a tentative tail entry to its offset from the tail start in
-     [toff]; an insertion landing at the tail start changes neither,
-     a separation re-places only the tentative entries it moves, and
-     looking up a settled entry scans instead.
-   [tpos] positions are absolute — [base] counts entries dropped by
-   compaction, so the tree position of id is [tpos(id) - base], and
-   compaction, which drops no tentative entry, rewrites [tpos] never
-   and [toff] only when its cut reaches into the tail.  [compacted] is
-   the per-site serial floor below which entries have been compacted
-   away. *)
+   [seen] is the highest serial per site the log has held, for [mem]
+   and [causally_ready]: a site's serials integrate in order (a
+   request's context holds its own site's previous serial), so they
+   are every serial up to it.  Reorderings never touch it, and
+   compaction neither.
+
+   A tentative entry before the tail maps to its position in [tpos], a
+   tentative tail entry to its offset from the tail start in [toff]; an
+   insertion landing at the tail start changes neither, a separation
+   re-places only the tentative entries it moves, and looking up a
+   settled entry scans instead.  [tpos] positions are absolute — [base]
+   counts entries dropped by compaction, so the tree position of id is
+   [tpos(id) - base], and compaction, which drops no tentative entry,
+   rewrites [tpos] never and [toff] only when its cut reaches into the
+   tail.  [compacted] is the highest serial per site compaction has
+   dropped. *)
 type 'e t = {
   entries : 'e Log.t;
   tail : Run.t;
-  ids : Ids.t;
+  seen : Vclock.t;
   tpos : int Id_map.t;
   toff : int Id_map.t;
   base : int;
@@ -119,7 +120,7 @@ let empty =
   {
     entries = Log.empty;
     tail = Run.empty;
-    ids = Ids.empty;
+    seen = Vclock.empty;
     tpos = Id_map.empty;
     toff = Id_map.empty;
     base = 0;
@@ -129,6 +130,11 @@ let empty =
 let length h = Log.length h.entries
 
 let live_length = length
+
+(* the clock [c] raised to count [id] *)
+let raise_to c (id : Request.id) =
+  if id.Request.serial <= Vclock.get c id.Request.site then c
+  else Vclock.merge c (Vclock.of_list [ (id.Request.site, id.Request.serial) ])
 
 let tail_start h = length h - Run.length h.tail
 
@@ -181,19 +187,19 @@ let of_entries ~compacted entries =
     decr ts
   done;
   let ts = !ts in
-  let ids = ref Ids.empty and tpos = ref Id_map.empty and toff = ref Id_map.empty in
+  let seen = ref compacted and tpos = ref Id_map.empty and toff = ref Id_map.empty in
   Array.iteri
     (fun i e ->
       match e.role with
       | Normal ->
-        ids := Ids.add e.req.Request.id !ids;
+        seen := raise_to !seen e.req.Request.id;
         if i < ts then tpos := place e i !tpos else toff := place e (i - ts) !toff
       | Canceller _ -> ())
     a;
   {
     entries = Log.of_list entries;
     tail = Run.init (Array.length a - ts) (fun j -> pos_of a.(ts + j));
-    ids = !ids;
+    seen = !seen;
     tpos = !tpos;
     toff = !toff;
     base = 0;
@@ -209,30 +215,32 @@ let requests h =
 
 let ops h = List.map (fun e -> e.req.Request.op) (entries h)
 
+let mem (id : Request.id) h = id.Request.serial <= Vclock.get h.seen id.Request.site
+
 (* Tree position of the normal entry [id]: one map lookup for a
    tentative entry; for a settled one a scan from the right, which no
-   controller path takes. *)
+   controller path takes.  A settled id at or below [seen] may have
+   been compacted away, even behind a live one of its site (Canonize
+   puts a site's later insertion before its earlier deletion), and then
+   the scan finds nothing. *)
 let position id h =
   match Id_map.find_opt id h.tpos with
   | Some pos -> Some (pos - h.base)
   | None -> (
     match Id_map.find_opt id h.toff with
     | Some off -> Some (tail_start h + off)
-    | None when not (Ids.mem id h.ids) -> None
+    | None when not (mem id h) -> None
     | None ->
       let other e =
         match e.role with
         | Normal -> Id.compare e.req.Request.id id <> 0
         | Canceller _ -> true
       in
-      Some (length h - 1 - Log.suffix_length other h.entries))
+      let k = Log.suffix_length other h.entries in
+      if k = length h then None else Some (length h - 1 - k))
 
 let find id h =
   Option.map (fun i -> (current h i (Log.get h.entries i)).req) (position id h)
-
-let mem id h =
-  Vclock.dominates_event h.compacted ~site:id.Request.site ~count:id.Request.serial
-  || Ids.mem id h.ids
 
 (* Flag the normal entry at tree position [i].  Only the flag changes:
    a tail entry keeps its stored operation. *)
@@ -279,8 +287,8 @@ let broadcast_form (q : 'e Request.t) h =
    [b'; a'] with the same combined effect.  [b'] excludes [a]'s effect;
    [a'] re-includes [b']'s.  Only [op] is rewritten: identity, role,
    flag and policy version are untouched, which is what lets the
-   id set and the context classification survive reorderings.  An
-   operation the transposition leaves alone keeps its entry record. *)
+   context classification survive reorderings.  An operation the
+   transposition leaves alone keeps its entry record. *)
 let transpose a b =
   let b_op = Transform.et b.req.Request.op a.req.Request.op in
   let a_op = Transform.it a.req.Request.op b_op in
@@ -320,7 +328,7 @@ let push h e =
    insert and one pass over the run, with no transposition, no fresh
    entry and no index write for the tail.  [entry] is a normal entry. *)
 let append_entry_canonized h entry =
-  let h = { h with ids = Ids.add entry.req.Request.id h.ids } in
+  let h = { h with seen = raise_to h.seen entry.req.Request.id } in
   match entry.req.Request.op with
   | Op.Ins { pos; _ } ->
     let ts = tail_start h in
@@ -463,10 +471,7 @@ let append_rejected ~cancel_version q h =
   | Some (inv, h) -> ((op, inv), h)
   | None -> assert false
 
-let causally_ready (q : _ Request.t) h =
-  List.for_all
-    (fun (site, count) -> count = 0 || mem { Request.site; Request.serial = count } h)
-    (Vclock.to_list q.Request.ctx)
+let causally_ready (q : _ Request.t) h = Vclock.leq q.Request.ctx h.seen
 
 let is_canonical h =
   let ok, _ =
@@ -480,7 +485,7 @@ let is_canonical h =
   ok
 
 (* Compaction: drop the longest stable prefix (see the .mli for the
-   soundness argument).  Only settled entries are dropped, so only [ids]
+   soundness argument).  Only settled entries are dropped, so no index
    loses members; [base] absorbs the shift of the tentative positions
    before the tail.  A cut reaching into the tail drops the run's first
    positions with their entries, and the tail offsets move with it.
@@ -509,22 +514,9 @@ let compact ~stable ~stable_version h =
       List.fold_left
         (fun compacted e ->
           match e.role with
-          | Normal ->
-            let site = e.req.Request.id.Request.site in
-            let serial = e.req.Request.id.Request.serial in
-            if Vclock.get compacted site < serial then
-              Vclock.merge compacted (Vclock.of_list [ (site, serial) ])
-            else compacted
+          | Normal -> raise_to compacted e.req.Request.id
           | Canceller _ -> compacted)
         h.compacted dropped
-    in
-    let ids =
-      List.fold_left
-        (fun ids e ->
-          match e.role with
-          | Normal -> Ids.remove e.req.Request.id ids
-          | Canceller _ -> ids)
-        h.ids dropped
     in
     let rest =
       List.rev
@@ -534,7 +526,7 @@ let compact ~stable ~stable_version h =
     {
       entries = Log.of_list rest;
       tail = (if cut > 0 then Run.drop h.tail cut else h.tail);
-      ids;
+      seen = h.seen;
       tpos = h.tpos;
       toff = (if cut > 0 then Id_map.map (fun off -> off - cut) h.toff else h.toff);
       base = h.base + k;
@@ -576,6 +568,34 @@ let touched_positions h =
   done;
   Array.of_list (List.sort_uniq Int.compare !out)
 
+(* Each site's live normal entries above its compacted floor, sorted,
+   must be every serial up to [seen] once. *)
+let serials_complete h =
+  let above =
+    Log.fold_range
+      (fun acc e ->
+        match e.role with
+        | Normal ->
+          let { Request.site; serial } = e.req.Request.id in
+          if serial > Vclock.get h.compacted site then (site, serial) :: acc else acc
+        | Canceller _ -> acc)
+      [] h.entries ~pos:0 ~len:(length h)
+  in
+  let by_id (a, r) (b, r') = if a <> b then Int.compare a b else Int.compare r r' in
+  let rec sites above = function
+    | [] -> above = []
+    | (site, n) :: rest ->
+      let rec serials above r =
+        if r > n then sites above rest
+        else
+          match above with
+          | (s, r') :: above when s = site && r' = r -> serials above (r + 1)
+          | _ -> false
+      in
+      serials above (Vclock.get h.compacted site + 1)
+  in
+  sites (List.sort by_id above) (Vclock.to_list h.seen)
+
 let well_formed h =
   let ts = tail_start h in
   let indexed = List.mapi (fun i e -> (i, e)) (entries h) in
@@ -586,7 +606,7 @@ let well_formed h =
     if i < ts then Id_map.find_opt id h.tpos = Some (h.base + i)
     else Id_map.find_opt id h.toff = Some (i - ts)
   in
-  Ids.equal h.ids (Ids.of_list (List.map (fun (_, e) -> e.req.Request.id) normal))
+  serials_complete h
   && Id_map.cardinal h.tpos + Id_map.cardinal h.toff = List.length tentative
   && List.for_all indexed_at tentative
   && Run.length h.tail = Log.suffix_length movable h.entries

@@ -43,9 +43,18 @@
     {2 Representation}
 
     The log is a persistent stat tree of entries, the tail's positions
-    beside it, and two indexes over normal entries: the set of their
-    ids, which reorderings never touch, and the positions of the
-    {e tentative} ones only.
+    beside it, a clock of the highest serial per site it has held, and
+    the positions of its {e tentative} normal entries only.
+
+    The clock stands for the set of ids the log holds.  A site's serials
+    are integrated in order: a request's context holds its own site's
+    previous serial, so {!causally_ready} admits serial [n + 1] of a site
+    only once [n] is held.  So the ids of a site the log has held are
+    every serial up to the clock's count, {!mem} is one comparison and
+    {!causally_ready} one {!Vclock.leq}, and neither reordering nor
+    compaction writes it.  A log rebuilt from outside input
+    ({!of_entries}) need not keep that order: {!serials_complete} checks
+    it.
 
     The {e tail} is the longest suffix of deletion/update entries
     ([Del], [Undel], [Up]), the ones an appended insertion moves back
@@ -70,7 +79,13 @@
     per tail entry, with no transposition, no fresh entry and no index
     write; a separation re-places only the tentative entries it moves.
 
-    {!length} is O(1); {!mem} and {!validate} are O(log H);
+    An entry is a tree node (7 words), the entry record (3), the request
+    (8), its id (3), its dependency ([Some id], 5), its operation, the
+    generation operation unless it is the same value, and its context
+    clock ([2k + 1] words for [k] sites, see {!Vclock}).
+
+    {!length} is O(1); {!mem} is O(log k) for [k] sites and allocates
+    nothing, {!causally_ready} O(k); {!validate} is O(log H);
     {!find}/{!set_flag}/{!undo} are O(log H) on a tentative entry and
     scan from the right on a settled one; {!tentative_requests} is
     O(T log H) for [T] tentative entries.  {!integrate}'s reorder +
@@ -96,7 +111,9 @@ val entries : 'e t -> 'e entry list
 
 val of_entries : compacted:Vclock.t -> 'e entry list -> 'e t
 (** Rebuild a log from its parts (persistence tooling; see
-    [Dce_wire]). *)
+    [Dce_wire]).  Its clock of the serials it has held is [compacted]
+    raised to every normal entry's id; check {!serials_complete} before
+    trusting it. *)
 
 val requests : 'e t -> 'e Request.t list
 (** Normal (non-canceller) requests, in log order. *)
@@ -110,8 +127,11 @@ val find : Request.id -> 'e t -> 'e Request.t option
     from the right, O(distance from the end). *)
 
 val mem : Request.id -> 'e t -> bool
-(** [mem id h]: a normal entry with identity [id] is present (or was
-    compacted away).  O(log H). *)
+(** [mem id h]: the log has held a normal entry of [id]'s site with a
+    serial at or above [id]'s — present or compacted away.  Because a
+    site's serials integrate in order (see Representation), that is: a
+    normal entry with identity [id] is present or was compacted away.
+    O(log k) for [k] sites. *)
 
 val set_flag : Request.id -> Request.flag -> 'e t -> 'e t
 (** Costs as {!find}; the log is unchanged if [id] is absent. *)
@@ -159,9 +179,11 @@ val undo : cancel_version:int -> Request.id -> 'e t -> ('e Op.t * 'e t) option
     is first found by a scan over that same suffix (see {!find}). *)
 
 val causally_ready : 'e Request.t -> 'e t -> bool
-(** Every request in [q]'s causal context is present in the log.  (The
-    policy-version precondition of the paper's Algorithm 3 is checked by
-    the controller.) *)
+(** Every request in [q]'s causal context is present in the log (or was
+    compacted away): [q]'s context is below the log's clock of the
+    highest serial per site it has held.  (The policy-version
+    precondition of the paper's Algorithm 3 is checked by the
+    controller.) *)
 
 val compact : stable:Vclock.t -> stable_version:int -> 'e t -> 'e t
 (** Garbage-collect the log (the paper's §7 future work): drop the
@@ -179,7 +201,7 @@ val compact : stable:Vclock.t -> stable_version:int -> 'e t -> 'e t
     collapses the cells only dropped entries touched, in place (see
     {!touched_positions}).
 
-    The log remembers how much was dropped per site, so
+    The log's clock of the serials it has held is untouched, so
     {!causally_ready} and {!mem} keep answering correctly. *)
 
 val touched_positions : 'e t -> int array
@@ -191,7 +213,9 @@ val touched_positions : 'e t -> int array
     [Tdoc.collapse] them.  O(H log H). *)
 
 val compacted_upto : 'e t -> Vclock.t
-(** Per-site serial floor below which entries have been dropped. *)
+(** The highest serial per site that compaction has dropped.  A lower
+    serial of the same site may still be live: Canonize can put a site's
+    later insertion ahead of its earlier deletion. *)
 
 val live_length : 'e t -> int
 (** Entries currently stored ({!length} counts these too; dropped
@@ -202,9 +226,18 @@ val is_canonical : 'e t -> bool
     append-only histories; integration's causal reordering may break it
     globally (it is restored locally at each append). *)
 
+val serials_complete : 'e t -> bool
+(** For every site, the live normal entries above its
+    {!compacted_upto} floor hold each serial up to the highest the log
+    has held exactly once — the precondition under which {!mem} and
+    {!causally_ready} read a clock for the set of ids.  Every log built
+    by appending and integrating keeps it; one rebuilt by {!of_entries}
+    from outside input may not, and then must be refused.
+    O(H log H). *)
+
 val well_formed : 'e t -> bool
-(** The indexes agree with the entries: the id set holds exactly the
-    normal entries' ids, and the position map exactly the tentative
-    ones, each at its live position.  O(H log H); for tests. *)
+(** The indexes agree with the entries: {!serials_complete} holds, and
+    the position map holds exactly the tentative entries, each at its
+    live position.  O(H log H); for tests. *)
 
 val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit

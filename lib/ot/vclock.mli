@@ -3,9 +3,25 @@
     The paper's coordination framework avoids vector timestamps by tracking
     direct dependencies (a dependency tree); we carry those dependency
     identifiers too (see {!Request}), but use vector clocks as the ground
-    truth for the happened-before relation.  Clocks are maps from site
-    identifiers to counters, so sites can join and leave at any time
-    without fixed-width vectors (DESIGN §4.3). *)
+    truth for the happened-before relation.  Clocks map site identifiers
+    to counters, so sites can join and leave at any time without
+    fixed-width vectors (DESIGN §4.3).
+
+    {2 Representation}
+
+    A clock is one unboxed [int array] of (site, count) pairs, sites
+    strictly ascending, never written once built: a clock of [k] sites
+    is [2k + 1] words (a 2-site request context 5, where a balanced
+    [Map] took 12).  A site absent from a clock counts 0; a binding of
+    count 0 is kept as given ({!to_list} returns it) but compares as
+    absence.  Costs, for clocks of [k], [ka] and [kb] sites:
+
+    - {!get}, {!dominates_event}: a binary search, O(log k), allocating
+      nothing;
+    - {!merge}, {!meet}, {!leq}, {!equal}, {!concurrent}: one ordered
+      walk of both, O(ka + kb); the first two build a fresh array;
+    - {!tick}: a {!merge} with one binding, O(k);
+    - {!sum}, {!to_list}: O(k); {!of_list}: a sort, O(k log k). *)
 
 type site = int
 
@@ -46,5 +62,9 @@ val sum : t -> int
     requests). *)
 
 val to_list : t -> (site * int) list
+(** The bindings, sites ascending, zero counts included. *)
+
 val of_list : (site * int) list -> t
+(** A site bound more than once takes its last binding. *)
+
 val pp : Format.formatter -> t -> unit

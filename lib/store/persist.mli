@@ -26,6 +26,9 @@ type 'e record =
 
 val encode_record : 'e Dce_wire.Proto.elt_codec -> 'e record -> string
 
+val decode_record : 'e Dce_wire.Proto.elt_codec -> string -> 'e record Dce_wire.Codec.result
+(** What recovery reads a journal record with. *)
+
 type 'e t
 
 type 'e recovery = {

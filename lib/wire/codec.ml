@@ -108,6 +108,22 @@ let get_string d =
     Ok s
   end
 
+(* [len] bytes of [src] from [a] equal those from [b] *)
+let rec same_bytes src a b len =
+  len = 0 || (src.[a] = src.[b] && same_bytes src (a + 1) (b + 1) (len - 1))
+
+let get_pair_shared get d =
+  let start = d.pos in
+  let* x = get d in
+  let len = d.pos - start in
+  if remaining d >= len && same_bytes d.src start d.pos len then begin
+    d.pos <- d.pos + len;
+    Ok (x, x)
+  end
+  else
+    let* y = get d in
+    Ok (x, y)
+
 let get_list get d =
   let* len = get_varint d in
   if len > remaining d then Error "list length exceeds input"

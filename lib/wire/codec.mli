@@ -52,6 +52,12 @@ val get_array : (decoder -> 'a result) -> decoder -> 'a array result
 val get_option : (decoder -> 'a result) -> decoder -> 'a option result
 val get_pair : (decoder -> 'a result) -> (decoder -> 'b result) -> decoder -> ('a * 'b) result
 
+val get_pair_shared : (decoder -> 'a result) -> decoder -> ('a * 'a) result
+(** Two consecutive values read with [get].  When the second's bytes
+    repeat the first's, the second is not decoded: the pair holds the
+    first value twice, physically.  (A decoder reads the same value from
+    the same bytes, so only the sharing differs from {!get_pair}.) *)
+
 val ( let* ) : 'a result -> ('a -> 'b result) -> 'b result
 
 (* {2 Framing} *)

@@ -149,19 +149,16 @@ let put_request ec b (q : _ Request.t) =
   put_varint b q.Request.policy_version;
   put_flag b q.Request.flag
 
+(* [gen_op] is [op] until the request is transformed, so many requests
+   carry one operation twice: it is decoded, and kept, once *)
 let get_request ec d =
   let* id = get_id d in
   let* dep = get_option get_id d in
-  let* op = get_op ec d in
-  let* gen_op = get_op ec d in
+  let* op, gen_op = get_pair_shared (get_op ec) d in
   let* ctx = get_vclock d in
   let* policy_version = get_varint d in
   let* flag = get_flag d in
-  let q =
-    Request.make ~site:id.Request.site ~serial:id.Request.serial ?dep ~op ~ctx
-      ~policy_version ~flag ()
-  in
-  Ok { q with Request.gen_op }
+  Ok { Request.id; dep; op; gen_op; ctx; policy_version; flag }
 
 (* ----- Policy components ----- *)
 

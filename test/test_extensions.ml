@@ -91,6 +91,31 @@ let oplog_compaction_tests =
         let stable = Vclock.of_list [ (1, 5) ] in
         let h' = Oplog.compact ~stable ~stable_version:99 h in
         Alcotest.(check int) "kept" 1 (Oplog.live_length h'));
+    Alcotest.test_case "a dropped id behind a live one of its site is gone" `Quick
+      (fun () ->
+        (* Canonize puts 1.2's insertion before 1.1's deletion; 1.1 stays
+           tentative, so the cut takes 1.2 alone *)
+        let h =
+          Oplog.append_local
+            (mk_req ~serial:1 ~ctx:Vclock.empty ~flag:Request.Tentative (Op.del 0 'a'))
+            Oplog.empty
+        in
+        let h =
+          Oplog.append_local (mk_req ~serial:2 ~ctx:(Vclock.of_list [ (1, 1) ]) (Op.ins 0 'b')) h
+        in
+        let h = Oplog.compact ~stable:(Vclock.of_list [ (1, 2) ]) ~stable_version:0 h in
+        let dropped = { Request.site = 1; serial = 2 } in
+        Alcotest.(check int) "1.1 left" 1 (Oplog.live_length h);
+        Alcotest.(check bool) "the cut passed 1.1" true
+          (Vclock.get (Oplog.compacted_upto h) 1 = 2);
+        Alcotest.(check bool) "1.1 found" true (Oplog.find { dropped with serial = 1 } h <> None);
+        Alcotest.(check bool) "1.2 held" true (Oplog.mem dropped h);
+        Alcotest.(check bool) "1.2 not found" true (Oplog.find dropped h = None);
+        Alcotest.(check bool) "flagging 1.2 changes nothing" true
+          (Oplog.entries (Oplog.set_flag dropped Request.Invalid h) = Oplog.entries h);
+        Alcotest.(check bool) "1.2 cannot be undone" true
+          (Oplog.undo ~cancel_version:1 dropped h = None);
+        Alcotest.(check bool) "well formed" true (Oplog.well_formed h));
   ]
 
 (* ----- Controller-level compaction ----- *)

@@ -305,6 +305,92 @@ let show_lockstep (three, steps) =
   Printf.sprintf "%d sites: %s" (if three then 3 else 2)
     (String.concat "; " (List.map show_step steps))
 
+(* ----- Vclock against the Map clock it replaced ----- *)
+
+type vclock_step =
+  | V_tick of int * int  (** clock drawn, site *)
+  | V_merge of int * int
+  | V_meet of int * int
+  | V_of_list of (int * int) list  (** duplicate sites and zero counts included *)
+
+let gen_vclock_steps =
+  QCheck2.Gen.(
+    int_range 1 70 >>= fun sites ->
+    let site = int_range 0 (sites - 1) and clock = int_range 0 1_000 in
+    let step =
+      frequency
+        [
+          (4, map2 (fun i s -> V_tick (i, s)) clock site);
+          (2, map2 (fun i j -> V_merge (i, j)) clock clock);
+          (2, map2 (fun i j -> V_meet (i, j)) clock clock);
+          ( 1,
+            map
+              (fun l -> V_of_list l)
+              (list_size (int_range 0 (2 * sites)) (pair site (int_range 0 3))) );
+        ]
+    in
+    map (fun steps -> (sites, steps)) (list_size (int_range 1 60) step))
+
+let show_vclock_steps (sites, steps) =
+  let pairs l = String.concat "," (List.map (fun (s, n) -> Printf.sprintf "%d:%d" s n) l) in
+  Printf.sprintf "%d sites: %s" sites
+    (String.concat "; "
+       (List.map
+          (function
+            | V_tick (i, s) -> Printf.sprintf "tick c%d %d" i s
+            | V_merge (i, j) -> Printf.sprintf "merge c%d c%d" i j
+            | V_meet (i, j) -> Printf.sprintf "meet c%d c%d" i j
+            | V_of_list l -> Printf.sprintf "of_list [%s]" (pairs l))
+          steps))
+
+(* Every clock built so far, as the array clock and the Map clock, in
+   step; each step builds one more from earlier ones (drawn modulo the
+   pool), and the two must answer alike, alone and against every
+   earlier clock. *)
+let vclocks_agree (sites, steps) =
+  let bytes_ref r =
+    Dce_wire.Codec.(to_string (put_list (put_pair put_varint put_varint)))
+      (Vclock_ref.to_list r)
+  in
+  let alike (c, r) =
+    Vclock.to_list c = Vclock_ref.to_list r
+    && Vclock.sum c = Vclock_ref.sum r
+    && List.for_all (fun s -> Vclock.get c s = Vclock_ref.get r s) (List.init (sites + 2) (fun s -> s - 1))
+    && Dce_wire.Codec.to_string Dce_wire.Proto.put_vclock c = bytes_ref r
+  in
+  let related (c, r) (c', r') =
+    Vclock.leq c c' = Vclock_ref.leq r r'
+    && Vclock.leq c' c = Vclock_ref.leq r' r
+    && Vclock.equal c c' = Vclock_ref.equal r r'
+    && Vclock.concurrent c c' = Vclock_ref.concurrent r r'
+  in
+  let rec go pool = function
+    | [] -> true
+    | step :: steps ->
+      let pick i = List.nth pool (i mod List.length pool) in
+      let c, r =
+        match step with
+        | V_tick (i, s) ->
+          let c, r = pick i in
+          (Vclock.tick c s, Vclock_ref.tick r s)
+        | V_merge (i, j) ->
+          let (c, r), (c', r') = (pick i, pick j) in
+          (Vclock.merge c c', Vclock_ref.merge r r')
+        | V_meet (i, j) ->
+          let (c, r), (c', r') = (pick i, pick j) in
+          (Vclock.meet c c', Vclock_ref.meet r r')
+        | V_of_list l -> (Vclock.of_list l, Vclock_ref.of_list l)
+      in
+      alike (c, r) && List.for_all (related (c, r)) pool && go ((c, r) :: pool) steps
+  in
+  go [ (Vclock.empty, Vclock_ref.empty) ] steps
+
+let vclock_properties =
+  [
+    qtest "the array clock answers as the Map clock" ~count:500 gen_vclock_steps
+      show_vclock_steps vclocks_agree;
+  ]
+
 let oplog_properties =
   [
     qtest "the log matches the list reference step for step" ~count:500 gen_lockstep
@@ -1239,6 +1325,7 @@ let () =
     [
       ("tdoc", tdoc_properties);
       ("cursor", cursor_properties);
+      ("vclock", vclock_properties);
       ("oplog", oplog_properties);
       ("policy", policy_properties);
       ("admin_log", admin_log_properties);

@@ -168,6 +168,93 @@ let domain_tests =
           ]);
   ]
 
+(* ----- one decoded operation when gen_op equals op ----- *)
+
+(* A decoded request holds [op] and [gen_op] as one value exactly when
+   their encodings match; [shared] counts the requests that do. *)
+let one_op_when_equal ~shared (q : char Request.t) =
+  let same_bytes =
+    let enc = Codec.to_string (Proto.put_op Proto.char_codec) in
+    String.equal (enc q.Request.op) (enc q.Request.gen_op)
+  in
+  if same_bytes then incr shared;
+  Alcotest.(check bool)
+    (Format.asprintf "%a: one operation iff equal" (Request.pp Fmt.char) q)
+    same_bytes (q.Request.op == q.Request.gen_op)
+
+(* the administrator inserts at 0 while the user deletes at 2: in the
+   administrator's log the user's deletion is transformed to 3, and
+   keeps its generation form at 2 *)
+let diverged_session () =
+  let module C = Controller in
+  let policy =
+    Policy.make ~users:[ adm; s1 ] [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ]
+  in
+  let doc0 = Tdoc.of_string "abcdef" in
+  let a = C.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
+  let u = C.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0 in
+  let accepted = function c, C.Accepted m -> (c, m) | _, C.Denied r -> Alcotest.fail r in
+  let a, _ = accepted (C.generate a (Op.ins 0 'z')) in
+  let u, m = accepted (C.generate u (Op.del 2 'c')) in
+  let a, _ = C.receive a m in
+  (a, u, m)
+
+let shared_op_tests =
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  [
+    Alcotest.test_case "message and journal record: one operation when equal" `Quick
+      (fun () ->
+        let _, _, m = diverged_session () in
+        let q = match m with Controller.Coop q -> q | _ -> Alcotest.fail "not coop" in
+        let q2 = { q with Request.op = Op.del 5 'f' } in
+        let shared = ref 0 in
+        List.iter
+          (fun q ->
+            (match ok (Proto.Char_proto.decode_message (Proto.Char_proto.encode_message (Coop q))) with
+             | Controller.Coop q' ->
+               one_op_when_equal ~shared q';
+               Alcotest.(check bool) "message round-trips" true (request_equal q q')
+             | _ -> Alcotest.fail "message changed kind");
+            let record = Dce_store.Persist.Received (Controller.Coop q) in
+            match
+              ok (Dce_store.Persist.decode_record Proto.char_codec
+                    (Dce_store.Persist.encode_record Proto.char_codec record))
+            with
+            | Dce_store.Persist.Received (Controller.Coop q') ->
+              one_op_when_equal ~shared q';
+              Alcotest.(check bool) "record round-trips" true (request_equal q q')
+            | _ -> Alcotest.fail "record changed kind")
+          [ q; q2 ];
+        Alcotest.(check int) "the generated request shared, the rewritten one not" 2 !shared);
+    Alcotest.test_case "state and delta: one operation when equal, both kept otherwise"
+      `Quick (fun () ->
+        let a, u, _ = diverged_session () in
+        let shared = ref 0 in
+        let st = Controller.dump a in
+        let st' = ok (Proto.Char_proto.decode_state (Proto.Char_proto.encode_state st)) in
+        List.iter2
+          (fun (e : char Oplog.entry) (e' : char Oplog.entry) ->
+            one_op_when_equal ~shared e'.Oplog.req;
+            Alcotest.(check bool) "entry round-trips" true
+              (request_equal e.Oplog.req e'.Oplog.req))
+          st.Controller.st_oplog st'.Controller.st_oplog;
+        Alcotest.(check int) "one of the two entries shared" 1 !shared;
+        Alcotest.(check bool) "the user's entry keeps two operations" true
+          (List.exists
+             (fun (e : char Oplog.entry) ->
+               not (Op.equal Char.equal e.Oplog.req.Request.op e.Oplog.req.Request.gen_op))
+             st'.Controller.st_oplog);
+        let d =
+          match Controller.delta_since a ~clock:(Controller.clock u) ~version:0 with
+          | Some d -> d
+          | None -> Alcotest.fail "no delta"
+        in
+        let d' = ok (Proto.Char_proto.decode_delta (Proto.Char_proto.encode_delta d)) in
+        shared := 0;
+        List.iter (one_op_when_equal ~shared) (d'.Controller.dl_coop @ d'.Controller.dl_coop_queue);
+        Alcotest.(check int) "the delta's request shared" 1 !shared);
+  ]
+
 (* ----- fuzzing: hostile bytes never raise ----- *)
 
 let fuzz_tests =
@@ -201,6 +288,38 @@ let all_rights users =
 
 let persistence_tests =
   [
+    Alcotest.test_case "a state whose log skips a serial is refused" `Quick (fun () ->
+        let policy = all_rights [ adm; s1 ] in
+        let doc0 = Tdoc.of_string "abc" in
+        let a = Controller.create ~eq:Char.equal ~site:adm ~admin:adm ~policy doc0 in
+        let u = Controller.create ~eq:Char.equal ~site:s1 ~admin:adm ~policy doc0 in
+        let gen u op =
+          match Controller.generate u op with
+          | u, Controller.Accepted m -> (u, m)
+          | _ -> Alcotest.fail "denied"
+        in
+        let u, m1 = gen u (Op.ins 0 'x') in
+        let _, m2 = gen u (Op.ins 1 'y') in
+        let a = List.fold_left (fun a m -> fst (Controller.receive a m)) a [ m1; m2 ] in
+        let load st =
+          match Proto.Char_proto.decode_state (Proto.Char_proto.encode_state st) with
+          | Error e -> Alcotest.fail e
+          | Ok st -> Controller.load ~eq:Char.equal st
+        in
+        let st = Controller.dump a in
+        Alcotest.(check bool) "the whole log loads" true (Result.is_ok (load st));
+        (* without 1.1, the log's clock would count it as held *)
+        let gapped =
+          List.filter
+            (fun (e : char Oplog.entry) -> e.Oplog.req.Request.id.Request.serial <> 1)
+            st.Controller.st_oplog
+        in
+        Alcotest.(check int) "1.2 kept" 1 (List.length gapped);
+        match load { st with Controller.st_oplog = gapped } with
+        | Ok _ -> Alcotest.fail "a log missing 1.1 loaded"
+        | Error e ->
+          Alcotest.(check bool) "names the log" true
+            (String.starts_with ~prefix:"corrupt cooperative log" e));
     Alcotest.test_case "a mid-session controller survives the wire" `Quick (fun () ->
         (* run a small session with tentative requests, queues, policy
            changes; then dump/encode/decode/load and compare *)
@@ -669,6 +788,7 @@ let () =
       ("codec", codec_tests);
       ("framing", framing_tests);
       ("domain", domain_tests);
+      ("shared_op", shared_op_tests);
       ("fuzz", fuzz_tests);
       ("persistence", persistence_tests);
       ("channel", channel_tests);
