@@ -4,6 +4,7 @@ module Metrics = Dce_obs.Metrics
 module Convergence = Dce_sim.Convergence
 module Replica = Dce_store.Replica
 module Proto = Dce_wire.Proto
+module Codec = Dce_wire.Codec
 
 type mid = Mcoop of Request.id | Madmin of int | Mbeacon of int * int
 
@@ -32,13 +33,9 @@ type mutant = No_clamp | Cut_unstable | Collapse_live
 
 (* ----- the transition system ----- *)
 
-type payload =
-  | Pmsg of char Controller.message
-  | Pbeacon of Vclock.t * int  (* issuer clock and policy version *)
-
 type msg = {
   mid : mid;
-  payload : payload;
+  frame : string;  (* the bytes the wire carries, decoded at delivery *)
   pending : Subject.user list;  (* destinations not yet delivered to *)
 }
 
@@ -70,11 +67,6 @@ type node = {
      beacon actions at distinct sites still commute, which the sleep-set
      independence relation below relies on *)
   bseq : (Subject.user * int) list;
-  (* whether any script contains a Beacon/Compact action.  When none
-     does, the stability bounds and compaction cut drive no transition,
-     so the fingerprint soundly omits them — keeping the state cache as
-     coarse (and exploration as fast) as before stability existed. *)
-  stab : bool;
   (* per-site durable journals; empty unless the scenario sets
      [persist], in which case every site's replica journals through the
      real store stack and Crash/Recover become executable *)
@@ -152,13 +144,6 @@ let initial scenario =
     msgs = [];
     scripts = List.filter (fun (_, s) -> s <> []) scenario.Scenario.scripts;
     bseq = [];
-    stab =
-      List.exists
-        (fun (_, s) ->
-          List.exists
-            (function Scenario.Beacon | Scenario.Compact -> true | _ -> false)
-            s)
-        scenario.Scenario.scripts;
     journals =
       (match scenario.Scenario.persist with
        | None -> []
@@ -211,7 +196,8 @@ let put_in_flight node src payloads =
   let dests = List.filter (fun v -> v <> src) (List.map fst node.ctrls) in
   let fresh =
     List.map
-      (fun m -> { mid = mid_of_message m; payload = Pmsg m; pending = dests })
+      (fun m ->
+        { mid = mid_of_message m; frame = Proto.Char_proto.encode_message m; pending = dests })
       payloads
   in
   let issue ghost = function
@@ -311,10 +297,13 @@ let exec ?mutant node = function
        let k = (match List.assoc_opt u node.bseq with Some k -> k | None -> 0) + 1 in
        let mid = Mbeacon (u, k) in
        let dests = List.filter (fun v -> v <> u) (List.map fst node.ctrls) in
+       let frame =
+         Proto.encode_frontier [ { Proto.b_site = u; b_clock = clock; b_version = version } ]
+       in
        ( {
            node with
            bseq = (u, k) :: List.remove_assoc u node.bseq;
-           msgs = node.msgs @ [ { mid; payload = Pbeacon (clock, version); pending = dests } ];
+           msgs = node.msgs @ [ { mid; frame; pending = dests } ];
          },
          Printf.sprintf "site %d: beacon -> %s" u (mid_to_string mid) )
      | Scenario.Compact ->
@@ -424,19 +413,28 @@ let exec ?mutant node = function
         node.msgs
     in
     let node = { node with msgs } in
+    (* the frame is decoded as a peer decodes a hub's relay *)
+    let undecodable e =
+      failwith (Printf.sprintf "frame %s does not decode: %s" (mid_to_string mid) e)
+    in
     let node, emitted =
-      match msg.payload with
-      | Pmsg payload -> (
-        match on_replica node u (fun r -> Replica.receive r payload) with
-        | node, Ok emitted -> (node, emitted)
-        | _, Error e -> failwith ("receive failed: " ^ e))
-      | Pbeacon (b_clock, b_version) ->
-        (* beacons are soft state and never journaled: a bare replica
-           absorbs one, and the durable image goes stale *)
-        let b_site = match mid with Mbeacon (s, _) -> s | _ -> assert false in
-        let r = Replica.create (List.assoc u node.ctrls) in
-        Replica.absorb r [ { Proto.b_site; b_clock; b_version } ];
-        (dirty_journal (set_ctrl u (Replica.controller r) node) u, [])
+      match mid with
+      | Mcoop _ | Madmin _ -> (
+        match Proto.Char_proto.decode_message msg.frame with
+        | Error e -> undecodable e
+        | Ok m -> (
+          match on_replica node u (fun r -> Replica.receive r m) with
+          | node, Ok emitted -> (node, emitted)
+          | _, Error e -> failwith ("receive failed: " ^ e)))
+      | Mbeacon _ -> (
+        match Proto.decode_frontier msg.frame with
+        | Error e -> undecodable e
+        | Ok beacons ->
+          (* beacons are soft state and never journaled: a bare replica
+             absorbs them, and the durable image goes stale *)
+          let r = Replica.create (List.assoc u node.ctrls) in
+          Replica.absorb r beacons;
+          (dirty_journal (set_ctrl u (Replica.controller r) node) u, []))
     in
     let node = put_in_flight node u emitted in
     ( node,
@@ -468,125 +466,43 @@ let in_flight node =
 (* ----- canonical state fingerprint -----
 
    [Controller.t] holds closures (the element equality, the trace sink),
-   so structural hashing is out; instead every semantically relevant
-   component is printed in a canonical textual form and digested.
-   Vector clocks print their sorted bindings; the in-flight set prints
-   as a multiset sorted by message identity (two event orders that
-   produce the same messages in different creation order reach the same
-   fingerprint).  Receive-queue *order* is preserved — drain order is
-   semantically significant — and each request prints its generation
-   form and causal context, which [Request.pp] omits but which drive
-   future transitions. *)
-
-let fp_clock ppf k =
-  List.iter (fun (s, n) -> Format.fprintf ppf "%d:%d," s n) (Vclock.to_list k)
-
-let fp_op ppf op = Op.pp Fmt.char ppf op
-
-let fp_request ppf (q : char Request.t) =
-  Format.fprintf ppf "q%d.%d<%s>%a v%d c(%a) o%a g%a;" q.Request.id.Request.site
-    q.Request.id.Request.serial
-    (match q.Request.dep with
-     | None -> "-"
-     | Some d -> Printf.sprintf "%d.%d" d.Request.site d.Request.serial)
-    Request.pp_flag q.Request.flag q.Request.policy_version fp_clock q.Request.ctx fp_op
-    q.Request.op fp_op q.Request.gen_op
-
-let fp_admin_request ppf (r : Admin_op.request) =
-  Format.fprintf ppf "r%d@%d %a c(%a);" r.Admin_op.version r.Admin_op.admin Admin_op.pp
-    r.Admin_op.op fp_clock r.Admin_op.ctx
-
-let fp_cell ppf (cell : char Tdoc.cell) =
-  Format.fprintf ppf "%c.%d" cell.Tdoc.elt cell.Tdoc.hidden;
-  List.iter
-    (fun (w : char Tdoc.write) ->
-      Format.fprintf ppf "[%d.%d=%c-%d]" w.Tdoc.wtag.Op.stamp w.Tdoc.wtag.Op.site
-        w.Tdoc.value w.Tdoc.retracted)
-    cell.Tdoc.writes;
-  Format.fprintf ppf ","
-
-let fp_entry ppf (e : char Oplog.entry) =
-  (match e.Oplog.role with
-   | Oplog.Normal -> ()
-   | Oplog.Canceller id ->
-     Format.fprintf ppf "X%d.%d>" id.Request.site id.Request.serial);
-  fp_request ppf e.Oplog.req
-
-let fp_bound ppf (u, (k, v)) = Format.fprintf ppf "%d<(%a)%d;" u fp_clock k v
-
-let fp_controller ?(stab = true) ppf c =
-  let st = Controller.dump c in
-  Format.fprintf ppf "s%d n%d k(%a)|D:" st.Controller.st_site st.Controller.st_serial
-    fp_clock st.Controller.st_clock;
-  List.iter (fp_cell ppf) (Tdoc.model_list st.Controller.st_doc);
-  Format.fprintf ppf "|H:";
-  List.iter (fp_entry ppf) st.Controller.st_oplog;
-  (* compaction state and stability bounds drive future compact/beacon
-     transitions, so in a stability scenario they are part of the
-     canonical state (the bound tables come sorted from
-     [User_map.bindings]) *)
-  if stab then begin
-    Format.fprintf ppf "|G:%a|Lc:%d|Pi:" fp_clock st.Controller.st_compacted
-      (Admin_log.cut (Controller.admin_log c));
-    List.iter (fp_bound ppf) st.Controller.st_peer_integrated;
-    Format.fprintf ppf "|Ph:";
-    List.iter (fp_bound ppf) st.Controller.st_peer_admin_hint;
-    Format.fprintf ppf "|Pb:";
-    List.iter (fp_bound ppf) st.Controller.st_peer_beacon
-  end;
-  Format.fprintf ppf "|L:";
-  List.iter (fp_admin_request ppf) st.Controller.st_admin_requests;
-  Format.fprintf ppf "|F:";
-  List.iter (fp_request ppf) st.Controller.st_coop_queue;
-  Format.fprintf ppf "|Q:";
-  List.iter (fp_admin_request ppf) st.Controller.st_admin_queue
-
-let fp_message ppf = function
-  | Pmsg (Controller.Coop q) -> fp_request ppf q
-  | Pmsg (Controller.Admin r) -> fp_admin_request ppf r
-  | Pbeacon (k, v) -> Format.fprintf ppf "B(%a)%d;" fp_clock k v
+   so structural hashing is out.  Each site is hashed as its shipped
+   state encoding ({!Proto.fingerprint}: [encode_state] of
+   [Controller.dump]), which is complete — [Controller.load] restores a
+   site from it — and canonical, whatever the document's chunking.
+   In-flight messages are hashed as their frames, a multiset sorted by
+   message identity (two event orders that produce the same messages in
+   a different creation order reach the same fingerprint); the ghost log
+   as encoded administrative requests. *)
 
 let fingerprint node =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
+  let b = Buffer.create 1024 in
   List.iter
-    (fun (u, c) -> Format.fprintf ppf "C%d{%a}" u (fp_controller ~stab:node.stab) c)
+    (fun (_, c) -> Buffer.add_string b (Proto.fingerprint Proto.char_codec c))
     node.ctrls;
-  let keyed =
-    List.map
-      (fun m ->
-        ( mid_to_string m.mid,
-          Format.asprintf "%a->%s" fp_message m.payload
-            (String.concat "," (List.map string_of_int (List.sort compare m.pending))) ))
-      node.msgs
-    |> List.sort compare
-  in
-  List.iter (fun (k, v) -> Format.fprintf ppf "M%s{%s}" k v) keyed;
-  List.iter
-    (fun (u, s) -> Format.fprintf ppf "S%d:%d" u (List.length s))
-    node.scripts;
-  (* without stability nothing is cut, so the ghost is the longest log
-     some site holds plus what is in flight: already printed *)
-  if node.stab then begin
-    Format.fprintf ppf "W:";
-    List.iter (fp_admin_request ppf) (Admin_log.requests node.ghost)
-  end;
-  List.iter
-    (fun (u, k) -> Format.fprintf ppf "B%d:%d" u k)
+  List.map (fun m -> (mid_to_string m.mid, m.frame, List.sort compare m.pending)) node.msgs
+  |> List.sort compare
+  |> Codec.put_list
+       (fun b (mid, frame, pending) ->
+         Codec.put_string b mid;
+         Codec.put_string b frame;
+         Codec.put_list Codec.put_varint b pending)
+       b;
+  Codec.put_list (Codec.put_pair Codec.put_varint Codec.put_varint) b
+    (List.map (fun (u, s) -> (u, List.length s)) node.scripts);
+  Codec.put_list Proto.put_admin_request b (Admin_log.requests node.ghost);
+  Codec.put_list (Codec.put_pair Codec.put_varint Codec.put_varint) b
     (List.sort compare node.bseq);
   (* the durable image is part of the state: two schedules that leave
      different bytes on "disk" must not be deduplicated, or crash
      branches would be pruned unsoundly *)
   List.iter
-    (fun (u, j) ->
-      Format.fprintf ppf "J%d:%s%s%s" u (Journal.fingerprint j.jn)
-        (match j.jdown with
-         | None -> ""
-         | Some d -> if d.d_clean then "!c" else "!")
-        (if j.jclean then "+" else "-"))
+    (fun (_, j) ->
+      Codec.put_string b (Journal.fingerprint j.jn);
+      Codec.put_option Codec.put_bool b (Option.map (fun d -> d.d_clean) j.jdown);
+      Codec.put_bool b j.jclean)
     node.journals;
-  Format.pp_print_flush ppf ();
-  Digest.string (Buffer.contents buf)
+  Digest.string (Buffer.contents b)
 
 (* ----- the frontier oracle -----
 
@@ -651,14 +567,16 @@ let security_violation log ctrls =
             (Format.asprintf
                "accepted-illegal: request %a (%a by user %d at version %d) is valid at \
                 every site but a version in its missed interval denies it"
-               Request.pp_id q.Request.id fp_op q.Request.gen_op q.Request.id.Request.site
+               Request.pp_id q.Request.id (Op.pp Fmt.char) q.Request.gen_op
+               q.Request.id.Request.site
                q.Request.policy_version)
         | Request.Invalid, true ->
           Some
             (Format.asprintf
                "rejected-legal: request %a (%a by user %d at version %d) was invalidated \
                 although every policy version it crossed grants it"
-               Request.pp_id q.Request.id fp_op q.Request.gen_op q.Request.id.Request.site
+               Request.pp_id q.Request.id (Op.pp Fmt.char) q.Request.gen_op
+               q.Request.id.Request.site
                q.Request.policy_version)
         | _ -> None)
       (Oplog.requests (Controller.oplog c0))
@@ -668,7 +586,7 @@ let security_violation log ctrls =
    changes either), and the same requests above the site's own cut. *)
 let admin_log_violation ghost ctrls =
   let policy_key p = (Policy.users p, Policy.groups p, Policy.objects p, Policy.auths p) in
-  let fp_requests = List.map (Format.asprintf "%a" fp_admin_request) in
+  let encoded = Option.map (Codec.to_string (Codec.put_list Proto.put_admin_request)) in
   List.find_map
     (fun (u, c) ->
       let log = Controller.admin_log c in
@@ -692,8 +610,7 @@ let admin_log_violation ghost ctrls =
                 administrative history as issued" u w)
         | None ->
           if
-            Option.map fp_requests (Admin_log.suffix log cut)
-            <> Option.map fp_requests (Admin_log.suffix ghost cut)
+            encoded (Admin_log.suffix log cut) <> encoded (Admin_log.suffix ghost cut)
           then
             Some
               (Printf.sprintf

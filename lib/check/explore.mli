@@ -13,6 +13,12 @@
       ([Replica.receive]) — the administrator's reception can itself
       emit validation messages, which join the in-flight set.
 
+    A message travels as the frame the wire carries
+    ([Proto.encode_message], a beacon as a one-entry
+    [Proto.encode_frontier]) and is decoded at delivery as a peer
+    decodes a hub's relay, so the search crosses the shipped codec; a
+    frame that does not decode is a violation.
+
     Every interleaving of these events is explored.  At each {e quiescent
     frontier} — a state with no message in flight — the paper's oracles
     must hold: convergence of document/policy/version
@@ -25,8 +31,11 @@
     administrative log above the version of any group member.
 
     Tractability comes from two mechanisms.  {e Canonical state hashing}:
-    semantically equal states reached by different event orders are
-    fingerprinted identically (in-flight messages as a multiset) and
+    each site is hashed as its shipped state encoding
+    ([Proto.encode_state] of [Controller.dump], the bytes recovery and
+    state transfer compare, from which [Controller.load] restores it),
+    in-flight messages as their frames, a multiset sorted by message
+    identity, so equal states reached by different event orders are
     explored once.  {e Sleep sets}: events at different sites commute, so
     after exploring event [a] before [b], the [b]-first branch is pruned
     from re-exploring [a] at the same point (Godefroid-style sleep sets,
@@ -40,8 +49,8 @@ type mid =
   | Madmin of int  (** administrative requests are keyed by version *)
   | Mbeacon of int * int
       (** stability beacons, keyed by (issuer site, per-site sequence
-          number); delivery feeds [Controller.receive_beacon] and never
-          emits follow-up messages *)
+          number); delivery feeds [Replica.absorb] and never emits
+          follow-up messages *)
 
 type event = Act of Subject.user | Dlv of Subject.user * mid
 

@@ -633,7 +633,7 @@ let load ?(eq = ( = )) ?(trace = Dce_obs.Trace.null) ?metrics s =
   | Error e -> Error ("corrupt administrative history: " ^ e)
   | Ok _ when not (Oplog.serials_complete oplog) ->
     (* the log's clock would read the missing serial as present *)
-    Error "corrupt cooperative log: a site's serials skip one"
+    Error "corrupt cooperative log: a site's serials skip or repeat one"
   | Ok admin_log ->
     Ok
       {

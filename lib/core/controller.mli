@@ -228,8 +228,8 @@ val load :
   'e state ->
   ('e t, string) result
 (** Adopt a state.  A state is outside input, so it is refused when its
-    administrative history does not replay or when its log skips a
-    serial of some site above that site's compacted floor
+    administrative history does not replay or when its log skips or
+    repeats a serial of some site above that site's compacted floor
     ({!Dce_ot.Oplog.serials_complete}). *)
 
 val catch_up : 'e t -> 'e t -> 'e t * 'e message list

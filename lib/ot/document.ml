@@ -1,19 +1,5 @@
 exception Edit_conflict of string
 
-module type S = sig
-  type 'e t
-
-  val empty : unit -> 'e t
-  val of_list : 'e list -> 'e t
-  val to_list : 'e t -> 'e list
-  val length : 'e t -> int
-  val get : 'e t -> int -> 'e
-  val apply : ?eq:('e -> 'e -> bool) -> 'e t -> 'e Op.t -> 'e t
-  val apply_all : ?eq:('e -> 'e -> bool) -> 'e t -> 'e Op.t list -> 'e t
-  val equal : ('e -> 'e -> bool) -> 'e t -> 'e t -> bool
-  val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit
-end
-
 let conflict fmt = Format.kasprintf (fun s -> raise (Edit_conflict s)) fmt
 
 let check_expected ~eq ~what ~pos ~found ~expected =
@@ -23,9 +9,7 @@ let check_expected ~eq ~what ~pos ~found ~expected =
 module Array_doc = struct
   type 'e t = 'e array
 
-  let empty () = [||]
   let of_list = Array.of_list
-  let to_list = Array.to_list
   let length = Array.length
   let get doc i = doc.(i)
 
@@ -51,133 +35,6 @@ module Array_doc = struct
       let n = Array.length doc in
       if pos < 0 || pos >= n then invalid_arg "Array_doc.apply: Unup out of bounds";
       Array.init n (fun i -> if i = pos then value else doc.(i))
-
-  let apply_all ?eq doc ops = List.fold_left (fun d o -> apply ?eq d o) doc ops
-
-  let equal eq_elt a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (eq_elt a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let pp pp_elt ppf doc =
-    Format.fprintf ppf "[@[%a@]]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_elt)
-      (Array.to_list doc)
-end
-
-(* A gap buffer: elements live in [buf.(0 .. gap_start-1)] and
-   [buf.(gap_end .. cap-1)]; the gap in between absorbs edits.  Moving the
-   gap costs the distance moved, so localised edits are amortised O(1). *)
-module Gap_doc = struct
-  type 'e buffer = {
-    mutable buf : 'e option array;
-    mutable gap_start : int;
-    mutable gap_end : int;
-  }
-
-  type 'e t = 'e buffer
-
-  let initial_capacity = 16
-
-  let make_buf cap = Array.make cap None
-
-  let empty () = { buf = make_buf initial_capacity; gap_start = 0; gap_end = initial_capacity }
-
-  let length d = Array.length d.buf - (d.gap_end - d.gap_start)
-
-  let of_list l =
-    let n = List.length l in
-    let cap = max initial_capacity (2 * n) in
-    let buf = make_buf cap in
-    List.iteri (fun i e -> buf.(i) <- Some e) l;
-    { buf; gap_start = n; gap_end = cap }
-
-  let unsafe_get d i =
-    let phys = if i < d.gap_start then i else i + (d.gap_end - d.gap_start) in
-    match d.buf.(phys) with
-    | Some e -> e
-    | None -> assert false
-
-  let get d i =
-    if i < 0 || i >= length d then invalid_arg "Gap_doc.get: out of bounds";
-    unsafe_get d i
-
-  let to_list d = List.init (length d) (unsafe_get d)
-
-  let move_gap d pos =
-    if pos < d.gap_start then begin
-      let shift = d.gap_start - pos in
-      Array.blit d.buf pos d.buf (d.gap_end - shift) shift;
-      Array.fill d.buf pos (min shift (d.gap_end - shift - pos)) None;
-      d.gap_start <- pos;
-      d.gap_end <- d.gap_end - shift
-    end
-    else if pos > d.gap_start then begin
-      let shift = pos - d.gap_start in
-      Array.blit d.buf d.gap_end d.buf d.gap_start shift;
-      let clear_from = max (d.gap_start + shift) d.gap_end in
-      Array.fill d.buf clear_from (d.gap_end + shift - clear_from) None;
-      d.gap_start <- d.gap_start + shift;
-      d.gap_end <- d.gap_end + shift
-    end
-
-  let grow d =
-    let len = length d in
-    let cap = max initial_capacity (2 * Array.length d.buf) in
-    let buf = make_buf cap in
-    for i = 0 to len - 1 do
-      buf.(i) <- Some (unsafe_get d i)
-    done;
-    d.buf <- buf;
-    d.gap_start <- len;
-    d.gap_end <- cap
-
-  let insert d pos elt =
-    if pos < 0 || pos > length d then invalid_arg "Gap_doc.apply: Ins out of bounds";
-    if d.gap_start = d.gap_end then grow d;
-    move_gap d pos;
-    d.buf.(d.gap_start) <- Some elt;
-    d.gap_start <- d.gap_start + 1
-
-  let delete ~eq d pos expected =
-    if pos < 0 || pos >= length d then invalid_arg "Gap_doc.apply: Del out of bounds";
-    check_expected ~eq ~what:"Del" ~pos ~found:(unsafe_get d pos) ~expected;
-    move_gap d (pos + 1);
-    d.gap_start <- d.gap_start - 1;
-    d.buf.(d.gap_start) <- None
-
-  let update ~eq d pos before after =
-    if pos < 0 || pos >= length d then invalid_arg "Gap_doc.apply: Up out of bounds";
-    check_expected ~eq ~what:"Up" ~pos ~found:(unsafe_get d pos) ~expected:before;
-    let phys = if pos < d.gap_start then pos else pos + (d.gap_end - d.gap_start) in
-    d.buf.(phys) <- Some after
-
-  (* The interface is persistent; mutation happens in place and the same
-     buffer is returned.  Callers that need snapshots use [of_list/to_list]. *)
-  let apply ?(eq = ( = )) d op =
-    (match op with
-     | Op.Nop -> ()
-     | Op.Ins { pos; elt; _ } | Op.Undel { pos; elt } -> insert d pos elt
-     | Op.Del { pos; elt } -> delete ~eq d pos elt
-     | Op.Up { pos; before; after; _ } -> update ~eq d pos before after
-     | Op.Unup { pos; value; _ } ->
-       let found = unsafe_get d pos in
-       update ~eq d pos found value);
-    d
-
-  let apply_all ?eq d ops = List.fold_left (fun d o -> apply ?eq d o) d ops
-
-  let equal eq_elt a b =
-    length a = length b
-    &&
-    let rec go i = i >= length a || (eq_elt (unsafe_get a i) (unsafe_get b i) && go (i + 1)) in
-    go 0
-
-  let pp pp_elt ppf d =
-    Format.fprintf ppf "[@[%a@]]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_elt)
-      (to_list d)
 end
 
 module Str = struct
@@ -186,5 +43,4 @@ module Str = struct
   let of_string s = Array_doc.of_list (List.init (String.length s) (String.get s))
   let to_string d = String.init (Array_doc.length d) (Array_doc.get d)
   let apply d o = Array_doc.apply ~eq:Char.equal d o
-  let apply_all d ops = Array_doc.apply_all ~eq:Char.equal d ops
 end

@@ -2,32 +2,22 @@
 
     The paper models the shared object as a list whose element type is a
     parameter (a character, a paragraph, an XML node…).  This module
-    provides {e positional} document stores where [Del] physically removes
-    its element ([Undel] re-inserts it): the semantics used by the
-    positional baseline algorithms ([Dce_baseline]) and by front ends that
-    render visible state.  The OT engine itself executes on the tombstone
-    model, {!Tdoc}.
+    provides a {e positional} document store where [Del] physically
+    removes its element ([Undel] re-inserts it): the semantics used by
+    the positional baseline algorithms ([Dce_baseline]).  The OT engine
+    itself executes on the tombstone model, {!Tdoc}.
 
-    Two implementations behind the same interface:
-
-    - {!Array_doc}: a persistent array-backed document.  Simple and
-      immutable; the oracle used by the test suite.
-    - {!Gap_doc}: a mutable gap buffer with amortised O(1) edits near the
-      cursor; used by the benchmarks.  The interface is persistent but the
-      same buffer is returned: snapshot with [to_list] when needed.
-
-    Both raise [Invalid_argument] on out-of-bounds positions and
-    [Edit_conflict] when a [Del]/[Up] finds an unexpected element (that
-    situation signals a transformation bug, never a user error). *)
+    {!Array_doc} is persistent and array-backed.  It raises
+    [Invalid_argument] on out-of-bounds positions and [Edit_conflict]
+    when a [Del]/[Up] finds an unexpected element (that situation
+    signals a transformation bug, never a user error). *)
 
 exception Edit_conflict of string
 
-module type S = sig
+module Array_doc : sig
   type 'e t
 
-  val empty : unit -> 'e t
   val of_list : 'e list -> 'e t
-  val to_list : 'e t -> 'e list
   val length : 'e t -> int
   val get : 'e t -> int -> 'e
 
@@ -35,15 +25,7 @@ module type S = sig
   (** [apply doc o] executes cooperative operation [o].  [eq] (default
       structural equality) checks [Del]/[Up] expectations; a mismatch
       raises {!Edit_conflict}. *)
-
-  val apply_all : ?eq:('e -> 'e -> bool) -> 'e t -> 'e Op.t list -> 'e t
-  val equal : ('e -> 'e -> bool) -> 'e t -> 'e t -> bool
-  val pp : (Format.formatter -> 'e -> unit) -> Format.formatter -> 'e t -> unit
 end
-
-module Array_doc : S
-
-module Gap_doc : S
 
 (** Convenience functions for the common character-document case. *)
 module Str : sig
@@ -52,5 +34,4 @@ module Str : sig
   val of_string : string -> t
   val to_string : t -> string
   val apply : t -> char Op.t -> t
-  val apply_all : t -> char Op.t list -> t
 end

@@ -6,10 +6,9 @@
     This module is that combination layer: a high-level edit in visible
     coordinates compiles to the sequence of primitive operations that
     realises it, each built against the document state its predecessors
-    produce — ready to feed one by one to
-    [Engine.generate]/[Controller.generate], which is exactly how a front
-    end issues a paste (the requests chain causally, so remote sites
-    replay them atomically in order). *)
+    produce — ready to feed one by one to [Controller.generate], which
+    is exactly how a front end issues a paste (the requests chain
+    causally, so remote sites replay them atomically in order). *)
 
 type 'e t =
   | Insert_text of { at : int; elts : 'e list }

@@ -568,33 +568,43 @@ let touched_positions h =
   done;
   Array.of_list (List.sort_uniq Int.compare !out)
 
-(* Each site's live normal entries above its compacted floor, sorted,
-   must be every serial up to [seen] once. *)
+(* Each site's live normal entries above its compacted floor must be
+   every serial up to [seen] once: one mark per serial of (floor, seen],
+   each set by exactly one entry, every one set at the end. *)
 let serials_complete h =
-  let above =
-    Log.fold_range
-      (fun acc e ->
-        match e.role with
-        | Normal ->
-          let { Request.site; serial } = e.req.Request.id in
-          if serial > Vclock.get h.compacted site then (site, serial) :: acc else acc
-        | Canceller _ -> acc)
-      [] h.entries ~pos:0 ~len:(length h)
+  let spans =
+    List.filter_map
+      (fun (site, n) ->
+        let floor = Vclock.get h.compacted site in
+        if n > floor then Some (site, floor, n - floor) else None)
+      (Vclock.to_list h.seen)
   in
-  let by_id (a, r) (b, r') = if a <> b then Int.compare a b else Int.compare r r' in
-  let rec sites above = function
-    | [] -> above = []
-    | (site, n) :: rest ->
-      let rec serials above r =
-        if r > n then sites above rest
-        else
-          match above with
-          | (s, r') :: above when s = site && r' = r -> serials above (r + 1)
-          | _ -> false
-      in
-      serials above (Vclock.get h.compacted site + 1)
+  let live = length h in
+  (* every marked serial needs an entry of its own, so spans longer in
+     all than the log (a hostile state's serial 2^40) fail before their
+     marks are allocated *)
+  List.fold_left (fun total (_, _, k) -> total + min k (live + 1)) 0 spans <= live
+  &&
+  let marks = Hashtbl.create 8 in
+  List.iter (fun (site, floor, k) -> Hashtbl.replace marks site (floor, Bytes.make k '0')) spans;
+  let mark ok e =
+    ok
+    &&
+    match e.role with
+    | Canceller _ -> true
+    | Normal -> (
+      let { Request.site; serial } = e.req.Request.id in
+      serial <= Vclock.get h.compacted site
+      ||
+      match Hashtbl.find_opt marks site with
+      | Some (floor, m)
+        when serial - floor <= Bytes.length m && Bytes.get m (serial - floor - 1) = '0' ->
+        Bytes.set m (serial - floor - 1) '1';
+        true
+      | _ -> false)
   in
-  sites (List.sort by_id above) (Vclock.to_list h.seen)
+  Log.fold_range mark true h.entries ~pos:0 ~len:live
+  && Hashtbl.fold (fun _ (_, m) ok -> ok && not (Bytes.contains m '0')) marks true
 
 let well_formed h =
   let ts = tail_start h in

@@ -232,8 +232,8 @@ val serials_complete : 'e t -> bool
     has held exactly once — the precondition under which {!mem} and
     {!causally_ready} read a clock for the set of ids.  Every log built
     by appending and integrating keeps it; one rebuilt by {!of_entries}
-    from outside input may not, and then must be refused.
-    O(H log H). *)
+    from outside input may not, and then must be refused.  O(H): one
+    walk of the live entries, marking each serial once. *)
 
 val well_formed : 'e t -> bool
 (** The indexes agree with the entries: {!serials_complete} holds, and

@@ -12,41 +12,21 @@ module Q = Map.Make (Key)
 type 'm t = {
   fifo : bool;
   latency : latency;
-  drop : float; (* per-message loss probability; breaks §3.3, chaos only *)
-  dup : float; (* per-message duplication probability *)
   sites : int list;
   queue : (int * int * 'm) Q.t; (* key -> destination, enqueue time, message *)
   seq : int;
   last_on_link : ((int * int) * int) list; (* (src,dst) -> last delivery time *)
-  dropped : int;
-  duplicated : int;
 }
 
-let create ?(fifo = false) ?(drop = 0.) ?(dup = 0.) ~latency ~sites () =
-  if drop < 0. || drop > 1. || dup < 0. || dup > 1. then
-    invalid_arg "Net.create: probabilities must lie in [0,1]";
-  {
-    fifo;
-    latency;
-    drop;
-    dup;
-    sites;
-    queue = Q.empty;
-    seq = 0;
-    last_on_link = [];
-    dropped = 0;
-    duplicated = 0;
-  }
-
-let dropped t = t.dropped
-let duplicated t = t.duplicated
+let create ?(fifo = false) ~latency ~sites () =
+  { fifo; latency; sites; queue = Q.empty; seq = 0; last_on_link = [] }
 
 let draw_latency t rng =
   match t.latency with
   | Fixed d -> (d, rng)
   | Uniform (lo, hi) -> Rng.in_range rng lo hi
 
-let enqueue_one t rng ~now ~src ~dst m =
+let send t rng ~now ~src ~dst m =
   let d, rng = draw_latency t rng in
   let at = now + d in
   let at, last_on_link =
@@ -64,17 +44,6 @@ let enqueue_one t rng ~now ~src ~dst m =
       last_on_link;
     },
     rng )
-
-let send t rng ~now ~src ~dst m =
-  let lose, rng = if t.drop > 0. then Rng.bool rng t.drop else (false, rng) in
-  if lose then ({ t with dropped = t.dropped + 1 }, rng)
-  else
-    let t, rng = enqueue_one t rng ~now ~src ~dst m in
-    let again, rng = if t.dup > 0. then Rng.bool rng t.dup else (false, rng) in
-    if again then
-      let t, rng = enqueue_one t rng ~now ~src ~dst m in
-      ({ t with duplicated = t.duplicated + 1 }, rng)
-    else (t, rng)
 
 let broadcast t rng ~now ~src m =
   List.fold_left

@@ -16,23 +16,10 @@ type latency = Fixed of int | Uniform of int * int
 
 type 'm t
 
-val create :
-  ?fifo:bool -> ?drop:float -> ?dup:float -> latency:latency -> sites:int list ->
-  unit -> 'm t
+val create : ?fifo:bool -> latency:latency -> sites:int list -> unit -> 'm t
 (** [fifo] (default [false]) forces per-link FIFO delivery by clamping
     each delivery time to be no earlier than the previous one on the same
-    link.  [drop] / [dup] (default [0.]) lose or duplicate each message
-    with the given probability, deterministically from the RNG the caller
-    threads — dropping violates the paper's reliable-broadcast assumption
-    (§3.3), so it is for robustness experiments only (e.g. showing which
-    oracles survive lossy gossip and which require the assumption).
-    Raises [Invalid_argument] outside [[0,1]]. *)
-
-val dropped : 'm t -> int
-(** Messages lost to [drop] so far. *)
-
-val duplicated : 'm t -> int
-(** Extra copies enqueued by [dup] so far. *)
+    link. *)
 
 val broadcast : 'm t -> Rng.t -> now:int -> src:int -> 'm -> 'm t * Rng.t
 (** Enqueue a copy for every site except [src]. *)

@@ -19,6 +19,13 @@ let contains s sub =
 
 let run ?max_states scenario = Explore.run ?max_states scenario
 
+(* The search's exact size pins the state fingerprint: one that splits
+   equal states raises these counts, one that merges distinct states
+   lowers them. *)
+let check_size (st : Explore.stats) ~states ~distinct =
+  Alcotest.(check int) "states" states st.Explore.states;
+  Alcotest.(check int) "distinct states" distinct st.Explore.distinct
+
 let expect_found name (outcome, _stats) =
   match outcome with
   | Explore.Found v -> v
@@ -59,7 +66,7 @@ let explore_tests =
          | Explore.Exhausted -> ()
          | Explore.Found v -> Alcotest.failf "violation: %s" v.Explore.detail
          | Explore.Capped -> Alcotest.fail "capped");
-        Alcotest.(check bool) "explored states" true (stats.Explore.states > 100);
+        check_size stats ~states:7_415 ~distinct:3_549;
         Alcotest.(check bool) "checked frontiers" true (stats.Explore.frontiers > 0);
         Alcotest.(check bool) "state cache hits" true (stats.Explore.dedup_hits > 0);
         Alcotest.(check bool) "sleep sets pruned" true (stats.Explore.sleep_skips > 0));
@@ -235,8 +242,7 @@ let crash_tests =
         (* both sites, the administrator included, crash and restart *)
         let s = Scenario.make ~features:secure ~crash:1 ~sites:2 ~coop:2 ~admin_ops:1 () in
         match run s with
-        | Explore.Exhausted, st ->
-          Alcotest.(check bool) "explored something" true (st.Explore.states > 50)
+        | Explore.Exhausted, st -> check_size st ~states:382 ~distinct:345
         | Explore.Found v, _ -> Alcotest.failf "violation: %s" v.Explore.detail
         | Explore.Capped, _ -> Alcotest.fail "capped");
     Alcotest.test_case "crash interleaved with beacons and compaction" `Quick (fun () ->
@@ -245,7 +251,7 @@ let crash_tests =
             ~admin_ops:1 ()
         in
         match run s with
-        | Explore.Exhausted, _ -> ()
+        | Explore.Exhausted, st -> check_size st ~states:24_301 ~distinct:14_399
         | Explore.Found v, _ -> Alcotest.failf "violation: %s" v.Explore.detail
         | Explore.Capped, _ -> Alcotest.fail "capped");
     Alcotest.test_case "no-clamp mutant is caught and shrinks" `Quick (fun () ->

@@ -1,6 +1,6 @@
 (* Tests for the OT substrate: operations, documents, transformation
    (TP1/TP2/inversion), logs, undo, and multi-site convergence of the
-   plain engine. *)
+   controller's causal buffering and integration. *)
 
 open Dce_ot
 open Helpers
@@ -730,63 +730,7 @@ let doc_unit_tests =
            ignore (Str.apply (string_doc "ab") (Op.ins 5 'x'));
            Alcotest.fail "expected Invalid_argument"
          with Invalid_argument _ -> ()));
-    Alcotest.test_case "gap buffer grows" `Quick (fun () ->
-        let d = ref (Gap_doc.empty ()) in
-        for i = 0 to 99 do
-          d := Gap_doc.apply !d (Op.ins i 'x')
-        done;
-        Alcotest.(check int) "length" 100 (Gap_doc.length !d));
-    Alcotest.test_case "gap buffer edits far apart" `Quick (fun () ->
-        let d = Gap_doc.of_list (List.init 50 (fun i -> Char.chr (97 + (i mod 26)))) in
-        let d = Gap_doc.apply d (Op.ins 0 'A') in
-        let d = Gap_doc.apply d (Op.ins 51 'Z') in
-        let d = Gap_doc.apply d (Op.del 25 (Gap_doc.get d 25)) in
-        Alcotest.(check int) "length" 51 (Gap_doc.length d);
-        Alcotest.(check char) "front" 'A' (Gap_doc.get d 0);
-        Alcotest.(check char) "back" 'Z' (Gap_doc.get d 50));
   ]
-
-let test_doc_impl_equivalence =
-  qtest "gap buffer agrees with array document" ~count:500
-    QCheck2.Gen.(
-      let gen_plain =
-        map
-          (fun s -> Document.Str.of_string s)
-          (string_size ~gen:gen_char (int_range 0 12))
-      in
-      let gen_plain_op d =
-        let n = Document.Array_doc.length d in
-        let ins = map2 (fun p e -> Op.ins p e) (int_range 0 n) gen_char in
-        if n = 0 then ins
-        else
-          oneof
-            [
-              ins;
-              (int_range 0 (n - 1) >|= fun p -> Op.del p (Document.Array_doc.get d p));
-              ( pair (int_range 0 (n - 1)) gen_char >|= fun (p, e) ->
-                Op.up p (Document.Array_doc.get d p) e );
-            ]
-      in
-      gen_plain >>= fun d ->
-      let rec ops_on d acc n =
-        if n = 0 then return (List.rev acc)
-        else
-          gen_plain_op d >>= fun o ->
-          ops_on (Document.Str.apply d o) (o :: acc) (n - 1)
-      in
-      int_range 0 20 >>= fun n ->
-      ops_on d [] n >>= fun ops -> return (d, ops))
-    (fun (d, ops) ->
-      Format.asprintf "doc=%S ops=[%a]" (Document.Str.to_string d)
-        (Format.pp_print_list pp_char_op) ops)
-    (fun (doc, ops) ->
-      let arr = Document.Array_doc.apply_all ~eq:Char.equal doc ops in
-      let gap =
-        Document.Gap_doc.apply_all ~eq:Char.equal
-          (Document.Gap_doc.of_list (Document.Array_doc.to_list doc))
-          ops
-      in
-      Document.Array_doc.to_list arr = Document.Gap_doc.to_list gap)
 
 (* ----- Transform ----- *)
 
@@ -1013,26 +957,43 @@ let cursor_tests =
           (Cursor.transform_through d 3 [ Op.ins 0 'a'; Op.del 6 'f' ]));
   ]
 
-(* ----- Engine: multi-site convergence ----- *)
+(* ----- Multi-site convergence through the controller -----
 
-module E = Engine
+   Sites 1..n under a grant-all policy, with the administrator (site 0)
+   outside them: nothing is ever validated, so these cases exercise the
+   controller's causal buffering and integration alone. *)
+
+module C = Dce_core.Controller
 
 type net = {
-  mutable sites : char E.t array;
-  mutable in_flight : (int * char Request.t) list; (* destination, request *)
+  mutable sites : char C.t array;
+  mutable in_flight : (int * char C.message) list; (* destination, message *)
 }
 
+let mk_site ~sites i init =
+  let policy =
+    Dce_core.(
+      Policy.make
+        ~users:(List.init sites (fun j -> j + 1))
+        [ Auth.grant [ Subject.Any ] [ Docobj.Whole ] Right.all ])
+  in
+  C.create ~eq:Char.equal ~site:i ~admin:0 ~policy (Tdoc.of_string init)
+
 let mk_net n init =
-  {
-    sites = Array.init n (fun i -> E.create ~eq:Char.equal ~site:(i + 1) (Tdoc.of_string init));
-    in_flight = [];
-  }
+  { sites = Array.init n (fun i -> mk_site ~sites:n (i + 1) init); in_flight = [] }
+
+let generate c op =
+  match C.generate c op with
+  | c, C.Accepted m -> (c, m)
+  | _, C.Denied reason -> failwith ("denied: " ^ reason)
+
+let receive c m = fst (C.receive c m)
 
 let net_generate net i op =
-  let e, q = E.generate net.sites.(i) op in
-  net.sites.(i) <- e;
+  let c, m = generate net.sites.(i) op in
+  net.sites.(i) <- c;
   for j = 0 to Array.length net.sites - 1 do
-    if j <> i then net.in_flight <- (j, q) :: net.in_flight
+    if j <> i then net.in_flight <- (j, m) :: net.in_flight
   done
 
 let net_deliver_nth net k =
@@ -1043,9 +1004,9 @@ let net_deliver_nth net k =
   in
   match take k [] net.in_flight with
   | None -> ()
-  | Some ((dest, q), rest) ->
+  | Some ((dest, m), rest) ->
     net.in_flight <- rest;
-    net.sites.(dest) <- E.receive net.sites.(dest) q
+    net.sites.(dest) <- receive net.sites.(dest) m
 
 let net_flush net =
   while net.in_flight <> [] do
@@ -1053,9 +1014,9 @@ let net_flush net =
   done
 
 let net_converged net =
-  let d0 = E.document net.sites.(0) in
-  Array.for_all (fun s -> Tdoc.equal_model Char.equal d0 (E.document s)) net.sites
-  && Array.for_all (fun s -> E.pending s = 0) net.sites
+  let d0 = C.document net.sites.(0) in
+  Array.for_all (fun s -> Tdoc.equal_model Char.equal d0 (C.document s)) net.sites
+  && Array.for_all (fun s -> C.pending_coop s = 0) net.sites
 
 (* Drive a random interleaving: the integer stream decides, at each step,
    whether to generate a fresh local op at a random site (in visible
@@ -1080,7 +1041,7 @@ let run_random_session ~sites ~ops_budget stream init =
       let gen_now = can_gen && ((not can_deliver) || next () mod 2 = 0) in
       if gen_now then begin
         let i = next () mod sites in
-        let doc = E.document net.sites.(i) in
+        let doc = C.document net.sites.(i) in
         let n = Tdoc.visible_length doc in
         let op =
           match (if n = 0 then 0 else next () mod 3) with
@@ -1127,27 +1088,24 @@ let engine_unit_tests =
         net_flush net;
         Alcotest.(check bool) "converged" true (net_converged net);
         Alcotest.(check string) "effect" "effect"
-          (Tdoc.visible_string (E.document net.sites.(0))));
+          (Tdoc.visible_string (C.document net.sites.(0))));
     Alcotest.test_case "duplicate delivery ignored" `Quick (fun () ->
-        let a = E.create ~eq:Char.equal ~site:1 (Tdoc.of_string "ab") in
-        let b = E.create ~eq:Char.equal ~site:2 (Tdoc.of_string "ab") in
-        let _, q = E.generate a (Op.ins 0 'x') in
-        let b = E.receive b q in
-        let b = E.receive b q in
+        let a = mk_site ~sites:2 1 "ab" and b = mk_site ~sites:2 2 "ab" in
+        let _, m = generate a (Op.ins 0 'x') in
+        let b = receive (receive b m) m in
         Alcotest.(check string) "applied once" "xab"
-          (Tdoc.visible_string (E.document b)));
+          (Tdoc.visible_string (C.document b)));
     Alcotest.test_case "out-of-order delivery buffers" `Quick (fun () ->
-        let a = E.create ~eq:Char.equal ~site:1 Tdoc.empty in
-        let b = E.create ~eq:Char.equal ~site:2 Tdoc.empty in
-        let a, q1 = E.generate a (Op.ins 0 'x') in
-        let a, q2 = E.generate a (Op.ins 1 'y') in
-        let b = E.receive b q2 in
-        Alcotest.(check int) "buffered" 1 (E.pending b);
-        Alcotest.(check string) "not applied" "" (Tdoc.visible_string (E.document b));
-        let b = E.receive b q1 in
-        Alcotest.(check int) "drained" 0 (E.pending b);
-        Alcotest.(check string) "both applied" "xy" (Tdoc.visible_string (E.document b));
-        Alcotest.(check string) "a" "xy" (Tdoc.visible_string (E.document a)));
+        let a = mk_site ~sites:2 1 "" and b = mk_site ~sites:2 2 "" in
+        let a, m1 = generate a (Op.ins 0 'x') in
+        let a, m2 = generate a (Op.ins 1 'y') in
+        let b = receive b m2 in
+        Alcotest.(check int) "buffered" 1 (C.pending_coop b);
+        Alcotest.(check string) "not applied" "" (Tdoc.visible_string (C.document b));
+        let b = receive b m1 in
+        Alcotest.(check int) "drained" 0 (C.pending_coop b);
+        Alcotest.(check string) "both applied" "xy" (Tdoc.visible_string (C.document b));
+        Alcotest.(check string) "a" "xy" (Tdoc.visible_string (C.document a)));
     Alcotest.test_case "concurrent deletes of one element converge" `Quick (fun () ->
         let net = mk_net 3 "abc" in
         net_generate net 0 (Op.del 1 'b');
@@ -1156,7 +1114,7 @@ let engine_unit_tests =
         net_flush net;
         Alcotest.(check bool) "converged" true (net_converged net);
         Alcotest.(check string) "result" "acd"
-          (Tdoc.visible_string (E.document net.sites.(0))));
+          (Tdoc.visible_string (C.document net.sites.(0))));
   ]
 
 (* ----- Oplog ----- *)
@@ -1330,7 +1288,7 @@ let () =
       ("tdoc", tdoc_unit_tests @ tdoc_boundary_tests @ tdoc_memory_tests);
       ("tdoc-differential", differential_tests @ chunk_tests @ collapse_tests);
       ("tdoc-collapse", modulo_collapse_tests);
-      ("document", doc_unit_tests @ [ test_doc_impl_equivalence ]);
+      ("document", doc_unit_tests);
       ( "transform",
         transform_unit_tests
         @ [

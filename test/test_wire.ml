@@ -315,11 +315,21 @@ let persistence_tests =
             st.Controller.st_oplog
         in
         Alcotest.(check int) "1.2 kept" 1 (List.length gapped);
-        match load { st with Controller.st_oplog = gapped } with
-        | Ok _ -> Alcotest.fail "a log missing 1.1 loaded"
-        | Error e ->
-          Alcotest.(check bool) "names the log" true
-            (String.starts_with ~prefix:"corrupt cooperative log" e));
+        let refused what oplog =
+          match load { st with Controller.st_oplog = oplog } with
+          | Ok _ -> Alcotest.failf "a log %s loaded" what
+          | Error e ->
+            Alcotest.(check bool) "names the log" true
+              (String.starts_with ~prefix:"corrupt cooperative log" e)
+        in
+        refused "missing 1.1" gapped;
+        refused "holding 1.2 twice" (st.Controller.st_oplog @ gapped);
+        refused "naming serial 2^40"
+          (List.map
+             (fun (e : char Oplog.entry) ->
+               let id = { e.Oplog.req.Request.id with Request.serial = 1 lsl 40 } in
+               { e with Oplog.req = { e.Oplog.req with Request.id } })
+             gapped));
     Alcotest.test_case "a mid-session controller survives the wire" `Quick (fun () ->
         (* run a small session with tentative requests, queues, policy
            changes; then dump/encode/decode/load and compare *)
